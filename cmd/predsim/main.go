@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -69,11 +70,14 @@ func main() {
 	spec, ok := progen.ByName(*bench)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q; available:\n", *bench)
+		// SimSuite re-lists Suite entries next to its own, so list each
+		// name once.
 		var names []string
 		for _, s := range append(progen.Suite(), progen.SimSuite()...) {
 			names = append(names, s.Name)
 		}
 		sort.Strings(names)
+		names = slices.Compact(names)
 		fmt.Fprintln(os.Stderr, strings.Join(names, " "))
 		os.Exit(2)
 	}

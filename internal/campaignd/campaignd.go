@@ -771,6 +771,9 @@ func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 		exe, berr = c.runner.BuildLayout(t.layout)
 		return berr
 	})
+	if settleReleased(lease, err) {
+		return
+	}
 	s.build.Record(s.now().Sub(start), err)
 	if err != nil {
 		s.taskFailed(lease, c, t, fmt.Errorf("build: %w", err))
@@ -795,6 +798,9 @@ func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 		o, merr = c.runner.MeasureLayout(slot, t.layout, exe)
 		return merr
 	})
+	if settleReleased(lease, err) {
+		return
+	}
 	s.measure.Record(s.now().Sub(start), err)
 	if err != nil {
 		s.taskFailed(lease, c, t, fmt.Errorf("measure: %w", err))
@@ -807,6 +813,18 @@ func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 	// and a duplicate execution derives identical bytes), and the
 	// re-execution will find the layout done and settle the residue.
 	lease.Complete()
+}
+
+// settleReleased completes a task whose seam call found the campaign's
+// runner released: the campaign closed while the task ran. Nothing was
+// measured and nothing failed, so neither a breaker nor the task's
+// attempts are charged.
+func settleReleased(lease *jobqueue.Lease[task], err error) bool {
+	if !errors.Is(err, core.ErrRunnerReleased) {
+		return false
+	}
+	lease.Complete()
+	return true
 }
 
 // deny parks a breaker-denied task until the breaker's window may admit

@@ -442,6 +442,9 @@ func (c *campaign) finalizeLocked() {
 		c.failLocked(err)
 		return
 	}
+	// The result endpoints serve observations only; the trace goes with
+	// the runner's engines.
+	ds.Trace = nil
 	c.ds = ds
 	c.state = StateDone
 	// closeLocked can degrade done to failed on a checkpoint flush
@@ -452,9 +455,13 @@ func (c *campaign) finalizeLocked() {
 	}
 }
 
-// closeLocked flushes the checkpoint, cancels the task context and
-// releases waiters. Sink write errors degrade a done campaign to failed
-// — a checkpoint that lies is worse than none.
+// closeLocked flushes the checkpoint, cancels the task context,
+// releases the runner's engines and releases waiters. Sink write errors
+// degrade a done campaign to failed — a checkpoint that lies is worse
+// than none. A closed campaign keeps only what its endpoints and late
+// worker calls still read: observations, the dataset, and the runner's
+// seed derivation and attestation key. Tasks that reach a seam after
+// the release settle through settleReleased.
 func (c *campaign) closeLocked() {
 	if c.sink != nil {
 		if err := c.sink.Close(); err != nil && c.state == StateDone {
@@ -465,6 +472,7 @@ func (c *campaign) closeLocked() {
 	}
 	c.cancel(c.err)
 	c.stopTimer()
+	c.runner.Release()
 	close(c.finished)
 }
 

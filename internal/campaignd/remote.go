@@ -243,6 +243,12 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		if s.auditPick(c, t, lease.Attempt()) {
 			match, aerr := s.audit(c, t, req.Observation)
 			switch {
+			case settleReleased(lease, aerr):
+				// The campaign closed while the audit ran: like any
+				// completion for a closed campaign, the result is
+				// discarded.
+				s.writeJSON(w, http.StatusOK, ack{OK: true})
+				return
 			case aerr != nil:
 				// The audit infrastructure failed, not the worker; the
 				// verified result is accepted unaudited.

@@ -453,6 +453,9 @@ func (s *Server) runSearchTask(slot int, lease *jobqueue.Lease[task], c *campaig
 		exe, berr = c.runner.BuildGenome(*t.genome)
 		return berr
 	})
+	if settleReleased(lease, err) {
+		return
+	}
 	s.build.Record(s.now().Sub(start), err)
 	if err != nil {
 		s.taskFailed(lease, c, t, fmt.Errorf("build: %w", err))
@@ -476,6 +479,9 @@ func (s *Server) runSearchTask(slot int, lease *jobqueue.Lease[task], c *campaig
 		o, merr = c.runner.MeasureGenome(slot, *t.genome, exe)
 		return merr
 	})
+	if settleReleased(lease, err) {
+		return
+	}
 	s.measure.Record(s.now().Sub(start), err)
 	if err != nil {
 		s.taskFailed(lease, c, t, fmt.Errorf("measure: %w", err))

@@ -692,7 +692,12 @@ func measurementValid(m pmc.Measurement) bool {
 // the original. Invalid measurements (NaN/zero-instruction counter
 // reads) are excluded from the median and MAD, always re-measured, and
 // degraded to StatusFailed when the re-measurement cannot produce a
-// valid reading — garbage counters must not pose as data.
+// valid reading — garbage counters must not pose as data. A panicking
+// re-measurement is recovered, counted (outlier_screen_panics) and
+// settled like any failed re-measurement.
+//
+// The pool has one worker per measurement seam, capped by the number of
+// flagged layouts: a worker owns its seam, so the seams size the pool.
 func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers []measureSeam, build buildSeam, trace *interp.Trace, ckpt *checkpointWriter) {
 	idx := ds.usableIdx()
 	var valid, flagged []int
@@ -726,12 +731,8 @@ func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers
 		screenSpan = co.o.StartSpan("outlier-screen", obs.SpanID(co.campID, tagOutlier), co.campID, 0)
 	}
 	var mu sync.Mutex
-	workers := normalizeWorkers(cfg.Workers, len(flagged))
-	// Tolerate every re-measurement failing: the screen improves the
-	// dataset when it can and never degrades it.
-	superviseForT(cfg.context(), workers, len(flagged), len(flagged), newSupTel(cfg.Obs), func(w, fi int) error {
-		i := flagged[fi]
-		o, err := measureLayout(cfg, co, measurers[w], build, trace, i, w)
+	// settle applies one flagged layout's re-measurement outcome.
+	settle := func(i int, o Observation, err error) {
 		mu.Lock()
 		defer mu.Unlock()
 		prev := ds.Obs[i]
@@ -748,12 +749,12 @@ func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers
 					co.o.Prog().Repair()
 				}
 			}
-			return nil
+			return
 		}
 		if measurementValid(prev.Measurement) {
 			// A valid outlier whose re-measurement failed: keep it, the
 			// screen never degrades a usable observation.
-			return nil
+			return
 		}
 		// The stored observation is a corrupt counter read and it could
 		// not be re-measured into a valid one: degrade it to failed so
@@ -774,8 +775,24 @@ func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers
 		if co != nil {
 			co.layoutsFailed.Inc()
 		}
+	}
+	workers := min(len(measurers), len(flagged))
+	// Tolerate every re-measurement failing: the screen improves the
+	// dataset when it can and never degrades it.
+	panicked, _ := superviseForT(cfg.context(), workers, len(flagged), len(flagged), newSupTel(cfg.Obs), func(w, fi int) error {
+		i := flagged[fi]
+		o, err := measureLayout(cfg, co, measurers[w], build, trace, i, w)
+		settle(i, o, err)
 		return nil
 	})
+	// fn itself never fails, so every recorded failure is a panic the
+	// pool recovered before settle ran.
+	for _, f := range panicked {
+		if co != nil {
+			co.screenPanics.Inc()
+		}
+		settle(flagged[f.Index], Observation{}, f.Err)
+	}
 	sort.Slice(ds.Failures, func(a, b int) bool { return ds.Failures[a].Index < ds.Failures[b].Index })
 	screenSpan.End()
 }

@@ -87,6 +87,10 @@ func buildGenome(cfg *CampaignConfig, co *campaignObs, gb genomeSeam, g toolchai
 // reorder+link plus the executable integrity check. Panics from the
 // seam (injected or real) propagate; callers run under Guard.
 func (r *LayoutRunner) BuildGenome(g toolchain.Genome) (*toolchain.Executable, error) {
+	if err := r.acquire(); err != nil {
+		return nil, err
+	}
+	defer r.mu.RUnlock()
 	if r.co != nil {
 		r.co.attempts.Inc()
 	}
@@ -100,6 +104,10 @@ func (r *LayoutRunner) BuildGenome(g toolchain.Genome) (*toolchain.Executable, e
 // fingerprint as the run's layout seed with layout index -1 (genomes
 // have no campaign-local index).
 func (r *LayoutRunner) MeasureGenome(w int, g toolchain.Genome, exe *toolchain.Executable) (Observation, error) {
+	if err := r.acquire(); err != nil {
+		return Observation{}, err
+	}
+	defer r.mu.RUnlock()
 	if w < 0 || w >= len(r.meas) {
 		return Observation{}, fmt.Errorf("core: worker slot %d outside [0,%d)", w, len(r.meas))
 	}
@@ -148,6 +156,15 @@ func measureGenomeBuilt(cfg *CampaignConfig, co *campaignObs, meas measureSeam, 
 // exe pointers passed here must be the same pointers later passed to
 // MeasureGenome: the det cache matches on executable identity.
 func (r *LayoutRunner) PrimeGenomes(w int, gs []toolchain.Genome, exes []*toolchain.Executable) error {
+	if err := r.acquire(); err != nil {
+		return err
+	}
+	defer r.mu.RUnlock()
+	return r.primeGenomes(w, gs, exes)
+}
+
+// primeGenomes is PrimeGenomes for a caller already holding the engines.
+func (r *LayoutRunner) primeGenomes(w int, gs []toolchain.Genome, exes []*toolchain.Executable) error {
 	if w < 0 || w >= len(r.meas) {
 		return fmt.Errorf("core: worker slot %d outside [0,%d)", w, len(r.meas))
 	}

@@ -100,35 +100,39 @@ func RunLinearityStudy(cfg LinearityConfig) (*LinearityResult, error) {
 		return nil, err
 	}
 
-	run := func(m *machine.Machine, p branch.Predictor) (machine.Counters, error) {
-		return m.Run(machine.RunSpec{
-			Exe: exe, Trace: trace, Predictor: p, DisableNoise: true,
-		})
-	}
+	spec := machine.RunSpec{Exe: exe, Trace: trace, DisableNoise: true}
 
 	res := &LinearityResult{
 		Benchmark: cfg.Program.Name,
 		Points:    make([]LinearityPoint, len(configs)),
 	}
 
-	// Each worker reuses one machine; points are written at distinct
-	// indices, so only the index counter is shared. The sweep runs
-	// supervised: a panicking or failing configuration is dropped (within
-	// the failure budget) instead of discarding the whole study.
+	// Each worker takes one chunk of configurations and walks the trace
+	// once for it, one predictor lane per configuration, on its own
+	// machine; points are written at distinct indices. The chunks are
+	// contiguous runs of order, which deals the configurations out
+	// round-robin: the config space grows from static and tiny bimodal
+	// predictors to large GAs, perceptron and L-TAGE tables, so
+	// contiguous runs of it would leave one worker with all the
+	// expensive lanes. The sweep runs supervised: a panicking or failing
+	// configuration is dropped (within the failure budget) instead of
+	// discarding the whole study.
 	workers := normalizeWorkers(cfg.Workers, len(configs))
+	order := make([]int, 0, len(configs))
+	for w := 0; w < workers; w++ {
+		for i := w; i < len(configs); i += workers {
+			order = append(order, i)
+		}
+	}
+	chunk := (len(configs) + workers - 1) / workers
 	machines := make([]*machine.Machine, workers)
 	for w := range machines {
 		machines[w] = machine.New(mcfg)
 	}
 	span := rootSpan(cfg.Obs, "linearity", obs.SpanID(cfg.InputSeed, tagLinearity, hashName(cfg.Program.Name)))
 	defer span.End()
-	failed, err := superviseForT(cfg.Context, workers, len(configs), cfg.FailureBudget, newSupTel(cfg.Obs), func(w, i int) error {
-		c, err := run(machines[w], configs[i].New())
-		if err != nil {
-			return fmt.Errorf("core: linearity config %s: %w", configs[i].Name, err)
-		}
-		res.Points[i] = LinearityPoint{Config: configs[i].Name, MPKI: c.MPKI(), CPI: c.CPI()}
-		return nil
+	failed, err := superviseChunksT(cfg.Context, workers, len(configs), chunk, cfg.FailureBudget, newSupTel(cfg.Obs), func(w, lo, hi int, fail func(int, error)) {
+		sweepChunk(machines[w], spec, configs, order[lo:hi], res.Points, func(k int, err error) { fail(lo+k, err) })
 	})
 	if err != nil {
 		return nil, err
@@ -136,28 +140,26 @@ func RunLinearityStudy(cfg LinearityConfig) (*LinearityResult, error) {
 	if len(failed) > 0 {
 		drop := make(map[int]bool, len(failed))
 		for _, f := range failed {
-			drop[f.Index] = true
-			res.Skipped = append(res.Skipped, configs[f.Index].Name)
+			drop[order[f.Index]] = true
 		}
 		kept := res.Points[:0]
 		for i, p := range res.Points {
-			if !drop[i] {
+			if drop[i] {
+				res.Skipped = append(res.Skipped, configs[i].Name)
+			} else {
 				kept = append(kept, p)
 			}
 		}
 		res.Points = kept
 	}
 
-	// Reference runs: perfect oracle and L-TAGE, on a private machine.
-	m := machine.New(mcfg)
-	perfect, err := run(m, branch.Perfect{})
+	// Reference runs: the perfect oracle and L-TAGE share one two-lane
+	// walk on a sweep machine, now idle.
+	refs, _, err := machines[0].RunPredictors(spec, []branch.Predictor{branch.Perfect{}, branch.NewLTAGEDefault()})
 	if err != nil {
 		return nil, err
 	}
-	ltage, err := run(m, branch.NewLTAGEDefault())
-	if err != nil {
-		return nil, err
-	}
+	perfect, ltage := refs[0], refs[1]
 
 	mpkis := make([]float64, len(res.Points))
 	cpis := make([]float64, len(res.Points))
@@ -180,6 +182,78 @@ func RunLinearityStudy(cfg LinearityConfig) (*LinearityResult, error) {
 	res.EstLTAGECPI = fit.Predict(res.LTAGEMPKI)
 	res.LTAGEErrPct = pctErr(res.EstLTAGECPI, res.LTAGECPI)
 	return res, nil
+}
+
+// sweepChunk measures the configurations configs[idx[k]] in one
+// multi-predictor walk on m, reporting a failed configuration as
+// fail(k). Each configuration's predictor is built under its own guard,
+// so a panicking factory fails only its own configuration. If the shared
+// walk fails — one erroring or panicking predictor takes the whole walk
+// down — every configuration of the chunk is re-run alone on a fresh
+// predictor, so fail names exactly the configurations that fail on
+// their own. A lane is bit-identical to its one-lane run, so the
+// fallback changes no surviving point.
+func sweepChunk(m *machine.Machine, spec machine.RunSpec, configs []branch.Factory, idx []int, points []LinearityPoint, fail func(k int, err error)) {
+	preds := make([]branch.Predictor, 0, len(idx))
+	lanes := make([]int, 0, len(idx)) // positions in idx
+	for k, i := range idx {
+		p, err := newSweepPredictor(configs[i])
+		if err != nil {
+			fail(k, err)
+			continue
+		}
+		preds = append(preds, p)
+		lanes = append(lanes, k)
+	}
+	if len(preds) == 0 {
+		return
+	}
+	var cs []machine.Counters
+	err := Guard(func() (err error) {
+		cs, _, err = m.RunPredictors(spec, preds)
+		return err
+	})
+	if err == nil {
+		for l, k := range lanes {
+			i := idx[k]
+			points[i] = LinearityPoint{Config: configs[i].Name, MPKI: cs[l].MPKI(), CPI: cs[l].CPI()}
+		}
+		return
+	}
+	for _, k := range lanes {
+		i := idx[k]
+		p, err := newSweepPredictor(configs[i])
+		if err == nil {
+			one := spec
+			one.Predictor = p
+			err = Guard(func() error {
+				c, _, err := m.RunDeterministic(one)
+				if err == nil {
+					points[i] = LinearityPoint{Config: configs[i].Name, MPKI: c.MPKI(), CPI: c.CPI()}
+				}
+				return err
+			})
+		}
+		if err != nil {
+			fail(k, fmt.Errorf("core: linearity config %s: %w", configs[i].Name, err))
+		}
+	}
+}
+
+// newSweepPredictor builds one configuration's predictor, converting a
+// factory panic or a nil predictor into that configuration's error.
+func newSweepPredictor(f branch.Factory) (branch.Predictor, error) {
+	var p branch.Predictor
+	err := Guard(func() error {
+		if p = f.New(); p == nil {
+			return errors.New("factory built no predictor")
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: linearity config %s: %w", f.Name, err)
+	}
+	return p, nil
 }
 
 func pctErr(est, truth float64) float64 {

@@ -57,6 +57,7 @@ type campaignObs struct {
 	restored         *obs.Counter
 	outliersFlagged  *obs.Counter
 	outliersRepaired *obs.Counter
+	screenPanics     *obs.Counter
 
 	compileSec *obs.Histogram
 	runSec     *obs.Histogram
@@ -81,6 +82,7 @@ func newCampaignObs(cfg *CampaignConfig) *campaignObs {
 		restored:         o.Counter("interferometry_checkpoint_restored_total", "observations restored from a checkpoint on resume"),
 		outliersFlagged:  o.Counter("interferometry_outliers_flagged_total", "observations flagged by the MAD screen"),
 		outliersRepaired: o.Counter("interferometry_outliers_repaired_total", "flagged observations replaced by re-measurement"),
+		screenPanics:     o.Counter("interferometry_outlier_screen_panics_total", "outlier re-measurements that panicked (recovered, settled as failed re-measurements)"),
 		compileSec:       o.Histogram("interferometry_stage_compile_seconds", "reorder+link+check stage latency", obs.DurationBuckets),
 		runSec:           o.Histogram("interferometry_stage_run_seconds", "measurement stage latency", obs.DurationBuckets),
 		fitSec:           o.Histogram("interferometry_stage_fit_seconds", "plausibility-check+record stage latency", obs.DurationBuckets),

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"interferometry/internal/heap"
 	"interferometry/internal/interp"
@@ -26,8 +27,14 @@ import (
 // breaker and attribute failures to the seam that caused them. Fault
 // injection, when configured, is already inside both seams.
 type LayoutRunner struct {
-	cfg   CampaignConfig
-	co    *campaignObs
+	cfg     CampaignConfig
+	co      *campaignObs
+	workers int
+
+	// mu guards the engines below against Release: every seam call
+	// holds it shared (acquire), Release exclusively. A nil trace means
+	// released.
+	mu    sync.RWMutex
 	trace *interp.Trace
 	build buildSeam
 	gb    genomeSeam
@@ -69,6 +76,7 @@ func NewLayoutRunner(cfg CampaignConfig, workers int) (*LayoutRunner, error) {
 	return &LayoutRunner{
 		cfg:       cfg,
 		co:        newCampaignObs(&cfg),
+		workers:   workers,
 		trace:     trace,
 		build:     build,
 		gb:        gb,
@@ -83,7 +91,33 @@ func NewLayoutRunner(cfg CampaignConfig, workers int) (*LayoutRunner, error) {
 func (r *LayoutRunner) Layouts() int { return r.cfg.Layouts }
 
 // Workers returns the number of worker slots.
-func (r *LayoutRunner) Workers() int { return len(r.meas) }
+func (r *LayoutRunner) Workers() int { return r.workers }
+
+// ErrRunnerReleased is the error of a seam call on a released runner.
+var ErrRunnerReleased = errors.New("core: layout runner released")
+
+// Release drops the runner's engines once its campaign is finished: the
+// trace, the build seams, and the per-slot harnesses with their
+// machines and batch engines. It waits for seam calls in flight; later
+// ones fail with ErrRunnerReleased. What a finished campaign still
+// answers is kept: the layout-seed derivation, AttestationKey, Workers
+// and the failed-observation stamps.
+func (r *LayoutRunner) Release() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.trace, r.build, r.gb, r.meas, r.slots, r.harnesses = nil, nil, nil, nil, nil, nil
+}
+
+// acquire pins the engines for one seam call. On success the caller
+// holds r.mu shared and must RUnlock it.
+func (r *LayoutRunner) acquire() error {
+	r.mu.RLock()
+	if r.trace == nil {
+		r.mu.RUnlock()
+		return ErrRunnerReleased
+	}
+	return nil
+}
 
 // AttestationKey is the toolchain identity observations from this
 // runner are fingerprinted against (ObsWire.Attest). Two runners built
@@ -99,6 +133,10 @@ func (r *LayoutRunner) BuildLayout(i int) (*toolchain.Executable, error) {
 	if err := r.checkIndex(i); err != nil {
 		return nil, err
 	}
+	if err := r.acquire(); err != nil {
+		return nil, err
+	}
+	defer r.mu.RUnlock()
 	if r.co != nil {
 		r.co.attempts.Inc()
 	}
@@ -112,6 +150,10 @@ func (r *LayoutRunner) MeasureLayout(w, i int, exe *toolchain.Executable) (Obser
 	if err := r.checkIndex(i); err != nil {
 		return Observation{}, err
 	}
+	if err := r.acquire(); err != nil {
+		return Observation{}, err
+	}
+	defer r.mu.RUnlock()
 	if w < 0 || w >= len(r.meas) {
 		return Observation{}, fmt.Errorf("core: worker slot %d outside [0,%d)", w, len(r.meas))
 	}
@@ -130,6 +172,10 @@ func (r *LayoutRunner) MeasureLayout(w, i int, exe *toolchain.Executable) (Obser
 // Like MeasureLayout, two concurrent calls must use distinct slots, and
 // the priming is consumed by the same slot's MeasureLayout.
 func (r *LayoutRunner) PrimeBatch(w int, layouts []int, exes []*toolchain.Executable) error {
+	if err := r.acquire(); err != nil {
+		return err
+	}
+	defer r.mu.RUnlock()
 	if w < 0 || w >= len(r.meas) {
 		return fmt.Errorf("core: worker slot %d outside [0,%d)", w, len(r.meas))
 	}
@@ -225,6 +271,8 @@ func (r *LayoutRunner) Dataset(observations []Observation, failures []LayoutFail
 	if len(observations) != r.cfg.Layouts {
 		return nil, fmt.Errorf("core: %d observations for a %d-layout campaign", len(observations), r.cfg.Layouts)
 	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	ds := &Dataset{
 		Benchmark: r.cfg.Program.Name,
 		Config:    r.cfg,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"interferometry/internal/machine"
+	"interferometry/internal/obs"
 	"interferometry/internal/pmc"
 	"interferometry/internal/testprog"
 )
@@ -150,5 +151,71 @@ func TestScreenMedianExcludesInvalid(t *testing.T) {
 	}
 	if retried == 0 {
 		t.Error("corrupt layout was not repaired")
+	}
+}
+
+// panicSeam panics on every measurement — a re-measurement the pool
+// must recover, count and settle as failed.
+type panicSeam struct{}
+
+func (panicSeam) Measure(machine.RunSpec) (pmc.Measurement, error) {
+	panic("measure seam exploded")
+}
+
+// TestScreenPoolSizedFromSeams: the screen runs one worker per seam it
+// is handed, whatever cfg.Workers says. With one seam and several
+// flagged layouts a pool sized from cfg.Workers indexes past the seams;
+// with four seams every flagged layout is still repaired exactly once.
+func TestScreenPoolSizedFromSeams(t *testing.T) {
+	for _, seams := range []int{1, 4} {
+		cfg, ds := screenFixture(t, 8)
+		cfg.Workers = 8
+		want := append([]Observation(nil), ds.Obs...)
+		victims := []int{1, 4, 6}
+		for _, v := range victims {
+			ds.Obs[v].Measurement = pmc.Measurement{Cycles: 999}
+		}
+		build, _, measurers, _ := newSeams(&cfg, seams)
+		screenOutliers(&cfg, nil, ds, measurers, build, ds.Trace, nil)
+		for _, v := range victims {
+			if got := ds.Obs[v]; got.Status != StatusRetried || got.Measurement != want[v].Measurement {
+				t.Errorf("%d seams: layout %d not repaired: status %v", seams, v, got.Status)
+			}
+		}
+		if len(ds.Failures) != 0 {
+			t.Errorf("%d seams: repairable corruption recorded failures: %v", seams, ds.Failures)
+		}
+	}
+}
+
+// TestScreenCountsRecoveredPanics: a panicking re-measurement is neither
+// a silent no-op nor fatal. It is counted, a corrupt observation it was
+// meant to repair degrades to StatusFailed with the panic as its cause,
+// and a valid outlier is kept.
+func TestScreenCountsRecoveredPanics(t *testing.T) {
+	cfg, ds := screenFixture(t, 8)
+	const victim = 2
+	ds.Obs[victim].Measurement = pmc.Measurement{Cycles: 999}
+	m := obs.NewMetrics()
+	cfg.Obs = &obs.Observer{Metrics: m}
+	co := newCampaignObs(&cfg)
+
+	build, _, _, _ := newSeams(&cfg, 1)
+	screenOutliers(&cfg, co, ds, []measureSeam{panicSeam{}, panicSeam{}}, build, ds.Trace, nil)
+
+	if got := ds.Obs[victim].Status; got != StatusFailed {
+		t.Fatalf("corrupt layout whose re-measurement panicked has status %v, want StatusFailed", got)
+	}
+	if len(ds.Failures) != 1 || ds.Failures[0].Index != victim || !strings.Contains(ds.Failures[0].Err, "measure seam exploded") {
+		t.Fatalf("failures %v, want one for layout %d naming the panic", ds.Failures, victim)
+	}
+	flagged := m.Counter("interferometry_outliers_flagged_total", "").Value()
+	if n := m.Counter("interferometry_outlier_screen_panics_total", "").Value(); n == 0 || n != flagged {
+		t.Errorf("%d panics counted for %d flagged layouts, all of which panicked", n, flagged)
+	}
+	for i := range ds.Obs {
+		if i != victim && ds.Obs[i].Status == StatusFailed {
+			t.Errorf("valid layout %d degraded by a panicking re-measurement", i)
+		}
 	}
 }

@@ -296,11 +296,16 @@ func (s *Search) Genomes(gen int, prev *GenerationResult) ([]toolchain.Genome, e
 // measured through the exact per-layout pipeline, with the campaign's
 // retry budget per genome. Failures never abort the generation — an
 // individual that exhausts its attempts becomes a StatusFailed
-// observation and loses selection. The only error is cancellation.
+// observation and loses selection. The only errors are cancellation
+// and a released runner.
 func (s *Search) Evaluate(ctx context.Context, genomes []toolchain.Genome) ([]Observation, error) {
 	if ctx == nil {
 		ctx = s.cfg.Campaign.context()
 	}
+	if err := s.runner.acquire(); err != nil {
+		return nil, err
+	}
+	defer s.runner.mu.RUnlock()
 	n := len(genomes)
 	workers := s.runner.Workers()
 	out := make([]Observation, n)
@@ -359,7 +364,7 @@ func (s *Search) evaluateChunk(w, lo, hi int, genomes []toolchain.Genome, out []
 	}
 	if len(builtG) >= 2 {
 		runGuarded(func(_, _ int) error {
-			return r.PrimeGenomes(w, builtG, builtE)
+			return r.primeGenomes(w, builtG, builtE)
 		}, w, lo)
 	}
 
@@ -446,7 +451,9 @@ func (s *Search) Settle(gen int, genomes []toolchain.Genome, observations []Obse
 	for i := range genomes {
 		inds[i] = Individual{Genome: genomes[i], Obs: observations[i]}
 	}
-	s.screenGeneration(inds)
+	if err := s.screenGeneration(inds); err != nil {
+		return GenerationResult{}, err
+	}
 	best := -1
 	for i := range inds {
 		if !inds[i].valid() {
@@ -478,9 +485,14 @@ func (s *Search) Settle(gen int, genomes []toolchain.Genome, observations []Obse
 // already invalid. Invalid unfailed measurements are re-measured once
 // on slot 0; a re-measurement that comes back valid replaces the
 // observation (StatusRetried, attempts accumulated), anything else is
-// degraded to StatusFailed. Failed individuals are left alone.
-func (s *Search) screenGeneration(inds []Individual) {
+// degraded to StatusFailed. Failed individuals are left alone. The only
+// error is a released runner.
+func (s *Search) screenGeneration(inds []Individual) error {
 	r := s.runner
+	if err := r.acquire(); err != nil {
+		return err
+	}
+	defer r.mu.RUnlock()
 	cfg := &r.cfg
 	for i := range inds {
 		in := &inds[i]
@@ -509,6 +521,7 @@ func (s *Search) screenGeneration(inds []Individual) {
 		}
 		in.Obs = r.FailedGenomeObservation(in.Genome, prev.Attempts+1)
 	}
+	return nil
 }
 
 // populationHash hashes the settled population: genome encodings and

@@ -49,9 +49,11 @@ func BenchmarkMachineRun(b *testing.B) {
 
 // TestMachineRunZeroAlloc pins the benchmark's headline property in the
 // ordinary test suite: after warmup, a machine run allocates nothing, in
-// either heap mode. BenchmarkMachineRun reports the same number, but a
-// plain test fails `go test ./...` the moment a change reintroduces a
-// steady-state allocation.
+// either heap mode — nor does a 36-lane RunPredictors walk, the shape
+// of one worker's linearity sweep. BenchmarkMachineRun and
+// BenchmarkRunPredictors report the same numbers, but a plain test fails
+// `go test ./...` the moment a change reintroduces a steady-state
+// allocation.
 func TestMachineRunZeroAlloc(t *testing.T) {
 	spec, ok := progen.ByName("400.perlbench")
 	if !ok {
@@ -82,6 +84,19 @@ func TestMachineRunZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: %.1f allocs per run, want 0", mode, allocs)
+		}
+
+		preds := lanePredictors(36)
+		if _, _, err := m.RunPredictors(rs, preds); err != nil { // warm the lane scratch
+			t.Fatal(err)
+		}
+		allocs = testing.AllocsPerRun(3, func() {
+			if _, _, err := m.RunPredictors(rs, preds); err != nil {
+				t.Error(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocs per 36-lane walk, want 0", mode, allocs)
 		}
 	}
 }

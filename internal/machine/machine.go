@@ -49,6 +49,16 @@ type Machine struct {
 	// Reusable allocators for the two heap modes.
 	bumpHeap *heap.Bump
 	randHeap *heap.Randomized
+
+	// Per-lane scratch of RunPredictors, reused across runs: one cycle
+	// accumulator and one counter set per predictor lane, and the lanes
+	// after the first that consult their predictor (oracle lanes never
+	// do). one is the single-lane predictor list RunDeterministic walks
+	// with.
+	cycles    []float64
+	counters  []Counters
+	predicted []int
+	one       [1]branch.Predictor
 }
 
 // loadedBlock is the precomputed per-block state for one executable.
@@ -123,21 +133,10 @@ func (m *Machine) Run(spec RunSpec) (Counters, error) {
 // any NoiseSeed would have produced, without re-running the simulation:
 // noise perturbs only the final cycle scalar, never the simulated
 // microarchitectural state.
+//
+// It is the one-lane RunPredictors: the spec's predictor override, or
+// the machine's built-in Xeon-model predictor.
 func (m *Machine) RunDeterministic(spec RunSpec) (Counters, float64, error) {
-	if spec.Exe == nil || spec.Trace == nil {
-		return Counters{}, 0, errors.New("machine: RunSpec needs Exe and Trace")
-	}
-	if spec.Trace.Program != spec.Exe.Program {
-		return Counters{}, 0, errors.New("machine: trace and executable are from different programs")
-	}
-	if err := m.load(spec.Exe); err != nil {
-		return Counters{}, 0, err
-	}
-	m.l1i.Flush()
-	m.l1d.Flush()
-	m.l2.Flush()
-	m.btb.Reset()
-
 	pred := spec.Predictor
 	if pred == nil {
 		if m.builtin == nil {
@@ -145,8 +144,80 @@ func (m *Machine) RunDeterministic(spec RunSpec) (Counters, float64, error) {
 		}
 		pred = m.builtin
 	}
-	pred.Reset()
-	_, oracle := pred.(branch.Oracle)
+	m.one[0] = pred
+	cs, dets, err := m.RunPredictors(spec, m.one[:])
+	m.one[0] = nil
+	if err != nil {
+		return Counters{}, 0, err
+	}
+	return cs[0], dets[0], nil
+}
+
+// RunPredictors replays the trace once for a set of branch predictors
+// (spec.Predictor is ignored) and returns one Counters and one raw cycle
+// count per predictor, each bit-identical to what RunDeterministic
+// returns for the spec with that predictor. The caches, the BTB, heap
+// placement and the trace cursor advance once per walk: a conditional
+// predictor influences no other structure, so only the direction
+// predictions, the mispredict counts and the cycle totals are per lane.
+// Each lane keeps its own cycle accumulator and performs exactly the
+// scalar run's sequence of floating-point additions — float addition is
+// not associative, so a shared sum plus per-lane mispredict penalties
+// would not be bit-identical.
+//
+// Every predictor is Reset first. A branch.Oracle lane skips prediction
+// (perfect prediction); any other lane must hold its own instance, or
+// lanes would train each other's state. A nil predictor is an error. The
+// returned slices are reused by the next run.
+func (m *Machine) RunPredictors(spec RunSpec, preds []branch.Predictor) ([]Counters, []float64, error) {
+	if spec.Exe == nil || spec.Trace == nil {
+		return nil, nil, errors.New("machine: RunSpec needs Exe and Trace")
+	}
+	if spec.Trace.Program != spec.Exe.Program {
+		return nil, nil, errors.New("machine: trace and executable are from different programs")
+	}
+	if len(preds) == 0 {
+		return nil, nil, errors.New("machine: RunPredictors needs at least one predictor")
+	}
+	for l, p := range preds {
+		if p == nil {
+			return nil, nil, fmt.Errorf("machine: predictor lane %d is nil", l)
+		}
+	}
+	if err := m.load(spec.Exe); err != nil {
+		return nil, nil, err
+	}
+	m.l1i.Flush()
+	m.l1d.Flush()
+	m.l2.Flush()
+	m.btb.Reset()
+
+	k := len(preds)
+	if cap(m.cycles) < k {
+		m.cycles = make([]float64, k)
+		m.counters = make([]Counters, k)
+		m.predicted = make([]int, 0, k)
+	}
+	// Lane 0 is walked in locals, exactly like a single-predictor loop
+	// (c0, cyc0, pred0; pred0 nil for an oracle); lanes 1..k-1 are
+	// charged through others, out of line and only when there are any,
+	// so a one-lane walk — every scalar run — keeps its speed.
+	others := lanes{preds: preds, counters: m.counters[:k], cycles: m.cycles[:k]}
+	pred0 := preds[0]
+	predicted := m.predicted[:0]
+	for l, p := range preds {
+		p.Reset()
+		others.cycles[l] = 0
+		others.counters[l] = Counters{}
+		if _, oracle := p.(branch.Oracle); oracle {
+			if l == 0 {
+				pred0 = nil
+			}
+		} else if l > 0 {
+			predicted = append(predicted, l)
+		}
+	}
+	others.predicted = predicted
 
 	prog := spec.Exe.Program
 	alloc := m.heapFor(spec)
@@ -159,8 +230,9 @@ func (m *Machine) RunDeterministic(spec RunSpec) (Counters, float64, error) {
 		m.objSet = m.objSet[:n]
 	}
 	var (
-		cycles  float64
-		c       Counters
+		cyc0    float64
+		c0      Counters
+		multi   = k > 1
 		cfg     = &m.cfg
 		cur     = spec.Trace.Cursor()
 		objBase = m.objBase
@@ -181,15 +253,24 @@ func (m *Machine) RunDeterministic(spec RunSpec) (Counters, float64, error) {
 			break
 		}
 		lb := &m.blocks[bid]
-		cycles += lb.baseCycles
+		cyc0 += lb.baseCycles
+		if multi {
+			others.add(lb.baseCycles)
+		}
 
 		// Instruction fetch: one L1I access per fetch block spanned.
 		fa := lb.fetchFirst
 		for i := 0; i < lb.fetchN; i++ {
 			if !m.l1i.Access(fa) {
-				cycles += cfg.L1IMissPenalty
+				cyc0 += cfg.L1IMissPenalty
+				if multi {
+					others.add(cfg.L1IMissPenalty)
+				}
 				if !m.l2.Access(fa) {
-					cycles += cfg.L2MissPenalty * cfg.L2Overlap
+					cyc0 += cfg.L2MissPenalty * cfg.L2Overlap
+					if multi {
+						others.add(cfg.L2MissPenalty * cfg.L2Overlap)
+					}
 				}
 			}
 			fa += cfg.FetchBytes
@@ -210,13 +291,19 @@ func (m *Machine) RunDeterministic(spec RunSpec) (Counters, float64, error) {
 		for i := 0; i < lb.nMems; i++ {
 			obj, off := cur.NextMem()
 			if !objSet[obj] {
-				return Counters{}, 0, fmt.Errorf("machine: access to unplaced object %d in block %d", obj, bid)
+				return nil, nil, fmt.Errorf("machine: access to unplaced object %d in block %d", obj, bid)
 			}
 			addr := objBase[obj] + uint64(off)
 			if !m.l1d.Access(addr) {
-				cycles += cfg.L1DMissPenalty
+				cyc0 += cfg.L1DMissPenalty
+				if multi {
+					others.add(cfg.L1DMissPenalty)
+				}
 				if !m.l2.Access(addr) {
-					cycles += cfg.L2MissPenalty * cfg.L2Overlap
+					cyc0 += cfg.L2MissPenalty * cfg.L2Overlap
+					if multi {
+						others.add(cfg.L2MissPenalty * cfg.L2Overlap)
+					}
 				}
 				if cfg.NextLinePrefetch {
 					// Install the sequentially next line into the L2
@@ -230,41 +317,90 @@ func (m *Machine) RunDeterministic(spec RunSpec) (Counters, float64, error) {
 		switch lb.termKind {
 		case isa.TermCondBranch:
 			taken := cur.NextTaken()
-			c.CondBranches++
-			if oracle {
+			c0.CondBranches++
+			if multi {
+				others.branch(cfg, lb, taken)
+			}
+			if pred0 == nil {
 				// Perfect prediction: no penalty, no update.
 				break
 			}
-			predicted := pred.Predict(lb.termAddr)
-			pred.Update(lb.termAddr, taken)
-			if predicted != taken {
-				c.CondMispredicts++
-				cycles += cfg.MispredictPenalty * lb.penaltyScale
+			guess := pred0.Predict(lb.termAddr)
+			pred0.Update(lb.termAddr, taken)
+			if guess != taken {
+				c0.CondMispredicts++
+				cyc0 += cfg.MispredictPenalty * lb.penaltyScale
 			}
 		case isa.TermIndirectCall:
 			sel := cur.NextIndirect()
-			c.IndirectBranches++
+			c0.IndirectBranches++
 			target := lb.calleeAddrs[sel]
 			if !m.btb.Predict(lb.termAddr, target) {
-				c.IndirectMispreds++
-				cycles += cfg.BTBMissPenalty
+				c0.IndirectMispreds++
+				cyc0 += cfg.BTBMissPenalty
+				if multi {
+					others.add(cfg.BTBMissPenalty)
+				}
 			}
 		}
 	}
 
-	c.Instructions = spec.Trace.Instrs
-	c.BranchesRetired = c.CondBranches + c.IndirectBranches +
-		spec.Trace.Calls + spec.Trace.Returns
-	c.BranchMispredicts = c.CondMispredicts + c.IndirectMispreds
-	c.L1IAccesses = m.l1i.Accesses()
-	c.L1IMisses = m.l1i.Misses()
-	c.L1DAccesses = m.l1d.Accesses()
-	c.L1DMisses = m.l1d.Misses()
-	c.L2Accesses = m.l2.Accesses()
-	c.L2Misses = m.l2.Misses()
+	cycles, counters := others.cycles, others.counters
+	cycles[0] = cyc0
+	counters[0].CondMispredicts = c0.CondMispredicts
+	for l := range counters {
+		c := &counters[l]
+		c.Instructions = spec.Trace.Instrs
+		c.CondBranches = c0.CondBranches
+		c.IndirectBranches = c0.IndirectBranches
+		c.IndirectMispreds = c0.IndirectMispreds
+		c.BranchesRetired = c.CondBranches + c.IndirectBranches +
+			spec.Trace.Calls + spec.Trace.Returns
+		c.BranchMispredicts = c.CondMispredicts + c.IndirectMispreds
+		c.L1IAccesses = m.l1i.Accesses()
+		c.L1IMisses = m.l1i.Misses()
+		c.L1DAccesses = m.l1d.Accesses()
+		c.L1DMisses = m.l1d.Misses()
+		c.L2Accesses = m.l2.Accesses()
+		c.L2Misses = m.l2.Misses()
+		c.Cycles = roundCycles(cycles[l])
+	}
+	return counters, cycles, nil
+}
 
-	c.Cycles = roundCycles(cycles)
-	return c, cycles, nil
+// lanes is RunPredictors' state for lanes 1..k-1; index 0 of each
+// slice is lane 0, which the walk keeps in locals. predicted lists the
+// lanes that consult their predictor.
+type lanes struct {
+	preds     []branch.Predictor
+	predicted []int
+	counters  []Counters
+	cycles    []float64
+}
+
+// add charges a layout-level penalty (a block's base cost, a cache or
+// BTB miss) to lanes 1..k-1. It is kept out of line: inlined, its loop
+// costs the one-lane walk registers at every call site.
+//
+//go:noinline
+func (ls *lanes) add(x float64) {
+	for l := 1; l < len(ls.cycles); l++ {
+		ls.cycles[l] += x
+	}
+}
+
+// branch runs a conditional branch through lanes 1..k-1: each
+// predicting lane's prediction, training and mispredict penalty.
+func (ls *lanes) branch(cfg *Config, lb *loadedBlock, taken bool) {
+	for _, l := range ls.predicted {
+		p := ls.preds[l]
+		guess := p.Predict(lb.termAddr)
+		p.Update(lb.termAddr, taken)
+		if guess != taken {
+			ls.counters[l].CondMispredicts++
+			ls.cycles[l] += cfg.MispredictPenalty * lb.penaltyScale
+		}
+	}
 }
 
 // NoisyCycles applies the system-noise model to a deterministic cycle

@@ -16,9 +16,15 @@ type LTAGE struct {
 	base []counter // bimodal base predictor
 
 	comps []tageComp
-	// ghist is the global history, youngest outcome in bit 0 of word 0.
-	ghist   []uint64
-	histLen int
+	// hist is the global history as a ring of one outcome per byte:
+	// hist[(head+age)&histMask] is the outcome age branches ago, age 0
+	// the youngest. A push moves head back one slot, so the history is
+	// read by index and never shifted. The ring holds more than histLen
+	// outcomes, so the bit leaving the longest window is still there.
+	hist     []uint8
+	head     int
+	histMask int
+	histLen  int
 
 	useAltOnNA int8 // 4-bit signed counter: prefer altpred for weak entries
 
@@ -30,7 +36,8 @@ type LTAGE struct {
 	loop *loopPredictor
 
 	// Scratch from the last Predict, consumed by Update.
-	lastProvider int // component index, -1 = base
+	lastHash     uint64 // hashPC(predictedPC), computed once per Predict
+	lastProvider int    // component index, -1 = base
 	lastAlt      int
 	lastProvPred bool
 	lastAltPred  bool
@@ -46,6 +53,8 @@ type tageComp struct {
 	logg    uint // log2 entries
 	tagBits uint // partial tag width
 	histLen int  // history length
+	idxMask uint64
+	tagMask uint64
 	entries []tageEntry
 	// Folded histories for index and tag computation.
 	foldIdx  folded
@@ -64,24 +73,26 @@ type tageEntry struct {
 type folded struct {
 	comp    uint64
 	clen    uint // compressed length (output bits)
-	olen    int  // original history length
+	shift   uint // olen % clen: where the outgoing bit lands, fixed per register
 	outMask uint64
 }
 
 func (f *folded) init(olen int, clen uint) {
 	f.comp = 0
 	f.clen = clen
-	f.olen = olen
+	f.shift = uint(olen) % clen
 	f.outMask = 1<<clen - 1
 }
 
 // update folds in the newest history bit (new) and folds out the oldest
-// (old).
+// (old). The register is computed in a local and stored once, and the
+// shift counts are masked to 63 (both are below 64 by construction), so
+// the update is a handful of register operations.
 func (f *folded) update(newBit, oldBit uint64) {
-	f.comp = (f.comp << 1) | newBit
-	f.comp ^= oldBit << (uint(f.olen) % f.clen)
-	f.comp ^= f.comp >> f.clen
-	f.comp &= f.outMask
+	c := f.comp<<1 | newBit
+	c ^= oldBit << (f.shift & 63)
+	c ^= c >> (f.clen & 63)
+	f.comp = c & f.outMask
 }
 
 // LTAGEConfig sizes an LTAGE instance.
@@ -148,13 +159,20 @@ func NewLTAGE(cfg LTAGEConfig) *LTAGE {
 		default:
 			c.tagBits = 13
 		}
+		c.idxMask = 1<<c.logg - 1
+		c.tagMask = 1<<c.tagBits - 1
 		c.entries = make([]tageEntry, 1<<c.logg)
 		c.foldIdx.init(c.histLen, c.logg)
 		c.foldTag1.init(c.histLen, c.tagBits)
 		c.foldTag2.init(c.histLen, c.tagBits-1)
 	}
 	l.histLen = l.comps[len(l.comps)-1].histLen
-	l.ghist = make([]uint64, (l.histLen+63)/64+1)
+	ring := 1
+	for ring <= l.histLen {
+		ring <<= 1
+	}
+	l.hist = make([]uint8, ring)
+	l.histMask = ring - 1
 	return l
 }
 
@@ -162,36 +180,37 @@ func NewLTAGE(cfg LTAGEConfig) *LTAGE {
 // paper-scale experiments.
 func NewLTAGEDefault() *LTAGE { return NewLTAGE(LTAGEConfig{}) }
 
+// histBit returns the outcome age branches ago (0 = youngest).
 func (l *LTAGE) histBit(age int) uint64 {
-	return l.ghist[age>>6] >> (uint(age) & 63) & 1
+	return uint64(l.hist[(l.head+age)&l.histMask])
 }
 
-func (l *LTAGE) compIndex(ci int, pc uint64) int {
-	c := &l.comps[ci]
-	h := hashPC(pc)
-	idx := h ^ h>>(c.logg) ^ c.foldIdx.comp
-	return int(idx & (1<<c.logg - 1))
+// index and tag derive the component's table index and partial tag from
+// the branch's PC hash h.
+func (c *tageComp) index(h uint64) int {
+	return int((h ^ h>>(c.logg&63) ^ c.foldIdx.comp) & c.idxMask)
 }
 
-func (l *LTAGE) compTag(ci int, pc uint64) uint16 {
-	c := &l.comps[ci]
-	h := hashPC(pc)
-	t := h ^ c.foldTag1.comp ^ c.foldTag2.comp<<1
-	return uint16(t & (1<<c.tagBits - 1))
+func (c *tageComp) tag(h uint64) uint16 {
+	return uint16((h ^ c.foldTag1.comp ^ c.foldTag2.comp<<1) & c.tagMask)
 }
 
-func (l *LTAGE) baseIndex(pc uint64) int {
-	return int(hashPC(pc) & uint64(len(l.base)-1))
+func (l *LTAGE) baseIndex(h uint64) int {
+	return int(h & uint64(len(l.base)-1))
 }
 
 // Predict implements Predictor.
 func (l *LTAGE) Predict(pc uint64) bool {
+	h := hashPC(pc)
 	l.predictedPC = pc
+	l.lastHash = h
 	l.lastProvider, l.lastAlt = -1, -1
 
+	idx, tags := l.lastIdx, l.lastTag
 	for i := range l.comps {
-		l.lastIdx[i] = l.compIndex(i, pc)
-		l.lastTag[i] = l.compTag(i, pc)
+		c := &l.comps[i]
+		idx[i] = c.index(h)
+		tags[i] = c.tag(h)
 	}
 	// Longest-history match is the provider; next match is the alternate.
 	for i := len(l.comps) - 1; i >= 0; i-- {
@@ -206,7 +225,7 @@ func (l *LTAGE) Predict(pc uint64) bool {
 		}
 	}
 
-	basePred := l.base[l.baseIndex(pc)].taken()
+	basePred := l.base[l.baseIndex(h)].taken()
 	l.lastAltPred = basePred
 	if l.lastAlt >= 0 {
 		l.lastAltPred = l.comps[l.lastAlt].entries[l.lastIdx[l.lastAlt]].ctr >= 0
@@ -228,7 +247,7 @@ func (l *LTAGE) Predict(pc uint64) bool {
 	}
 
 	// Loop predictor overrides when confident.
-	l.lastLoopHit, l.lastLoopPred = l.loop.predict(pc)
+	l.lastLoopHit, l.lastLoopPred = l.loop.predict(h)
 	if l.lastLoopHit {
 		pred = l.lastLoopPred
 	}
@@ -241,15 +260,16 @@ func (l *LTAGE) Update(pc uint64, taken bool) {
 		// Tolerate out-of-protocol use: recompute prediction state.
 		l.Predict(pc)
 	}
+	h := l.lastHash
 
 	tagePred := l.tagePrediction()
 	// A confidently wrong loop entry is freed immediately, as in L-TAGE;
 	// without this, a corrupted entry (e.g. two aliasing loop branches)
 	// would override the tagged tables forever.
 	if l.lastLoopHit && l.lastLoopPred != taken {
-		l.loop.invalidate(pc)
+		l.loop.invalidate(h)
 	}
-	l.loop.update(pc, taken, tagePred == taken)
+	l.loop.update(h, taken, tagePred == taken)
 
 	// Train useAltOnNA on weak-provider cases.
 	if l.lastProvider >= 0 && l.lastWeak && l.lastProvPred != l.lastAltPred {
@@ -279,11 +299,11 @@ func (l *LTAGE) Update(pc uint64, taken bool) {
 		}
 		// When the provider entry is still weak, also train the base.
 		if e.u == 0 {
-			bi := l.baseIndex(pc)
+			bi := l.baseIndex(h)
 			l.base[bi] = l.base[bi].update(taken)
 		}
 	} else {
-		bi := l.baseIndex(pc)
+		bi := l.baseIndex(h)
 		l.base[bi] = l.base[bi].update(taken)
 	}
 
@@ -314,17 +334,23 @@ func (l *LTAGE) tagePrediction() bool {
 }
 
 func (l *LTAGE) allocate(taken bool) {
-	// Find candidate components above the provider with a free (u==0)
-	// entry; pick one with LFSR randomness biased toward shorter
-	// histories. If none are free, age all candidates.
+	// Candidates are the components above the provider with a free
+	// (u==0) entry; pick one with LFSR randomness biased toward shorter
+	// histories. If none are free, age all candidates. Only the first
+	// two candidates can be picked, so the scan stops at the second and
+	// keeps no candidate list.
 	start := l.lastProvider + 1
-	var candidates []int
+	first, second := -1, -1
 	for i := start; i < len(l.comps); i++ {
 		if l.comps[i].entries[l.lastIdx[i]].u == 0 {
-			candidates = append(candidates, i)
+			if first >= 0 {
+				second = i
+				break
+			}
+			first = i
 		}
 	}
-	if len(candidates) == 0 {
+	if first < 0 {
 		for i := start; i < len(l.comps); i++ {
 			e := &l.comps[i].entries[l.lastIdx[i]]
 			if e.u > 0 {
@@ -333,11 +359,11 @@ func (l *LTAGE) allocate(taken bool) {
 		}
 		return
 	}
-	pick := candidates[0]
-	if len(candidates) > 1 {
+	pick := first
+	if second >= 0 {
 		l.lfsr = l.lfsr>>1 ^ (-(l.lfsr & 1) & 0xd800000000000000)
 		if l.lfsr&3 == 0 { // 1/4 chance to skip to a longer history
-			pick = candidates[1]
+			pick = second
 		}
 	}
 	e := &l.comps[pick].entries[l.lastIdx[pick]]
@@ -351,35 +377,20 @@ func (l *LTAGE) allocate(taken bool) {
 }
 
 func (l *LTAGE) pushHistory(taken bool) {
-	oldest := l.histBit(l.histLen - 1)
-	// Shift the multiword history left by one.
-	carry := boolBit(taken)
-	for i := 0; i < len(l.ghist); i++ {
-		next := l.ghist[i] >> 63
-		l.ghist[i] = l.ghist[i]<<1 | carry
-		carry = next
-	}
 	newBit := boolBit(taken)
+	hist, mask := l.hist, l.histMask
+	head := (l.head - 1) & mask
+	l.head = head
+	hist[head] = uint8(newBit)
 	for i := range l.comps {
 		c := &l.comps[i]
-		oldBit := uint64(0)
-		if c.histLen-1 < l.histLen {
-			// The bit that just fell out of this component's window: it
-			// was at age histLen-1 before the shift.
-			oldBit = l.histBitBeforeShift(c.histLen - 1)
-		}
+		// The bit that just fell out of this component's window: age
+		// histLen-1 before the push, so age histLen now.
+		oldBit := uint64(hist[(head+c.histLen)&mask])
 		c.foldIdx.update(newBit, oldBit)
 		c.foldTag1.update(newBit, oldBit)
 		c.foldTag2.update(newBit, oldBit)
 	}
-	_ = oldest
-}
-
-// histBitBeforeShift returns the bit that had the given age before the
-// most recent pushHistory shift; since the shift already happened, age n
-// before the shift is age n+1 now.
-func (l *LTAGE) histBitBeforeShift(age int) uint64 {
-	return l.histBit(age + 1)
 }
 
 // Name implements Predictor.
@@ -411,9 +422,10 @@ func (l *LTAGE) Reset() {
 		c.foldTag1.comp = 0
 		c.foldTag2.comp = 0
 	}
-	for i := range l.ghist {
-		l.ghist[i] = 0
+	for i := range l.hist {
+		l.hist[i] = 0
 	}
+	l.head = 0
 	l.useAltOnNA = 0
 	l.ticks = 0
 	l.lfsr = 0x1234567890abcdef
@@ -456,23 +468,24 @@ func newLoopPredictor(logEntries uint) *loopPredictor {
 	return &loopPredictor{entries: make([]loopEntry, n), mask: uint64(n - 1)}
 }
 
-func (lp *loopPredictor) slot(pc uint64) (*loopEntry, uint16) {
-	h := hashPC(pc)
+// slot finds the entry for the branch whose PC hash is h.
+func (lp *loopPredictor) slot(h uint64) (*loopEntry, uint16) {
 	tag := uint16((h>>6 ^ h>>13 ^ h>>21) & 0x3fff)
 	return &lp.entries[h&lp.mask], tag
 }
 
-// invalidate frees the entry for pc if it currently matches.
-func (lp *loopPredictor) invalidate(pc uint64) {
-	e, tag := lp.slot(pc)
+// invalidate frees the entry for the branch hashing to h if it
+// currently matches.
+func (lp *loopPredictor) invalidate(h uint64) {
+	e, tag := lp.slot(h)
 	if e.valid && e.tag == tag {
 		*e = loopEntry{}
 	}
 }
 
-// predict returns (confident, prediction).
-func (lp *loopPredictor) predict(pc uint64) (bool, bool) {
-	e, tag := lp.slot(pc)
+// predict returns (confident, prediction) for the branch hashing to h.
+func (lp *loopPredictor) predict(h uint64) (bool, bool) {
+	e, tag := lp.slot(h)
 	if !e.valid || e.tag != tag || e.conf < loopConfThreshold {
 		return false, false
 	}
@@ -480,8 +493,8 @@ func (lp *loopPredictor) predict(pc uint64) (bool, bool) {
 	return true, e.currTrip+1 < e.pastTrip
 }
 
-func (lp *loopPredictor) update(pc uint64, taken, tageWasCorrect bool) {
-	e, tag := lp.slot(pc)
+func (lp *loopPredictor) update(h uint64, taken, tageWasCorrect bool) {
+	e, tag := lp.slot(h)
 	if !e.valid || e.tag != tag {
 		// Allocate only on a TAGE mispredict of a not-taken outcome (a
 		// potential loop exit), as in L-TAGE.

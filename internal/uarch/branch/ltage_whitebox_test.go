@@ -6,78 +6,83 @@ import (
 	"interferometry/internal/xrand"
 )
 
-// TestLTAGEHistoryBookkeeping validates the multiword global history and
-// the circularly-folded registers against a naive reference that keeps
-// the outcome list explicitly. The folded-register update consumes the
-// bit falling out of each component's window; extracting it from the
-// shifted multiword history is exactly the kind of bookkeeping that
-// silently corrupts a TAGE implementation.
+// TestLTAGEHistoryBookkeeping validates the global-history ring and the
+// circularly-folded registers against a naive reference that keeps the
+// outcome list explicitly. The folded-register update consumes the bit
+// falling out of each component's window; reading it from the ring at
+// the right age — after the head has moved, across the ring's wrap —
+// is exactly the kind of bookkeeping that silently corrupts a TAGE
+// implementation. The run is many times the ring's length, so every
+// slot is overwritten repeatedly. The reference folds are computed
+// directly from the outcome list (the outcome at age a lands on bit
+// a mod clen), so they check the precomputed per-register shift too.
 func TestLTAGEHistoryBookkeeping(t *testing.T) {
 	l := NewLTAGE(LTAGEConfig{NumTables: 6, LogTagged: 7, LogBase: 10, MaxHist: 130})
+	if len(l.hist) <= l.histLen || len(l.hist)&(len(l.hist)-1) != 0 || l.histMask != len(l.hist)-1 {
+		t.Fatalf("ring of %d slots (mask %#x) cannot hold age %d", len(l.hist), l.histMask, l.histLen)
+	}
 	rng := xrand.New(99)
 
 	// Naive shadow state: outcomes[0] is the most recent.
 	var outcomes []bool
-	// One shadow folded register per component, driven from the explicit
-	// outcome list.
-	type shadowFold struct{ f folded }
-	shadows := make([][3]shadowFold, len(l.comps))
-	for i := range l.comps {
-		c := &l.comps[i]
-		shadows[i][0].f.init(c.histLen, c.logg)
-		shadows[i][1].f.init(c.histLen, c.tagBits)
-		shadows[i][2].f.init(c.histLen, c.tagBits-1)
+	directFold := func(olen int, clen uint) uint64 {
+		var comp uint64
+		for a := 0; a < olen && a < len(outcomes); a++ {
+			if outcomes[a] {
+				comp ^= 1 << (uint(a) % clen)
+			}
+		}
+		return comp
 	}
 
-	for step := 0; step < 5000; step++ {
+	steps := 40 * len(l.hist)
+	for step := 0; step < steps; step++ {
 		pc := 0x400000 + uint64(rng.Intn(64))*24
 		taken := rng.Bool(0.6)
 		l.Predict(pc)
 		l.Update(pc, taken)
 
-		// Shadow update: new bit is the outcome; the old bit for window
-		// length W is the one that was at age W-1 before this outcome was
-		// prepended.
-		for i := range l.comps {
-			c := &l.comps[i]
-			oldBit := uint64(0)
-			if len(outcomes) >= c.histLen && c.histLen >= 1 && outcomes[c.histLen-1] {
-				oldBit = 1
-			}
-			newBit := uint64(0)
-			if taken {
-				newBit = 1
-			}
-			shadows[i][0].f.update(newBit, oldBit)
-			shadows[i][1].f.update(newBit, oldBit)
-			shadows[i][2].f.update(newBit, oldBit)
-		}
 		outcomes = append([]bool{taken}, outcomes...)
 		if len(outcomes) > l.histLen+8 {
 			outcomes = outcomes[:l.histLen+8]
 		}
 
-		// Multiword history must agree with the explicit list.
-		for age := 0; age < len(outcomes) && age < l.histLen; age++ {
+		// The ring must agree with the explicit list up to and including
+		// age histLen, the bit the longest window dropped this step.
+		for age := 0; age <= l.histLen; age++ {
 			want := uint64(0)
-			if outcomes[age] {
+			if age < len(outcomes) && outcomes[age] {
 				want = 1
 			}
 			if got := l.histBit(age); got != want {
 				t.Fatalf("step %d: history bit age %d = %d, want %d", step, age, got, want)
 			}
+			if got := uint64(l.hist[(l.head+age)&l.histMask]); got != want {
+				t.Fatalf("step %d: ring slot for age %d = %d, want %d", step, age, got, want)
+			}
 		}
-		// Folded registers must agree with the shadow folds.
+		// Folded registers must agree with the direct folds.
 		for i := range l.comps {
 			c := &l.comps[i]
-			if c.foldIdx.comp != shadows[i][0].f.comp {
-				t.Fatalf("step %d comp %d: foldIdx %x, shadow %x",
-					step, i, c.foldIdx.comp, shadows[i][0].f.comp)
+			for k, f := range []*folded{&c.foldIdx, &c.foldTag1, &c.foldTag2} {
+				if want := directFold(c.histLen, f.clen); f.comp != want {
+					t.Fatalf("step %d comp %d fold %d: %x, direct %x", step, i, k, f.comp, want)
+				}
 			}
-			if c.foldTag1.comp != shadows[i][1].f.comp {
-				t.Fatalf("step %d comp %d: foldTag1 %x, shadow %x",
-					step, i, c.foldTag1.comp, shadows[i][1].f.comp)
-			}
+		}
+	}
+
+	// Reset returns the ring and the folds to power-on.
+	l.Reset()
+	for age := 0; age <= l.histLen; age++ {
+		if l.histBit(age) != 0 {
+			t.Fatalf("after Reset: history bit age %d set", age)
+		}
+	}
+	for i := range l.comps {
+		c := &l.comps[i]
+		if c.foldIdx.comp|c.foldTag1.comp|c.foldTag2.comp != 0 {
+			t.Fatalf("after Reset: comp %d folds not cleared", i)
 		}
 	}
 }

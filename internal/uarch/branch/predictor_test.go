@@ -453,9 +453,36 @@ func BenchmarkGshare(b *testing.B) {
 	}
 }
 
+// TestPredictorsZeroAlloc: after warm-up, Predict and Update allocate
+// nothing, for every predictor the sweeps build — including L-TAGE's
+// allocate-on-mispredict path, which a 70%-taken random stream
+// exercises constantly. The multi-lane machine walk keeps dozens of
+// these in one loop, so one allocating predictor would show up there.
+func TestPredictorsZeroAlloc(t *testing.T) {
+	factories := append(branch.ConfigSpace(0), branch.PaperPredictors()...)
+	for _, f := range factories {
+		p := f.New()
+		r := xrand.New(1)
+		i := 0
+		step := func() {
+			pc := 0x400000 + uint64(i%256)*32
+			i++
+			p.Predict(pc)
+			p.Update(pc, r.Bool(0.7))
+		}
+		for k := 0; k < 4096; k++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
+			t.Errorf("%s: %.2f allocs per Predict+Update after warm-up, want 0", f.Name, allocs)
+		}
+	}
+}
+
 func BenchmarkLTAGE(b *testing.B) {
 	p := branch.NewLTAGEDefault()
 	r := xrand.New(1)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		pc := 0x400000 + uint64(i%256)*32
 		taken := r.Bool(0.7)

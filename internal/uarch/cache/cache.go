@@ -77,6 +77,7 @@ func (ix Indexer) Set(addr uint64) uint64 { return addr >> ix.lineShift & ix.set
 type Cache struct {
 	cfg       Config
 	lineShift uint
+	tagShift  uint // log2(sets): a line's tag is line >> tagShift
 	setMask   uint64
 	ways      int
 	// tags[set*ways+way]; order[set*ways+i] lists ways from MRU to LRU.
@@ -97,6 +98,7 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		tagShift:  uint(bits.TrailingZeros(uint(sets))),
 		setMask:   uint64(sets - 1),
 		ways:      cfg.Ways,
 		tags:      make([]uint64, sets*cfg.Ways),
@@ -119,16 +121,19 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineShift
 	set := int(line & c.setMask)
-	tag := line >> uint(bits.TrailingZeros(uint(c.setMask+1)))
+	tag := line >> c.tagShift
 	base := set * c.ways
 	ord := c.order[base : base+c.ways]
 	// Search in MRU order.
 	for i := 0; i < c.ways; i++ {
 		w := int(ord[i])
 		if c.valid[base+w] && c.tags[base+w] == tag {
-			// Move to front.
-			copy(ord[1:], ord[:i])
-			ord[0] = uint8(w)
+			// Move to front; an MRU hit (the common case: consecutive
+			// fetches from one line) already is.
+			if i > 0 {
+				copy(ord[1:], ord[:i])
+				ord[0] = uint8(w)
+			}
 			c.hits++
 			return true
 		}
@@ -148,7 +153,7 @@ func (c *Cache) Access(addr uint64) bool {
 func (c *Cache) Probe(addr uint64) bool {
 	line := addr >> c.lineShift
 	set := int(line & c.setMask)
-	tag := line >> uint(bits.TrailingZeros(uint(c.setMask+1)))
+	tag := line >> c.tagShift
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
 		if c.valid[base+w] && c.tags[base+w] == tag {
