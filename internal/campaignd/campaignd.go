@@ -771,7 +771,7 @@ func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 		exe, berr = c.runner.BuildLayout(t.layout)
 		return berr
 	})
-	if settleReleased(lease, err) {
+	if settleReleased(lease, s.build, err) {
 		return
 	}
 	s.build.Record(s.now().Sub(start), err)
@@ -798,7 +798,7 @@ func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 		o, merr = c.runner.MeasureLayout(slot, t.layout, exe)
 		return merr
 	})
-	if settleReleased(lease, err) {
+	if settleReleased(lease, s.measure, err) {
 		return
 	}
 	s.measure.Record(s.now().Sub(start), err)
@@ -815,14 +815,17 @@ func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 	lease.Complete()
 }
 
-// settleReleased completes a task whose seam call found the campaign's
-// runner released: the campaign closed while the task ran. Nothing was
-// measured and nothing failed, so neither a breaker nor the task's
-// attempts are charged.
-func settleReleased(lease *jobqueue.Lease[task], err error) bool {
+// settleReleased completes a task whose seam call, admitted by b, found
+// the campaign's runner released: the campaign closed while the task
+// ran. Nothing was measured and nothing failed, so the task's attempts
+// are not charged and b gets its admission back with no verdict — a
+// half-open breaker would otherwise hold the probe slot for good and
+// deny every campaign's tasks.
+func settleReleased(lease *jobqueue.Lease[task], b *jobqueue.Breaker, err error) bool {
 	if !errors.Is(err, core.ErrRunnerReleased) {
 		return false
 	}
+	b.Abandon()
 	lease.Complete()
 	return true
 }

@@ -2,14 +2,17 @@ package campaignd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"interferometry/internal/core"
+	"interferometry/internal/jobqueue"
 )
 
 // releaseFixture is a coordinator that runs no tasks itself and audits
@@ -215,5 +218,108 @@ func TestReleaseRacesSeamCalls(t *testing.T) {
 		if !errors.Is(err, core.ErrRunnerReleased) {
 			t.Errorf("seam call racing the close: err %v, want ErrRunnerReleased", err)
 		}
+	}
+}
+
+// stepClock is a manual clock for the breakers and the queue.
+type stepClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *stepClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *stepClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+// TestReleasedSeamCallReturnsBreakerProbe: the build breaker is
+// half-open after a sick spell, with one probe slot, when a campaign
+// closes between a local task's context check and its build call. The
+// task takes the probe and finds the runner released. It must hand the
+// probe back: the breakers are server-wide, so a probe slot held for
+// good would deny every later campaign's tasks. Layout and search tasks
+// share the settle path; both are driven.
+func TestReleasedSeamCallReturnsBreakerProbe(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+	}{
+		{"layout", JobSpec{Benchmark: "429.mcf", Layouts: 2, Budget: 60_000}},
+		{"search", JobSpec{Benchmark: "429.mcf", Budget: 60_000, Kind: KindSearch, Search: &SearchSpec{Population: 3, Generations: 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := &stepClock{t: time.Unix(1_700_000_000, 0)}
+			srv, err := New(Config{
+				Workers: 1,
+				Breaker: jobqueue.BreakerConfig{TripAfter: 1, OpenFor: time.Minute},
+				Now:     clk.Now,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv.Drain)
+
+			// The build seam was sick: trip its breaker and let the open
+			// window pass.
+			if err := srv.build.Allow(); err != nil {
+				t.Fatal(err)
+			}
+			srv.build.Record(0, errors.New("build seam down"))
+			clk.Advance(time.Minute)
+			if st := srv.build.State(); st != jobqueue.HalfOpen {
+				t.Fatalf("build breaker %v, want half-open", st)
+			}
+
+			// Before Start the test is the only worker. Releasing the
+			// runner but not the context puts the close exactly between
+			// the task's context check and its seam call.
+			st, err := srv.Submit(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, ok := srv.lookup(st.ID)
+			if !ok {
+				t.Fatalf("campaign %s not found", st.ID)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			lease, err := srv.queue.Pop(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.runner.Release()
+			srv.runTask(0, lease)
+			c.abort(errors.New("operator cancel"))
+
+			// A later campaign runs on the local workers to the end.
+			srv.Start()
+			later := tc.spec
+			later.BaseSeed = 99
+			st, err = srv.Submit(later)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c, ok = srv.lookup(st.ID); !ok {
+				t.Fatalf("campaign %s not found", st.ID)
+			}
+			select {
+			case <-c.finished:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("later campaign stuck: build breaker %v", srv.build.State())
+			}
+			if got := c.snapshot(); got.State != StateDone {
+				t.Fatalf("later campaign %s (%s), want done", got.State, got.Error)
+			}
+			if st := srv.build.State(); st != jobqueue.Closed {
+				t.Errorf("build breaker %v after the later campaign's probes, want closed", st)
+			}
+		})
 	}
 }

@@ -243,10 +243,11 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		if s.auditPick(c, t, lease.Attempt()) {
 			match, aerr := s.audit(c, t, req.Observation)
 			switch {
-			case settleReleased(lease, aerr):
+			case errors.Is(aerr, core.ErrRunnerReleased):
 				// The campaign closed while the audit ran: like any
 				// completion for a closed campaign, the result is
 				// discarded.
+				lease.Complete()
 				s.writeJSON(w, http.StatusOK, ack{OK: true})
 				return
 			case aerr != nil:

@@ -453,7 +453,7 @@ func (s *Server) runSearchTask(slot int, lease *jobqueue.Lease[task], c *campaig
 		exe, berr = c.runner.BuildGenome(*t.genome)
 		return berr
 	})
-	if settleReleased(lease, err) {
+	if settleReleased(lease, s.build, err) {
 		return
 	}
 	s.build.Record(s.now().Sub(start), err)
@@ -479,7 +479,7 @@ func (s *Server) runSearchTask(slot int, lease *jobqueue.Lease[task], c *campaig
 		o, merr = c.runner.MeasureGenome(slot, *t.genome, exe)
 		return merr
 	})
-	if settleReleased(lease, err) {
+	if settleReleased(lease, s.measure, err) {
 		return
 	}
 	s.measure.Record(s.now().Sub(start), err)

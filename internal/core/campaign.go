@@ -494,7 +494,7 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 	var failed []*IndexError
 	var err error
 	if slots != nil {
-		failed, err = superviseChunksT(cfg.context(), workers, cfg.Layouts, bs, cfg.FailureBudget, newSupTel(cfg.Obs), func(w, lo, hi int, fail func(i int, err error)) {
+		failed, err = superviseChunksT(cfg.context(), workers, cfg.Layouts, bs, cfg.FailureBudget, newSupTel(cfg.Obs), func(w, lo, hi int, fail func(i int, err error), _ func() bool) {
 			measureChunk(&cfg, co, slots[w], measurers[w], build, trace, lo, hi, w, done, record, fail)
 		})
 	} else {

@@ -28,7 +28,10 @@ type LinearityConfig struct {
 	Machine machine.Config
 	Workers int
 
-	// Context cancels the sweep; nil means context.Background().
+	// Context cancels the sweep; nil means context.Background(). A
+	// worker walks the trace once for all its configurations, so a
+	// cancel takes effect when the walks in flight finish, not within
+	// one configuration's run.
 	Context context.Context
 	// FailureBudget tolerates up to this many failed predictor
 	// configurations: the fit proceeds over the surviving points and
@@ -131,8 +134,8 @@ func RunLinearityStudy(cfg LinearityConfig) (*LinearityResult, error) {
 	}
 	span := rootSpan(cfg.Obs, "linearity", obs.SpanID(cfg.InputSeed, tagLinearity, hashName(cfg.Program.Name)))
 	defer span.End()
-	failed, err := superviseChunksT(cfg.Context, workers, len(configs), chunk, cfg.FailureBudget, newSupTel(cfg.Obs), func(w, lo, hi int, fail func(int, error)) {
-		sweepChunk(machines[w], spec, configs, order[lo:hi], res.Points, func(k int, err error) { fail(lo+k, err) })
+	failed, err := superviseChunksT(cfg.Context, workers, len(configs), chunk, cfg.FailureBudget, newSupTel(cfg.Obs), func(w, lo, hi int, fail func(int, error), stopped func() bool) {
+		sweepChunk(machines[w], spec, configs, order[lo:hi], res.Points, func(k int, err error) { fail(lo+k, err) }, stopped)
 	})
 	if err != nil {
 		return nil, err
@@ -192,8 +195,10 @@ func RunLinearityStudy(cfg LinearityConfig) (*LinearityResult, error) {
 // down — every configuration of the chunk is re-run alone on a fresh
 // predictor, so fail names exactly the configurations that fail on
 // their own. A lane is bit-identical to its one-lane run, so the
-// fallback changes no surviving point.
-func sweepChunk(m *machine.Machine, spec machine.RunSpec, configs []branch.Factory, idx []int, points []LinearityPoint, fail func(k int, err error)) {
+// fallback changes no surviving point. The fallback checks stopped
+// before each re-run: once the sweep is canceled or over its failure
+// budget, the rest of the chunk is left unmeasured.
+func sweepChunk(m *machine.Machine, spec machine.RunSpec, configs []branch.Factory, idx []int, points []LinearityPoint, fail func(k int, err error), stopped func() bool) {
 	preds := make([]branch.Predictor, 0, len(idx))
 	lanes := make([]int, 0, len(idx)) // positions in idx
 	for k, i := range idx {
@@ -221,6 +226,9 @@ func sweepChunk(m *machine.Machine, spec machine.RunSpec, configs []branch.Facto
 		return
 	}
 	for _, k := range lanes {
+		if stopped() {
+			return
+		}
 		i := idx[k]
 		p, err := newSweepPredictor(configs[i])
 		if err == nil {

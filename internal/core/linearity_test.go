@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"slices"
@@ -93,14 +94,19 @@ func TestLinearityStudyWorkerInvariant(t *testing.T) {
 }
 
 // midWalkPanic panics on its hundredth prediction, taking down the
-// whole multi-predictor walk it rides in.
+// whole multi-predictor walk it rides in. onPanic, when set, runs just
+// before the panic.
 type midWalkPanic struct {
 	branch.Predictor
-	calls int
+	calls   int
+	onPanic func()
 }
 
 func (p *midWalkPanic) Predict(pc uint64) bool {
 	if p.calls++; p.calls == 100 {
+		if p.onPanic != nil {
+			p.onPanic()
+		}
 		panic("predictor exploded mid-walk")
 	}
 	return p.Predictor.Predict(pc)
@@ -162,5 +168,44 @@ func TestLinearityStudyChunkFailures(t *testing.T) {
 	cfg.FailureBudget = 2
 	if _, err := core.RunLinearityStudy(cfg); !errors.Is(err, core.ErrSweepAborted) {
 		t.Fatalf("three failures over a budget of two: err %v, want ErrSweepAborted", err)
+	}
+}
+
+// TestLinearityFallbackStopsWhenSweepEnds: when a chunk's shared walk
+// fails, its one-by-one fallback stops as soon as the sweep is over —
+// its failure budget exceeded, or its context canceled mid-walk — and
+// leaves the rest of the chunk unmeasured instead of replaying it.
+func TestLinearityFallbackStopsWhenSweepEnds(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		budget int
+		// bad fails the shared walk; cancel cancels the sweep's context.
+		bad  func(cancel context.CancelFunc) branch.Predictor
+		want error
+	}{
+		{"budget", 0, func(context.CancelFunc) branch.Predictor {
+			return &midWalkPanic{Predictor: branch.NewGshare(1024, 8)}
+		}, core.ErrSweepAborted},
+		{"cancel", 10, func(cancel context.CancelFunc) branch.Predictor {
+			return &midWalkPanic{Predictor: branch.NewGshare(1024, 8), onPanic: cancel}
+		}, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := linearityFixture(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			built := 0
+			cfg.Configs = append([]branch.Factory{
+				{Name: "fails-walk", New: func() branch.Predictor { return tc.bad(cancel) }},
+				{Name: "counted", New: func() branch.Predictor { built++; return branch.NewGshare(1024, 8) }},
+			}, cfg.Configs...)
+			cfg.Workers, cfg.FailureBudget, cfg.Context = 1, tc.budget, ctx
+			if _, err := core.RunLinearityStudy(cfg); !errors.Is(err, tc.want) {
+				t.Fatalf("err %v, want %v", err, tc.want)
+			}
+			if built != 1 {
+				t.Errorf("a configuration after the abort was built %d times, want once (the shared walk only)", built)
+			}
+		})
 	}
 }

@@ -185,8 +185,11 @@ func superviseForT(ctx context.Context, workers, n, budget int, tel *supTel, fn 
 // failure budget, abort and cancellation semantics match superviseForT
 // index for index. fn is expected to guard its own per-index work; a
 // panic escaping fn itself is recovered and attributed to the chunk's
-// first index.
-func superviseChunksT(ctx context.Context, workers, n, chunk, budget int, tel *supTel, fn func(worker, lo, hi int, fail func(i int, err error))) ([]*IndexError, error) {
+// first index. stopped reports whether the sweep is over (canceled, or
+// the budget exceeded); a chunk that works through its indices one by
+// one checks it between indices so an abort lands within one index, as
+// under superviseForT.
+func superviseChunksT(ctx context.Context, workers, n, chunk, budget int, tel *supTel, fn func(worker, lo, hi int, fail func(i int, err error), stopped func() bool)) ([]*IndexError, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -224,6 +227,7 @@ func superviseChunksT(ctx context.Context, workers, n, chunk, budget int, tel *s
 			return false
 		}
 	}
+	stopped := func() bool { return stop.Load() || canceled() }
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -239,7 +243,7 @@ func superviseChunksT(ctx context.Context, workers, n, chunk, budget int, tel *s
 				}()
 			}
 			for {
-				if stop.Load() || canceled() {
+				if stopped() {
 					return
 				}
 				ci := int(next.Add(1)) - 1
@@ -263,7 +267,7 @@ func superviseChunksT(ctx context.Context, workers, n, chunk, budget int, tel *s
 					}
 				}
 				if err := runGuarded(func(_, _ int) error {
-					fn(w, lo, hi, fail)
+					fn(w, lo, hi, fail, stopped)
 					return nil
 				}, w, lo); err != nil {
 					fail(lo, err)

@@ -310,7 +310,7 @@ func (s *Search) Evaluate(ctx context.Context, genomes []toolchain.Genome) ([]Ob
 	workers := s.runner.Workers()
 	out := make([]Observation, n)
 	chunk := s.cfg.Campaign.batchSize(workers)
-	_, err := superviseChunksT(ctx, workers, n, chunk, n, newSupTel(s.cfg.Campaign.Obs), func(w, lo, hi int, _ func(int, error)) {
+	_, err := superviseChunksT(ctx, workers, n, chunk, n, newSupTel(s.cfg.Campaign.Obs), func(w, lo, hi int, _ func(int, error), _ func() bool) {
 		s.evaluateChunk(w, lo, hi, genomes, out)
 	})
 	if err != nil && ctx.Err() != nil {

@@ -89,16 +89,18 @@ func (c BreakerConfig) probes() int {
 //	res, err := call()
 //	b.Record(now().Sub(start), err)
 //
-// All methods are safe for concurrent use.
+// A call given up before it says anything about the seam is bracketed
+// with Allow and Abandon instead. All methods are safe for concurrent
+// use.
 type Breaker struct {
 	cfg BreakerConfig
 
-	mu        sync.Mutex
-	state     State
-	failures  int       // consecutive failures while closed
-	openedAt  time.Time // when the breaker last opened
-	inFlight  int       // admitted probes not yet recorded (half-open)
-	probeOKs  int       // successful probes this half-open episode
+	mu       sync.Mutex
+	state    State
+	failures int       // consecutive failures while closed
+	openedAt time.Time // when the breaker last opened
+	inFlight int       // admitted probes not yet recorded (half-open)
+	probeOKs int       // successful probes this half-open episode
 }
 
 // NewBreaker returns a closed breaker.
@@ -144,7 +146,7 @@ func (b *Breaker) advanceLocked() {
 
 // Allow reports whether a call may proceed. ErrOpen means the caller
 // should not attempt the call now; retrying after RetryIn is reasonable.
-// Every nil return must be matched by exactly one Record.
+// Every nil return must be matched by exactly one Record or Abandon.
 func (b *Breaker) Allow() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -211,6 +213,18 @@ func (b *Breaker) Record(d time.Duration, err error) {
 		}
 	case Open:
 		// A straggler from before the trip; its outcome is stale.
+	}
+}
+
+// Abandon gives back an admission Allow granted for a call that was
+// given up without a verdict on the seam: the call never reached it, or
+// its outcome says nothing about its health. A half-open breaker gets
+// its probe slot back; no state changes and no failure is counted.
+func (b *Breaker) Abandon() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == HalfOpen && b.inFlight > 0 {
+		b.inFlight--
 	}
 }
 

@@ -2,6 +2,7 @@ package jobqueue_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -146,5 +147,44 @@ func TestBreakerStaleRecordIgnoredWhileOpen(t *testing.T) {
 	b.Record(0, nil)     // straggler from before the trip: no effect
 	if b.State() != jobqueue.Open {
 		t.Fatalf("stale success closed the breaker: %v", b.State())
+	}
+}
+
+// TestBreakerAbandonReturnsProbe: a half-open probe given up without a
+// verdict hands its slot back, so the next call can probe. Without it
+// the slot stays taken and the breaker denies every later call. An
+// abandoned call is no verdict either way: it neither closes a
+// half-open breaker nor breaks a closed one's failure streak.
+func TestBreakerAbandonReturnsProbe(t *testing.T) {
+	clk := newFakeClock()
+	b, log := breakerUnderTest(clk, jobqueue.BreakerConfig{TripAfter: 2, OpenFor: time.Second})
+	call(t, b, 0, errBoom)
+	if err := b.Allow(); err != nil {
+		t.Fatal(err)
+	}
+	b.Abandon()
+	call(t, b, 0, errBoom) // the streak survived the abandoned call
+	if b.State() != jobqueue.Open {
+		t.Fatalf("state %v, want open: an abandoned call reset the failure streak", b.State())
+	}
+
+	clk.Advance(time.Second)
+	if err := b.Allow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Allow(); !errors.Is(err, jobqueue.ErrOpen) {
+		t.Fatalf("second concurrent probe admitted: %v", err)
+	}
+	b.Abandon()
+	if b.State() != jobqueue.HalfOpen {
+		t.Fatalf("state %v after an abandoned probe, want half-open", b.State())
+	}
+	call(t, b, 0, nil) // the slot is free again, and this probe closes
+	if b.State() != jobqueue.Closed {
+		t.Fatalf("state %v after a successful probe, want closed", b.State())
+	}
+	want := []string{"closed->open", "open->half-open", "half-open->closed"}
+	if !slices.Equal(*log, want) {
+		t.Fatalf("transition log %v, want %v", *log, want)
 	}
 }

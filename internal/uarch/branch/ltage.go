@@ -180,11 +180,6 @@ func NewLTAGE(cfg LTAGEConfig) *LTAGE {
 // paper-scale experiments.
 func NewLTAGEDefault() *LTAGE { return NewLTAGE(LTAGEConfig{}) }
 
-// histBit returns the outcome age branches ago (0 = youngest).
-func (l *LTAGE) histBit(age int) uint64 {
-	return uint64(l.hist[(l.head+age)&l.histMask])
-}
-
 // index and tag derive the component's table index and partial tag from
 // the branch's PC hash h.
 func (c *tageComp) index(h uint64) int {

@@ -22,6 +22,9 @@ func TestLTAGEHistoryBookkeeping(t *testing.T) {
 		t.Fatalf("ring of %d slots (mask %#x) cannot hold age %d", len(l.hist), l.histMask, l.histLen)
 	}
 	rng := xrand.New(99)
+	// ringBit reads the outcome age branches ago (0 = youngest) straight
+	// from the ring, the way pushHistory reads the bit leaving a window.
+	ringBit := func(age int) uint64 { return uint64(l.hist[(l.head+age)&l.histMask]) }
 
 	// Naive shadow state: outcomes[0] is the most recent.
 	var outcomes []bool
@@ -54,10 +57,7 @@ func TestLTAGEHistoryBookkeeping(t *testing.T) {
 			if age < len(outcomes) && outcomes[age] {
 				want = 1
 			}
-			if got := l.histBit(age); got != want {
-				t.Fatalf("step %d: history bit age %d = %d, want %d", step, age, got, want)
-			}
-			if got := uint64(l.hist[(l.head+age)&l.histMask]); got != want {
+			if got := ringBit(age); got != want {
 				t.Fatalf("step %d: ring slot for age %d = %d, want %d", step, age, got, want)
 			}
 		}
@@ -75,7 +75,7 @@ func TestLTAGEHistoryBookkeeping(t *testing.T) {
 	// Reset returns the ring and the folds to power-on.
 	l.Reset()
 	for age := 0; age <= l.histLen; age++ {
-		if l.histBit(age) != 0 {
+		if ringBit(age) != 0 {
 			t.Fatalf("after Reset: history bit age %d set", age)
 		}
 	}
