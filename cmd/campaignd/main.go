@@ -78,8 +78,7 @@ func main() {
 		workers        = flag.Int("workers", 2, "task worker pool size (serve: 0 = coordinator only; worker: concurrent tasks)")
 		workerMode     = flag.Bool("worker", false, "run as a remote worker pulling tasks from -coordinator")
 		coordinator    = flag.String("coordinator", "", "coordinator base URL for -worker mode, e.g. http://host:8347")
-		workerBatch    = flag.Int("batch", 0, "worker mode: tasks leased per pull; same-campaign leases share one batched trace walk (<=1 leases singly)")
-		workerDelta    = flag.String("delta", "auto", "worker mode: delta replay for batched leases (auto = when the trace profile favors it, on, off)")
+		workerDelta    = flag.String("delta", "auto", "worker mode: delta replay for lease-group walks (auto = when the trace profile favors it, on, off)")
 		cacheDir       = flag.String("artifact-cache", "", "directory for the content-addressed layout artifact cache (empty = off)")
 		cacheMB        = flag.Int64("artifact-cache-mb", 256, "artifact cache size bound in MiB")
 		queueCap       = flag.Int("queue-capacity", 256, "max tasks in the system (queued + leased)")
@@ -114,7 +113,6 @@ func main() {
 		chaosSeed   = flag.Uint64("chaos-seed", 0xc4a05, "root seed of the per-round fault schedules")
 		chaosShard  = flag.Int("chaos-shard-workers", 0, "run soak rounds sharded across this many workers (0 = single process)")
 		chaosKills  = flag.Int("chaos-coordinator-kill", 0, "hard-kill and restart a WAL-backed coordinator this many times per soak round (0 = off)")
-		chaosBatch  = flag.Int("chaos-worker-batch", 0, "sharded soak workers lease this many tasks per pull (batched replay; <=1 leases singly)")
 		chaosDelta  = flag.String("chaos-delta", "auto", "sharded soak workers' delta-replay mode (auto, on, off)")
 		chaosByz    = flag.Int("chaos-byzantine", 0, "sharded soak rounds make this many workers liars: corrupted results must all be rejected or audit-disowned (0 = off)")
 		chaosError  = flag.Float64("chaos-error", 0.2, "per-call injected error rate")
@@ -149,7 +147,6 @@ func main() {
 			Seed:             *chaosSeed,
 			Workers:          *workers,
 			ShardWorkers:     *chaosShard,
-			WorkerBatch:      *chaosBatch,
 			WorkerDelta:      dm,
 			ByzantineWorkers: *chaosByz,
 			AuditRate:        *auditRate,
@@ -208,7 +205,6 @@ func main() {
 			Coordinator: *coordinator,
 			ID:          *workerID,
 			Parallel:    *workers,
-			Batch:       *workerBatch,
 			Delta:       dm,
 			Cache:       cache,
 			Obs:         observer,

@@ -78,8 +78,8 @@ func waitHealthQuarantined(t *testing.T, srv *campaignd.Server, workers ...strin
 // replays, bad and forged fingerprints — and the campaign still
 // finishes byte-identical to a clean single-process run, provenance
 // columns included. The liars end quarantined; the honest workers do
-// not; and no requeued task is ever charged an attempt (the attempts
-// column would differ otherwise).
+// not, and every merged result is theirs; and no requeued task is ever
+// charged an attempt (the attempts column would differ otherwise).
 func TestByzantineShardedMatchesSingleProcess(t *testing.T) {
 	spec := testSpec(8)
 	want := datasetCSV(t, cleanDataset(t, spec))
@@ -132,8 +132,10 @@ func TestByzantineShardedMatchesSingleProcess(t *testing.T) {
 			t.Errorf("liar %s has no rejected results: %+v", id, h)
 		}
 	}
+	var accepted uint64
 	for _, id := range honest {
 		h := health[id]
+		accepted += h.Accepted
 		if h.Quarantined {
 			t.Errorf("honest worker %s quarantined: %+v", id, h)
 		}
@@ -143,6 +145,9 @@ func TestByzantineShardedMatchesSingleProcess(t *testing.T) {
 		if h.Score != 1 {
 			t.Errorf("honest worker %s score %v, want 1", id, h.Score)
 		}
+	}
+	if accepted != uint64(spec.Layouts) {
+		t.Errorf("honest workers had %d results accepted, want all %d layouts", accepted, spec.Layouts)
 	}
 }
 
@@ -268,7 +273,7 @@ func TestTrustProtocolMetricsGolden(t *testing.T) {
 		Layouts:   spec.Layouts,
 		Fidelity:  experiments.Small.Fidelity,
 		BaseSeed:  0x1f2e3d4c,
-	}, 1)
+	}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,8 @@ type Config struct {
 	// NoLocalWorkers runs the server as a pure coordinator: Start
 	// launches no local task workers, and every layout is executed by
 	// remote campaignd worker processes pulling tasks from the
-	// /worker/* endpoints (DESIGN.md §10). Workers still sizes each
-	// campaign's runner slots for any mixed local execution.
+	// /worker/* endpoints (DESIGN.md §10). Workers is then unused, and
+	// each campaign's runner holds only the audit slot.
 	NoLocalWorkers bool
 	// QueueCapacity bounds tasks in the system (queued plus leased);
 	// admission control sheds whole campaigns beyond it. Zero means 256.
@@ -147,6 +147,28 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
+// slotLayout is how every campaign's runner slots are numbered: one per
+// local task loop Start runs, then one reserved for the coordinator's
+// spot audits. Start, admission and the audit path all read the
+// server's one layout, so they cannot disagree.
+type slotLayout struct {
+	local int // task loops Start runs; slots [0, local)
+}
+
+// slotLayout computes the layout: a pure coordinator runs no loops.
+func (c Config) slotLayout() slotLayout {
+	if c.NoLocalWorkers {
+		return slotLayout{}
+	}
+	return slotLayout{local: c.workers()}
+}
+
+// audit is the index of the audit slot, the last one.
+func (l slotLayout) audit() int { return l.local }
+
+// runners is the slot count of a campaign's runner.
+func (l slotLayout) runners() int { return l.local + 1 }
+
 func (c Config) queueCapacity() int {
 	if c.QueueCapacity <= 0 {
 		return 256
@@ -216,9 +238,14 @@ type Server struct {
 	refusals   *obs.Counter
 	quarGauge  *obs.Gauge
 	// auditMu serializes spot-audit re-executions: every campaign
-	// reserves exactly one extra runner slot for the coordinator's
-	// audits, so they run one at a time.
+	// reserves exactly one runner slot for the coordinator's audits
+	// (slots.audit), so they run one at a time.
 	auditMu sync.Mutex
+
+	// slots numbers every campaign's runner slots.
+	slots slotLayout
+	// shared holds the programs and traces the server's campaigns share.
+	shared sharedWork
 
 	baseCtx context.Context
 	stop    context.CancelCauseFunc
@@ -281,6 +308,7 @@ func New(cfg Config) (*Server, error) {
 		condemned:  obsCounter(cfg.Obs, "campaignd_quarantine_condemned_total", "workers condemned to quarantine"),
 		refusals:   obsCounter(cfg.Obs, "campaignd_quarantine_lease_refusals_total", "lease requests refused because the worker is quarantined (403)"),
 		quarGauge:  obsGauge(cfg.Obs, "campaignd_quarantine_workers", "workers currently quarantined"),
+		slots:      cfg.slotLayout(),
 		baseCtx:    ctx,
 		stop:       stop,
 		campaigns:  make(map[string]*campaign),
@@ -390,10 +418,7 @@ func (s *Server) WorkerHealth() map[string]jobqueue.WorkerHealth {
 
 // Start launches the worker pool (a no-op for a pure coordinator).
 func (s *Server) Start() {
-	if s.cfg.NoLocalWorkers {
-		return
-	}
-	for w := 0; w < s.cfg.workers(); w++ {
+	for w := 0; w < s.slots.local; w++ {
 		s.wg.Add(1)
 		go func(slot int) {
 			defer s.wg.Done()
@@ -459,13 +484,11 @@ func (s *Server) admit(spec JobSpec, record bool) (Status, error) {
 		close(ch)
 	}()
 
-	// Build the campaign outside the lock: trace interpretation and the
-	// shared compile are real work. The admitting reservation keeps
-	// duplicates out, so this build is the only one for this ID. The +1
-	// reserves one runner slot (the last) for the coordinator's
-	// spot-audit re-executions, which must never contend with the local
-	// pool's slots.
-	c, pending, err := newCampaign(s.baseCtx, spec, s.cfg.scale(), s.cfg.workers()+1, s.cfg.CheckpointRoot, s.cfg.LayoutCache, s.cfg.Faults, s.now())
+	// Build the campaign outside the lock: the compile (and, for a new
+	// benchmark and budget, program generation and trace interpretation)
+	// is real work. The admitting reservation keeps duplicates out, so
+	// this build is the only one for this ID.
+	c, pending, err := s.newCampaign(spec)
 	if err != nil {
 		return Status{}, err
 	}

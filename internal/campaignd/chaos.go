@@ -46,13 +46,10 @@ type SoakConfig struct {
 	// ShardWorkers, when positive, runs every round in sharded mode:
 	// the server becomes a pure coordinator and this many worker
 	// processes (in-process Worker instances, sharing the round's fault
-	// injector) pull its tasks over real HTTP. The byte-identity check
-	// is unchanged — sharding must not move a byte.
+	// injector) pull its tasks over real HTTP, each measuring its lease
+	// groups in batched walks. The byte-identity check is unchanged —
+	// sharding and batching must not move a byte.
 	ShardWorkers int
-	// WorkerBatch is each sharded worker's lease batch width
-	// (Worker.Batch): grouped leases share one batched trace walk. The
-	// byte-identity check is unchanged — batching must not move a byte.
-	WorkerBatch int
 	// WorkerDelta selects each sharded worker's delta-replay mode
 	// (Worker.Delta). The byte-identity check is unchanged — delta replay
 	// must not move a byte either, and DeltaOn rounds prove the engine's
@@ -142,8 +139,9 @@ func Soak(cfg SoakConfig) error {
 	byzProvenance := cfg.ByzantineWorkers > 0 && !cfg.Spec.IsSearch() &&
 		cfg.Rates.Error == 0 && cfg.Rates.Panic == 0 && cfg.Rates.Slow == 0 && cfg.Rates.Spike == 0
 	var ref, refReport, refProvenance bytes.Buffer
+	var shared sharedWork
 	if cfg.Spec.IsSearch() {
-		searchCfg, err := searchConfig(cfg.Spec, cfg.scale())
+		searchCfg, err := shared.searchConfig(cfg.Spec, cfg.scale())
 		if err != nil {
 			return err
 		}
@@ -160,7 +158,7 @@ func Soak(cfg SoakConfig) error {
 		fmt.Fprintf(out, "soak %s: search %d×%d, reference %d bytes, %d rounds\n",
 			cfg.Spec.Benchmark, clean.Config.Population, clean.Config.Generations, ref.Len(), cfg.rounds())
 	} else {
-		campCfg, err := campaignConfig(cfg.Spec, cfg.scale())
+		campCfg, err := shared.campaignConfig(cfg.Spec, cfg.scale())
 		if err != nil {
 			return err
 		}
@@ -306,7 +304,6 @@ func soakRound(cfg SoakConfig, round int, ref, refReport, refProvenance []byte, 
 				startWorker(&Worker{
 					Coordinator: "http://" + ln.Addr().String(),
 					ID:          id,
-					Batch:       cfg.WorkerBatch,
 					Delta:       cfg.WorkerDelta,
 					Wait:        500 * time.Millisecond,
 					Tamper:      faultinject.NewLiar(cfg.Seed + uint64(round)*0x9e3779b9 + uint64(n)),
@@ -315,13 +312,12 @@ func soakRound(cfg SoakConfig, round int, ref, refReport, refProvenance []byte, 
 			if err := waitQuarantined(ctx, srv, liars); err != nil {
 				return err
 			}
-			fmt.Fprintf(out, "round %d: %d byzantine workers quarantined, %d honest workers joining (batch %d)\n",
-				round, len(liars), honest, cfg.WorkerBatch)
+			fmt.Fprintf(out, "round %d: %d byzantine workers quarantined, %d honest workers joining\n",
+				round, len(liars), honest)
 		}
 		for n := 0; n < honest; n++ {
 			w := &Worker{
 				Coordinator: "http://" + ln.Addr().String(),
-				Batch:       cfg.WorkerBatch,
 				Delta:       cfg.WorkerDelta,
 				Wait:        500 * time.Millisecond,
 				Faults:      injector,
@@ -332,7 +328,7 @@ func soakRound(cfg SoakConfig, round int, ref, refReport, refProvenance []byte, 
 			startWorker(w)
 		}
 		if !byzantine {
-			fmt.Fprintf(out, "round %d: sharded across %d workers (batch %d)\n", round, cfg.ShardWorkers, cfg.WorkerBatch)
+			fmt.Fprintf(out, "round %d: sharded across %d workers\n", round, cfg.ShardWorkers)
 		}
 	}
 

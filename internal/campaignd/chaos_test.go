@@ -44,10 +44,9 @@ func TestChaosSoak(t *testing.T) {
 }
 
 // TestChaosSoakShardedBatched is the batched scale-out soak: every round
-// runs as a pure coordinator with 2 remote workers, each leasing up to 3
-// tasks per pull and sharing one batched trace walk per group, under the
-// same fault storm — and the export must still match the clean
-// single-process bytes.
+// runs as a pure coordinator with 2 remote workers, each sharing one
+// batched trace walk per lease group, under the same fault storm — and
+// the export must still match the clean single-process bytes.
 func TestChaosSoakShardedBatched(t *testing.T) {
 	var out bytes.Buffer
 	err := campaignd.Soak(campaignd.SoakConfig{
@@ -55,7 +54,6 @@ func TestChaosSoakShardedBatched(t *testing.T) {
 		Rounds:       2,
 		Seed:         0xba7c4,
 		ShardWorkers: 2,
-		WorkerBatch:  3,
 		Rates: faultinject.Rates{
 			Error: 0.2, Panic: 0.1,
 			MaxFaults: 2,

@@ -12,9 +12,7 @@ import (
 
 	"interferometry/internal/core"
 	"interferometry/internal/experiments"
-	"interferometry/internal/faultinject"
 	"interferometry/internal/progen"
-	"interferometry/internal/toolchain"
 )
 
 // JobSpec is the JSON body of a campaign submission. Everything that
@@ -156,6 +154,15 @@ func (s JobSpec) effectiveLayouts(scale experiments.Scale) int {
 	return scale.Layouts
 }
 
+// waveTasks is how many tasks the campaign queues at once: every layout
+// of a layout campaign, one generation's population of a search.
+func (s JobSpec) waveTasks(scale experiments.Scale) int {
+	if s.IsSearch() {
+		return s.searchShape().Population
+	}
+	return s.effectiveLayouts(scale)
+}
+
 func (s JobSpec) effectiveSeed() uint64 {
 	if s.BaseSeed != 0 {
 		return s.BaseSeed
@@ -173,40 +180,6 @@ func (s JobSpec) effectiveBudget(scale experiments.Scale) uint64 {
 // defaultBaseSeed matches cmd/interferometry's -campaign mode, so a job
 // submitted with no seed reproduces the CLI's standalone campaigns.
 const defaultBaseSeed = 0x1f2e3d4c
-
-// campaignConfig translates a spec into the core campaign config —
-// the single place service and soak harness agree on what a spec means.
-func campaignConfig(spec JobSpec, scale experiments.Scale) (core.CampaignConfig, error) {
-	ps, ok := progen.ByName(spec.Benchmark)
-	if !ok {
-		return core.CampaignConfig{}, fmt.Errorf("campaignd: unknown benchmark %q", spec.Benchmark)
-	}
-	prog, err := progen.Generate(ps)
-	if err != nil {
-		return core.CampaignConfig{}, err
-	}
-	return core.CampaignConfig{
-		Program:   prog,
-		InputSeed: 1,
-		Budget:    spec.effectiveBudget(scale),
-		Layouts:   spec.effectiveLayouts(scale),
-		Fidelity:  scale.Fidelity,
-		BaseSeed:  spec.effectiveSeed(),
-	}, nil
-}
-
-// searchConfig translates a search spec into the core search config —
-// the single definition the service, the remote workers and the soak
-// harness share of what a search spec means.
-func searchConfig(spec JobSpec, scale experiments.Scale) (core.SearchConfig, error) {
-	campaign, err := campaignConfig(spec, scale)
-	if err != nil {
-		return core.SearchConfig{}, err
-	}
-	cfg := spec.searchShape()
-	cfg.Campaign = campaign
-	return cfg, nil
-}
 
 // Campaign states.
 const (
@@ -254,26 +227,28 @@ type campaign struct {
 	finished  chan struct{}
 }
 
-// newCampaign admits a spec: derives the campaign config, prepares the
-// runner's shared state, and opens (or resumes) the checkpoint. The
+// newCampaign admits a spec: derives the campaign config on the
+// server's shared program, builds the runner on the shared trace with
+// the server's slot layout, and opens (or resumes) the checkpoint. The
 // returned pending slice lists the layout indices still to measure.
-func newCampaign(parent context.Context, spec JobSpec, scale experiments.Scale, workers int, checkpointRoot string, cache toolchain.LayoutCache, faults *faultinject.Injector, now time.Time) (*campaign, []int, error) {
+func (s *Server) newCampaign(spec JobSpec) (*campaign, []int, error) {
 	if spec.IsSearch() {
-		c, err := newSearchCampaign(parent, spec, scale, workers, checkpointRoot, cache, faults, now)
+		c, err := s.newSearchCampaign(spec)
 		return c, nil, err
 	}
-	cfg, err := campaignConfig(spec, scale)
+	now, scale := s.now(), s.cfg.scale()
+	cfg, err := s.shared.campaignConfig(spec, scale)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg.LayoutCache = cache
-	cfg.Faults = faults
+	cfg.LayoutCache = s.cfg.LayoutCache
+	cfg.Faults = s.cfg.Faults
 	id := spec.ID(scale)
 
 	var sink *core.CheckpointSink
 	restored := map[int]core.Observation{}
-	if checkpointRoot != "" {
-		dir := filepath.Join(checkpointRoot, id)
+	if root := s.cfg.CheckpointRoot; root != "" {
+		dir := filepath.Join(root, id)
 		ccfg := cfg
 		ccfg.Checkpoint = core.CheckpointConfig{Dir: dir}
 		if _, statErr := os.Stat(filepath.Join(dir, "observations.jsonl")); statErr == nil {
@@ -286,12 +261,12 @@ func newCampaign(parent context.Context, spec JobSpec, scale experiments.Scale, 
 		restored = sink.Restored()
 	}
 
-	ctx, cancel := context.WithCancelCause(parent)
+	ctx, cancel := context.WithCancelCause(s.baseCtx)
 	stopTimer := context.CancelFunc(func() {})
 	if spec.DeadlineMS > 0 {
 		ctx, stopTimer = context.WithDeadline(ctx, now.Add(time.Duration(spec.DeadlineMS)*time.Millisecond))
 	}
-	runner, err := core.NewLayoutRunner(cfg, workers)
+	runner, err := s.shared.runner(cfg, s.slots.runners())
 	if err != nil {
 		cancel(err)
 		stopTimer()

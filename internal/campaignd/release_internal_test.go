@@ -79,11 +79,12 @@ func (f *releaseFixture) submit(spec JobSpec) (*campaign, func(layout int) *core
 	if !ok {
 		f.t.Fatalf("campaign %s not found", st.ID)
 	}
-	cfg, err := campaignConfig(spec, f.srv.cfg.scale())
+	var sw sharedWork // a worker process's own
+	cfg, err := sw.campaignConfig(spec, f.srv.cfg.scale())
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	runner, err := core.NewLayoutRunner(cfg, 1)
+	runner, err := sw.runner(cfg, 1)
 	if err != nil {
 		f.t.Fatal(err)
 	}
@@ -169,9 +170,16 @@ func TestClosedCampaignReleasesRunner(t *testing.T) {
 // TestReleaseRacesSeamCalls closes a campaign while a worker slot and
 // the audit slot hammer its runner. Every call either completes or
 // fails with ErrRunnerReleased; run under -race this pins that Release
-// and in-flight seam calls share no unsynchronized state.
+// and in-flight seam calls share no unsynchronized state. The server
+// has one local slot but is never started, so the test itself plays
+// that slot's task loop (a pure coordinator has only the audit slot).
 func TestReleaseRacesSeamCalls(t *testing.T) {
-	f := newReleaseFixture(t)
+	srv, err := New(Config{Workers: 1, AuditRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Drain)
+	f := &releaseFixture{t: t, srv: srv}
 	c, execute := f.submit(JobSpec{Benchmark: "429.mcf", Layouts: 4, Budget: 60_000})
 	got := execute(1)
 

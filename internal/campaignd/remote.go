@@ -362,7 +362,7 @@ func (s *Server) audit(c *campaign, t task, got *core.ObsWire) (match bool, err 
 	s.auditMu.Lock()
 	defer s.auditMu.Unlock()
 	s.audits.Inc()
-	slot := c.runner.Workers() - 1
+	slot := s.slots.audit()
 	var o core.Observation
 	err = core.Guard(func() error {
 		var exe *toolchain.Executable

@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"interferometry/internal/core"
-	"interferometry/internal/experiments"
-	"interferometry/internal/faultinject"
 	"interferometry/internal/jobqueue"
 	"interferometry/internal/toolchain"
 )
@@ -56,27 +54,33 @@ type generationState struct {
 	remaining int
 }
 
-// newSearchCampaign admits a search spec: derives the search config,
-// prepares the engine's shared state, and opens (or resumes) the
-// generation checkpoint. The server pushes the first pending generation
-// and starts the driver after journaling the admission.
-func newSearchCampaign(parent context.Context, spec JobSpec, scale experiments.Scale, workers int, checkpointRoot string, cache toolchain.LayoutCache, faults *faultinject.Injector, now time.Time) (*campaign, error) {
-	cfg, err := searchConfig(spec, scale)
+// newSearchCampaign admits a search spec: derives the search config on
+// the server's shared program, prepares the engine on the shared trace,
+// and opens (or resumes) the generation checkpoint. The server pushes
+// the first pending generation and starts the driver after journaling
+// the admission.
+func (s *Server) newSearchCampaign(spec JobSpec) (*campaign, error) {
+	now, scale := s.now(), s.cfg.scale()
+	cfg, err := s.shared.searchConfig(spec, scale)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Campaign.LayoutCache = cache
-	cfg.Campaign.Faults = faults
+	cfg.Campaign.LayoutCache = s.cfg.LayoutCache
+	cfg.Campaign.Faults = s.cfg.Faults
 	id := spec.ID(scale)
-	if checkpointRoot != "" {
-		dir := filepath.Join(checkpointRoot, id)
+	if root := s.cfg.CheckpointRoot; root != "" {
+		dir := filepath.Join(root, id)
 		cfg.Campaign.Checkpoint = core.CheckpointConfig{Dir: dir}
 		if _, statErr := os.Stat(filepath.Join(dir, core.SearchCheckpointFile)); statErr == nil {
 			cfg.Campaign.Checkpoint.Resume = true
 		}
 	}
 
-	eng, err := core.NewSearch(cfg, workers)
+	trace, err := s.shared.trace(cfg.Campaign)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := core.NewSearch(cfg, s.slots.runners(), trace)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +94,7 @@ func newSearchCampaign(parent context.Context, spec JobSpec, scale experiments.S
 		run.gens = append([]core.GenerationResult(nil), run.restored...)
 	}
 
-	ctx, cancel := context.WithCancelCause(parent)
+	ctx, cancel := context.WithCancelCause(s.baseCtx)
 	stopTimer := context.CancelFunc(func() {})
 	if spec.DeadlineMS > 0 {
 		ctx, stopTimer = context.WithDeadline(ctx, now.Add(time.Duration(spec.DeadlineMS)*time.Millisecond))

@@ -160,12 +160,12 @@ func TestSearchServiceMatchesSingleProcess(t *testing.T) {
 }
 
 // runSearchSharded runs one search spec on a fresh pure coordinator
-// with n remote workers (leasing batch tasks per pull) and returns the
-// canonical generations CSV and the report JSON.
-func runSearchSharded(t *testing.T, spec campaignd.JobSpec, n, batch int) (canonical, report []byte) {
+// with n remote workers and returns the canonical generations CSV and
+// the report JSON.
+func runSearchSharded(t *testing.T, spec campaignd.JobSpec, n int) (canonical, report []byte) {
 	t.Helper()
 	_, client := startService(t, campaignd.Config{NoLocalWorkers: true})
-	startWorkers(t, client.Base, client.HTTP, n, batch)
+	startWorkers(t, client.Base, client.HTTP, n)
 	ctx := context.Background()
 	st, err := client.Submit(ctx, spec)
 	if err != nil {
@@ -179,23 +179,23 @@ func runSearchSharded(t *testing.T, spec campaignd.JobSpec, n, batch int) (canon
 }
 
 // TestSearchShardedMatchesSingleProcess is the distributed-search
-// headline: the same search spec driven by one remote worker, by four,
-// and by two workers batching their leases produces the exact bytes of
-// a single-process core.RunSearch. Worker count, lease batching and
-// completion order must not move a byte of the trajectory.
+// headline: the same search spec driven by one remote worker, by two
+// and by four produces the exact bytes of a single-process
+// core.RunSearch. Worker count, lease grouping and completion order
+// must not move a byte of the trajectory.
 func TestSearchShardedMatchesSingleProcess(t *testing.T) {
 	spec := searchSpec()
 	_, wantCanon, wantReport := searchReference(t, cleanSearch(t, spec))
 
 	for _, tc := range []struct {
-		name     string
-		n, batch int
+		name string
+		n    int
 	}{
-		{"1-worker", 1, 0},
-		{"4-worker", 4, 0},
-		{"2-worker-batched", 2, 4},
+		{"1-worker", 1},
+		{"4-worker", 4},
+		{"2-worker", 2},
 	} {
-		canon, report := runSearchSharded(t, spec, tc.n, tc.batch)
+		canon, report := runSearchSharded(t, spec, tc.n)
 		if !bytes.Equal(canon, wantCanon) {
 			t.Errorf("%s sharded search generations differ from single-process run:\n--- sharded ---\n%s--- clean ---\n%s",
 				tc.name, canon, wantCanon)
@@ -256,7 +256,7 @@ func TestSearchWorkerDeathRecovers(t *testing.T) {
 
 	// The survivor finishes the search, including the dead worker's
 	// requeued individual.
-	startWorkers(t, client.Base, client.HTTP, 1, 0)
+	startWorkers(t, client.Base, client.HTTP, 1)
 	if st = waitDone(t, client, st.ID); st.State != campaignd.StateDone {
 		t.Fatalf("search ended %s: %s", st.State, st.Error)
 	}
@@ -308,7 +308,7 @@ func TestSearchKillRestartResumesFromWAL(t *testing.T) {
 		base: hs1.Client().Transport,
 		n:    int64(spec.Search.Population),
 	}}
-	stopWorker := startWorkers(t, hs1.URL, stalled, 1, 0)
+	stopWorker := startWorkers(t, hs1.URL, stalled, 1)
 	ctx := context.Background()
 	st, err := client1.Submit(ctx, spec)
 	if err != nil {
@@ -346,7 +346,7 @@ func TestSearchKillRestartResumesFromWAL(t *testing.T) {
 	srv2.Start()
 	hs2 := httptest.NewServer(srv2.Handler())
 	client2 := &campaignd.Client{Base: hs2.URL, HTTP: hs2.Client()}
-	startWorkers(t, hs2.URL, hs2.Client(), 1, 0)
+	startWorkers(t, hs2.URL, hs2.Client(), 1)
 	st2, err := client2.Status(ctx, st.ID)
 	if err != nil {
 		t.Fatalf("restarted coordinator does not know search %s: %v", st.ID, err)

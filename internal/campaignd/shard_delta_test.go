@@ -14,8 +14,8 @@ import (
 )
 
 // startDeltaWorkers launches n in-process remote workers with the
-// delta-replay engine forced on for their batched leases.
-func startDeltaWorkers(t *testing.T, coordinator string, httpc *http.Client, n, batch int) {
+// delta-replay engine forced on for their lease-group walks.
+func startDeltaWorkers(t *testing.T, coordinator string, httpc *http.Client, n int) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -26,7 +26,6 @@ func startDeltaWorkers(t *testing.T, coordinator string, httpc *http.Client, n, 
 			w := &campaignd.Worker{
 				Coordinator: coordinator,
 				HTTP:        httpc,
-				Batch:       batch,
 				Delta:       core.DeltaOn,
 				Wait:        100 * time.Millisecond,
 			}
@@ -40,8 +39,8 @@ func startDeltaWorkers(t *testing.T, coordinator string, httpc *http.Client, n, 
 }
 
 // TestShardedDeltaMatchesSingleProcess is the sharded leg of the delta
-// determinism matrix: 2 remote workers leasing up to 4 tasks per pull
-// with the delta engine forced on must produce the exact dataset bytes
+// determinism matrix: 2 remote workers with the delta engine forced on
+// for their lease-group walks must produce the exact dataset bytes
 // (provenance columns included) of a clean single-process run — the
 // engine choice, like batching and sharding, must not move a byte.
 func TestShardedDeltaMatchesSingleProcess(t *testing.T) {
@@ -49,7 +48,7 @@ func TestShardedDeltaMatchesSingleProcess(t *testing.T) {
 	want := datasetCSV(t, cleanDataset(t, spec))
 
 	_, client := startService(t, campaignd.Config{NoLocalWorkers: true})
-	startDeltaWorkers(t, client.Base, client.HTTP, 2, 4)
+	startDeltaWorkers(t, client.Base, client.HTTP, 2)
 	ctx := context.Background()
 	st, err := client.Submit(ctx, spec)
 	if err != nil {
@@ -80,7 +79,6 @@ func TestChaosSoakDeltaRound(t *testing.T) {
 		Rounds:       1,
 		Seed:         0xde17a,
 		ShardWorkers: 2,
-		WorkerBatch:  3,
 		WorkerDelta:  core.DeltaOn,
 		Rates: faultinject.Rates{
 			Error: 0.2, Panic: 0.1,

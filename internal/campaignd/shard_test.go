@@ -3,6 +3,7 @@ package campaignd_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -11,13 +12,12 @@ import (
 
 	"interferometry/internal/artifactcache"
 	"interferometry/internal/campaignd"
+	"interferometry/internal/obs"
 )
 
 // startWorkers launches n in-process remote workers against the
-// coordinator and returns a cancel that stops them and waits. batch > 1
-// lets each worker lease that many tasks per pull and batch their
-// replays.
-func startWorkers(t *testing.T, coordinator string, httpc *http.Client, n, batch int) (stop func()) {
+// coordinator and returns a cancel that stops them and waits.
+func startWorkers(t *testing.T, coordinator string, httpc *http.Client, n int) (stop func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -28,7 +28,6 @@ func startWorkers(t *testing.T, coordinator string, httpc *http.Client, n, batch
 			w := &campaignd.Worker{
 				Coordinator: coordinator,
 				HTTP:        httpc,
-				Batch:       batch,
 				Wait:        100 * time.Millisecond,
 			}
 			w.Run(ctx)
@@ -43,11 +42,11 @@ func startWorkers(t *testing.T, coordinator string, httpc *http.Client, n, batch
 }
 
 // runSharded runs one spec on a fresh pure coordinator with n remote
-// workers (leasing batch tasks per pull) and returns the dataset CSV.
-func runSharded(t *testing.T, spec campaignd.JobSpec, n, batch int) []byte {
+// workers and returns the dataset CSV.
+func runSharded(t *testing.T, spec campaignd.JobSpec, n int) []byte {
 	t.Helper()
 	_, client := startService(t, campaignd.Config{NoLocalWorkers: true})
-	startWorkers(t, client.Base, client.HTTP, n, batch)
+	startWorkers(t, client.Base, client.HTTP, n)
 	ctx := context.Background()
 	st, err := client.Submit(ctx, spec)
 	if err != nil {
@@ -72,25 +71,106 @@ func TestShardedMatchesSingleProcess(t *testing.T) {
 	spec := testSpec(8)
 	want := datasetCSV(t, cleanDataset(t, spec))
 
-	if got := runSharded(t, spec, 1, 0); !bytes.Equal(got, want) {
+	if got := runSharded(t, spec, 1); !bytes.Equal(got, want) {
 		t.Errorf("1-worker sharded dataset differs from single-process run:\n--- sharded ---\n%s--- clean ---\n%s", got, want)
 	}
-	if got := runSharded(t, spec, 4, 0); !bytes.Equal(got, want) {
+	if got := runSharded(t, spec, 4); !bytes.Equal(got, want) {
 		t.Errorf("4-worker sharded dataset differs from single-process run:\n--- sharded ---\n%s--- clean ---\n%s", got, want)
 	}
 }
 
-// TestShardedBatchedMatchesSingleProcess is the batched-replay variant
-// of the scale-out headline: 2 workers each leasing up to 4 tasks per
-// pull and sharing one trace walk per group must still produce the
-// byte-exact dataset of a clean single-process run, whatever mix of
-// batch widths the lease timing produces.
+// TestShardedBatchedMatchesSingleProcess is the 2-worker variant of the
+// scale-out headline: 2 workers, each sharing one trace walk per lease
+// group, must still produce the byte-exact dataset of a clean
+// single-process run, whatever mix of group sizes the lease timing
+// produces.
 func TestShardedBatchedMatchesSingleProcess(t *testing.T) {
 	spec := testSpec(10)
 	want := datasetCSV(t, cleanDataset(t, spec))
 
-	if got := runSharded(t, spec, 2, 4); !bytes.Equal(got, want) {
+	if got := runSharded(t, spec, 2); !bytes.Equal(got, want) {
 		t.Errorf("2-worker batched sharded dataset differs from single-process run:\n--- sharded ---\n%s--- clean ---\n%s", got, want)
+	}
+}
+
+// engineLayouts reads the layouts-measured counter of one engine.
+func engineLayouts(o *obs.Observer, engine string) uint64 {
+	return o.Counter(fmt.Sprintf("interferometry_engine_layouts_total{engine=%q}", engine), "").Value()
+}
+
+// queueThenWork submits every spec to a fresh pure coordinator before
+// its one observed single-loop worker starts, so the worker's lease
+// groups take every campaign in submission order, share by share, and
+// waits for all of them.
+func queueThenWork(t *testing.T, specs ...campaignd.JobSpec) (*obs.Observer, [][]byte) {
+	t.Helper()
+	_, client := startService(t, campaignd.Config{NoLocalWorkers: true})
+	ctx := context.Background()
+	ids := make([]string, len(specs))
+	for k, spec := range specs {
+		st, err := client.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[k] = st.ID
+	}
+	o := &obs.Observer{Metrics: obs.NewMetrics()}
+	wctx, cancel := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		w := &campaignd.Worker{Coordinator: client.Base, HTTP: client.HTTP, Wait: 100 * time.Millisecond, Obs: o}
+		w.Run(wctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		wg.Wait()
+	})
+	out := make([][]byte, len(specs))
+	for k, id := range ids {
+		if st := waitDone(t, client, id); st.State != campaignd.StateDone {
+			t.Fatalf("campaign %d ended %s: %s", k, st.State, st.Error)
+		}
+		got, err := client.Result(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[k] = got
+	}
+	return o, out
+}
+
+// TestLeaseGroupEngineCounts: which engine measured a layout is visible
+// on the worker's observer. A lease group of one replays on the scalar
+// engine; an 8-layout campaign is two lease groups of four (a lone
+// loop's share), each one batched walk of four lanes, with no scalar
+// replay.
+func TestLeaseGroupEngineCounts(t *testing.T) {
+	o, _ := queueThenWork(t, testSpec(1))
+	if s, b := engineLayouts(o, "scalar"), engineLayouts(o, "batch"); s != 1 || b != 0 {
+		t.Errorf("group of one: %d scalar replays and %d batched lanes, want 1 and 0", s, b)
+	}
+	o, _ = queueThenWork(t, testSpec(8))
+	if s, b := engineLayouts(o, "scalar"), engineLayouts(o, "batch"); s != 0 || b != 8 {
+		t.Errorf("groups of four: %d scalar replays and %d batched lanes, want 0 and 8", s, b)
+	}
+}
+
+// TestLeaseGroupSpansCampaigns: one lease group holding the tasks of two
+// campaigns walks each campaign's part once, and each campaign's result
+// matches the single-process bytes. With a lone loop's shares of 3 and
+// 2, the groups are a0-a2, then a3 a4 b0 b1, then b2 b3.
+func TestLeaseGroupSpansCampaigns(t *testing.T) {
+	a, b := testSpec(5), testSpec(4)
+	o, got := queueThenWork(t, a, b)
+	if s, l := engineLayouts(o, "scalar"), engineLayouts(o, "batch"); s != 0 || l != 9 {
+		t.Errorf("two-campaign group: %d scalar replays and %d batched lanes, want 0 and 9", s, l)
+	}
+	for k, spec := range []campaignd.JobSpec{a, b} {
+		if want := datasetCSV(t, cleanDataset(t, spec)); !bytes.Equal(got[k], want) {
+			t.Errorf("campaign %d of the shared group differs from single-process run:\n--- sharded ---\n%s--- clean ---\n%s", k, got[k], want)
+		}
 	}
 }
 
@@ -160,7 +240,7 @@ func TestShardedWorkerDeathRecovers(t *testing.T) {
 
 	// The survivor finishes the campaign, including the dead worker's
 	// requeued task.
-	startWorkers(t, client.Base, client.HTTP, 1, 0)
+	startWorkers(t, client.Base, client.HTTP, 1)
 	if st = waitDone(t, client, st.ID); st.State != campaignd.StateDone {
 		t.Fatalf("campaign ended %s: %s", st.State, st.Error)
 	}

@@ -28,6 +28,14 @@ import (
 // mid-campaign without changing a byte of the finished dataset: the
 // coordinator's lease reaping requeues whatever a dead worker held, and
 // the re-execution derives identical results.
+//
+// Each task loop measures in lease groups: after one task arrives it
+// leases whatever else the coordinator hands over at once, up to each
+// campaign's share (see share) and core.AutoBatchLanes tasks in all, and
+// every same-campaign part of the group shares one batched trace walk
+// (core.LayoutRunner.PrimeBatch). A part of one layout replays on the
+// scalar engine. Grouping changes throughput, never a byte of any
+// result.
 type Worker struct {
 	// Coordinator is the coordinator's base URL, e.g.
 	// "http://localhost:8347".
@@ -41,16 +49,9 @@ type Worker struct {
 	// Parallel is the number of concurrent task loops (and the worker's
 	// runner slot count). Zero or negative means 1.
 	Parallel int
-	// Batch is the maximum tasks a loop leases per pull (capped at 64,
-	// the batched replay's lane limit). After one task arrives, up to
-	// Batch-1 more are leased without waiting; leases from the same
-	// campaign then share one batched trace walk (core.LayoutRunner.
-	// PrimeBatch) before measuring, which changes throughput but not a
-	// byte of any result. Zero or one leases singly.
-	Batch int
-	// Delta selects the delta-replay engine for the worker's campaigns
-	// (core.CampaignConfig.Delta): the zero value is auto. Like batching
-	// it changes throughput but never a byte of any result.
+	// Delta selects the delta-replay engine for the worker's lease-group
+	// walks (core.CampaignConfig.Delta): the zero value is auto. Like
+	// batching it changes throughput but never a byte of any result.
 	Delta core.DeltaMode
 	// Wait bounds each lease long poll. Zero means the coordinator's
 	// default.
@@ -75,6 +76,8 @@ type Worker struct {
 
 	idOnce sync.Once
 	id     string
+	// shared holds the programs and traces the worker's campaigns share.
+	shared sharedWork
 }
 
 func (w *Worker) parallel() int {
@@ -82,16 +85,6 @@ func (w *Worker) parallel() int {
 		return 1
 	}
 	return w.Parallel
-}
-
-func (w *Worker) batch() int {
-	if w.Batch <= 1 {
-		return 1
-	}
-	if w.Batch > 64 {
-		return 64
-	}
-	return w.Batch
 }
 
 func (w *Worker) http() *http.Client {
@@ -180,20 +173,35 @@ func (w *Worker) loop(ctx context.Context, runners *workerRunners, slot int) {
 	}
 }
 
-// gather tops a freshly leased task up to the configured batch width with
-// whatever the coordinator can hand over immediately — the extra leases
-// use a minimal wait so an idle queue never delays the task in hand.
+// gather tops a freshly leased task up to a lease group with whatever
+// the coordinator can hand over immediately — the extra leases use a
+// minimal wait so an idle queue never delays the task in hand. It stops
+// once the last task's campaign holds its share of the group, or the
+// group holds core.AutoBatchLanes tasks.
 func (w *Worker) gather(ctx context.Context, first leaseResponse) []leaseResponse {
 	group := []leaseResponse{first}
-	for len(group) < w.batch() {
+	parts := map[string]int{first.CampaignID: 1}
+	for last := first; parts[last.CampaignID] < w.share(last) && len(group) < core.AutoBatchLanes; {
 		var lr leaseResponse
 		status, _, err := w.post(ctx, "/worker/lease", leaseRequest{WaitMS: 1, Worker: w.workerID()}, &lr)
 		if err != nil || status != http.StatusOK {
 			break
 		}
 		group = append(group, lr)
+		parts[lr.CampaignID]++
+		last = lr
 	}
 	return group
+}
+
+// share is how many of a campaign's tasks one lease group may hold: a
+// loop's fair share of the tasks the campaign queues at once, the way
+// core sizes an in-process worker's batch (core.AutoBatch). The worker
+// cannot see the rest of the fleet, so it counts at least two loops: a
+// lone loop still leaves half of every campaign for whichever worker
+// polls next, and measures it alongside.
+func (w *Worker) share(lr leaseResponse) int {
+	return core.AutoBatch(lr.Spec.waveTasks(lr.Scale), max(w.parallel(), 2))
 }
 
 // lease long-polls the coordinator for one task.
@@ -208,35 +216,36 @@ func (w *Worker) lease(ctx context.Context) (leaseResponse, int, error) {
 }
 
 // executeGroup runs a group of leased tasks, all heartbeated for the
-// duration: leases sharing the first task's campaign execute as one
-// batch, the rest singly. Failures to execute become error completions
-// (the coordinator owns retry policy); failures to report are abandoned
-// — the lease expires and the task's next owner derives the identical
-// result.
+// duration, one campaign at a time: each campaign's part of the group,
+// in lease order, executes as one batch. Failures to execute become
+// error completions (the coordinator owns retry policy); failures to
+// report are abandoned — the lease expires and the task's next owner
+// derives the identical result.
 func (w *Worker) executeGroup(ctx context.Context, runners *workerRunners, slot int, group []leaseResponse) {
 	for i := range group {
 		defer w.heartbeat(ctx, group[i])()
 	}
-	head := group[0].CampaignID
-	batch := group[:0:0]
-	for _, lr := range group {
-		if lr.CampaignID == head {
-			batch = append(batch, lr)
+	for len(group) > 0 {
+		head := group[0].CampaignID
+		var part, rest []leaseResponse
+		for _, lr := range group {
+			if lr.CampaignID == head {
+				part = append(part, lr)
+			} else {
+				rest = append(rest, lr)
+			}
 		}
-	}
-	w.executeBatch(ctx, runners, slot, batch)
-	for _, lr := range group {
-		if lr.CampaignID != head {
-			w.executeBatch(ctx, runners, slot, []leaseResponse{lr})
-		}
+		w.executeBatch(ctx, runners, slot, part)
+		group = rest
 	}
 }
 
-// executeBatch builds every leased layout of one campaign, primes the
-// runner's batched replay when at least two built (a pure accelerator:
-// a declined prime just measures sequentially, and a primed measurement
-// is bit-identical to an unprimed one), then measures and completes each
-// task individually — a failure costs only its own task.
+// executeBatch builds every leased layout of one campaign, walks the
+// trace once for all of them that built (a pure accelerator: a lone
+// layout or a declined walk just replays on the scalar engine, and a
+// primed measurement is bit-identical to an unprimed one), then
+// measures and completes each task individually — a failure costs only
+// its own task.
 func (w *Worker) executeBatch(ctx context.Context, runners *workerRunners, slot int, batch []leaseResponse) {
 	runner, err := runners.get(batch[0].CampaignID, batch[0].Spec, batch[0].Scale)
 	if err != nil {
@@ -267,10 +276,9 @@ func (w *Worker) executeBatch(ctx context.Context, runners *workerRunners, slot 
 		idxs = append(idxs, lr.Layout)
 		exes = append(exes, exe)
 	}
-	if len(built) >= 2 {
-		// Diagnostic only: an un-primed slot replays each layout itself.
-		_ = core.Guard(func() error { return runner.PrimeBatch(slot, idxs, exes) })
-	}
+	// Declines are counted on the campaign's observer; the measurements
+	// below replay whatever the walk did not cover.
+	_ = runner.PrimeBatch(slot, idxs, exes)
 	for j, lr := range built {
 		var o core.Observation
 		err := core.Guard(func() error {
@@ -289,9 +297,9 @@ func (w *Worker) executeBatch(ctx context.Context, runners *workerRunners, slot 
 
 // executeGenomeBatch is executeBatch for search individuals: each lease
 // carries its genome's canonical encoding instead of a layout index.
-// The decoded genomes build, share one batched trace walk when at least
-// two built, and measure through the same per-genome pipeline the
-// coordinator's local pool uses — identical bytes either way.
+// The decoded genomes build, share one batched trace walk, and measure
+// through the same per-genome pipeline the coordinator's local pool
+// uses — identical bytes either way.
 func (w *Worker) executeGenomeBatch(ctx context.Context, runner *core.LayoutRunner, slot int, batch []leaseResponse) {
 	built := batch[:0:0]
 	var genomes []toolchain.Genome
@@ -316,10 +324,7 @@ func (w *Worker) executeGenomeBatch(ctx context.Context, runner *core.LayoutRunn
 		genomes = append(genomes, g)
 		exes = append(exes, exe)
 	}
-	if len(built) >= 2 {
-		// Diagnostic only: an un-primed slot replays each genome itself.
-		_ = core.Guard(func() error { return runner.PrimeGenomes(slot, genomes, exes) })
-	}
+	_ = runner.PrimeGenomes(slot, genomes, exes) // declines are counted; see executeBatch
 	for j, lr := range built {
 		var o core.Observation
 		err := core.Guard(func() error {
@@ -455,12 +460,13 @@ func (w *Worker) post(ctx context.Context, path string, body, out any) (int, htt
 	return resp.StatusCode, resp.Header, nil
 }
 
-// workerRunners caches one LayoutRunner per campaign. The runner holds
-// the campaign's shared work (trace interpretation, the one compile all
-// layouts reorder), so reusing it across that campaign's tasks is what
-// makes a worker's marginal task cost just Reorder+Link+measure. A
-// small bound is plenty: a worker rarely interleaves more than a couple
-// of campaigns, and an evicted runner is just recomputed.
+// workerRunners caches one LayoutRunner per campaign. A runner holds the
+// campaign's compile and its per-slot harnesses (the program and trace
+// are the worker's shared ones), so reusing it across that campaign's
+// tasks is what makes a worker's marginal task cost just
+// Reorder+Link+measure. A small bound is plenty: a worker rarely
+// interleaves more than a couple of campaigns, and an evicted runner is
+// just rebuilt.
 type workerRunners struct {
 	w *Worker
 
@@ -478,7 +484,7 @@ func (rc *workerRunners) get(id string, spec JobSpec, scale experiments.Scale) (
 	if r, ok := rc.runners[id]; ok {
 		return r, nil
 	}
-	cfg, err := campaignConfig(spec, scale)
+	cfg, err := rc.w.shared.campaignConfig(spec, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -486,7 +492,7 @@ func (rc *workerRunners) get(id string, spec JobSpec, scale experiments.Scale) (
 	cfg.Faults = rc.w.Faults
 	cfg.Obs = rc.w.Obs
 	cfg.Delta = rc.w.Delta
-	r, err := core.NewLayoutRunner(cfg, rc.w.parallel())
+	r, err := rc.w.shared.runner(cfg, rc.w.parallel())
 	if err != nil {
 		return nil, err
 	}

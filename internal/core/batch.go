@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -25,10 +26,28 @@ import (
 // campaign byte-identical to the sequential one: same observations, same
 // statuses, same CSV bytes.
 
+// AutoBatchLanes caps the automatic batch width: an in-process campaign
+// gives each worker its fair share of the layouts up to this many lanes,
+// and a campaignd worker tops a lease group up to this many tasks.
+const AutoBatchLanes = 32
+
+// maxBatchLanes is the walk engines' lane limit (one miss-mask word).
+const maxBatchLanes = 64
+
+// AutoBatch is the automatic batch width of one of workers consumers
+// sharing tasks: its fair share, ceil(tasks/workers), capped at
+// AutoBatchLanes and at least 1.
+func AutoBatch(tasks, workers int) int {
+	if workers < 1 {
+		workers = 1
+	}
+	return max(1, min((tasks+workers-1)/workers, AutoBatchLanes))
+}
+
 // batchSize resolves the campaign's effective batch width for a worker
 // count: 0 is automatic (each worker's fair share of the campaign,
-// capped at 32 lanes), 1 disables batching. FidelityPaperNaive always
-// runs sequentially — that fidelity exists to literally execute every
+// AutoBatch), 1 disables batching. FidelityPaperNaive always runs
+// sequentially — that fidelity exists to literally execute every
 // protocol run, so serving it from a shared replay would defeat its
 // purpose as the equivalence reference.
 func (c *CampaignConfig) batchSize(workers int) int {
@@ -37,19 +56,13 @@ func (c *CampaignConfig) batchSize(workers int) int {
 	}
 	b := c.BatchSize
 	if b == 0 {
-		if workers < 1 {
-			workers = 1
-		}
-		b = (c.Layouts + workers - 1) / workers
-		if b > 32 {
-			b = 32
-		}
+		b = AutoBatch(c.Layouts, workers)
 	}
 	if b < 1 {
 		b = 1
 	}
-	if b > 64 {
-		b = 64 // machine.Batch lane-mask limit
+	if b > maxBatchLanes {
+		b = maxBatchLanes
 	}
 	return b
 }
@@ -97,14 +110,14 @@ func (dc *detCache) Det(spec machine.RunSpec) (machine.Counters, float64, bool) 
 	return machine.Counters{}, 0, false
 }
 
-// batchSlot is one worker's batched-replay state: the batch engine, the
-// optional delta engine tried before it, the det cache its harness
+// batchSlot is one in-process campaign worker's batched-replay state:
+// the walk engines it holds for the campaign, the det cache its harness
 // reads, and per-chunk scratch.
 type batchSlot struct {
 	batch *machine.Batch
 	// delta is the delta-replay engine, present only when the campaign's
 	// DeltaMode allows it and the machine config passes its geometry
-	// gates; nil otherwise. run tries it before the batched walk.
+	// gates; nil otherwise. walk tries it before the batched walk.
 	delta *machine.Delta
 	cache *detCache
 
@@ -114,37 +127,55 @@ type batchSlot struct {
 	specs []machine.RunSpec
 }
 
-// run measures the slot's pending specs, choosing the engine per the
-// campaign's DeltaMode: DeltaOn tries delta replay and falls back to the
-// batched walk on any decline; DeltaAuto additionally requires the
-// recording's profitability preflight to pass. Both engines are pinned
-// bit-identical to the scalar path, so the choice never changes results.
-func (s *batchSlot) run(cfg *CampaignConfig) ([]machine.Counters, []float64, error) {
-	if s.delta != nil && len(s.specs) > 0 {
+// walk measures specs in one trace walk, choosing the engine per the
+// campaign's DeltaMode: DeltaOn tries the delta engine d first and falls
+// back to the batched walk b on any decline; DeltaAuto additionally
+// requires the recording's profitability preflight to pass. Both engines
+// are pinned bit-identical to the scalar path, so the choice never
+// changes results. A panic in either engine is recovered as a failed
+// walk. Every outcome is counted on co. The returned slices belong to
+// the engine that produced them and are reused by its next walk.
+func walk(cfg *CampaignConfig, co *campaignObs, b *machine.Batch, d *machine.Delta, specs []machine.RunSpec) (cs []machine.Counters, dets []float64, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			cs, dets, err = nil, nil, &PanicError{Value: v, Stack: debug.Stack()}
+			co.declined(declineWalkPanic)
+		}
+	}()
+	if d != nil && len(specs) > 0 {
 		use := cfg.Delta == DeltaOn
 		if cfg.Delta == DeltaAuto {
-			ok, err := s.delta.Preflight(s.specs[0])
-			use = err == nil && ok
+			ok, perr := d.Preflight(specs[0])
+			use = perr == nil && ok
+			if !use {
+				co.declined(declineDeltaPreflight)
+			}
 		}
 		if use {
-			if cs, dets, err := s.delta.Run(s.specs); err == nil {
+			if cs, dets, err := d.Run(specs); err == nil {
+				co.walked(true, len(specs))
 				return cs, dets, nil
 			}
 			// A decline (unsupported layout shape, spec mix, or a
 			// defensive divergence check) costs only the preflight;
 			// the batched walk below measures the same specs.
+			co.declined(declineDeltaError)
 		}
 	}
-	return s.batch.Run(s.specs)
+	if cs, dets, err = b.Run(specs); err != nil {
+		co.declined(declineWalkError)
+		return nil, nil, err
+	}
+	co.walked(false, len(specs))
+	return cs, dets, nil
 }
 
-// batchPool recycles batch engines across campaigns: a Batch's SoA state
-// is megabytes of bank tables, and allocating (and zeroing) it per
-// campaign costs more than any single campaign's walk shortcut saves at
-// small layout counts. Run re-derives all layout-dependent state and
-// flushes every bank, so a recycled engine is indistinguishable from a
-// fresh one; only engines matching the campaign's exact machine config
-// and lane need are reused.
+// batchPool recycles batch engines across campaigns and walks: a Batch's
+// SoA state is megabytes of bank tables, and allocating (and zeroing) it
+// per walk costs more than a small group's shared walk saves. Run
+// re-derives all layout-dependent state and flushes every bank, so a
+// recycled engine is indistinguishable from a fresh one; only engines
+// matching the campaign's exact machine config and lane need are reused.
 var batchPool = sync.Pool{}
 
 // getBatch returns a pooled or fresh engine for the config, or an error
@@ -162,8 +193,8 @@ func getBatch(mcfg machine.Config, lanes int) (*machine.Batch, error) {
 
 // deltaPool recycles delta engines the same way batchPool recycles batch
 // engines: the per-lane replay state is sized by the machine config, and
-// Invalidate drops everything program-keyed, so a recycled engine is
-// indistinguishable from a fresh one.
+// a held recording is reused only for the trace it was built from, so a
+// recycled engine measures exactly like a fresh one.
 var deltaPool = sync.Pool{}
 
 // getDelta returns a pooled or fresh delta engine for the config, or nil
@@ -183,13 +214,28 @@ func getDelta(mcfg machine.Config, lanes int) *machine.Delta {
 	return d
 }
 
+// putEngines returns walk engines to their pools as they are; either
+// may be nil. A returned engine keeps its program-keyed tables (the
+// batch engine's block tables, the delta engine's recording, both
+// matched by program identity and trace key), so the next walk of the
+// same trace reuses them. sync.Pool drops idle entries within two
+// garbage collections, which bounds what a pooled engine pins.
+func putEngines(b *machine.Batch, d *machine.Delta) {
+	if b != nil {
+		batchPool.Put(b)
+	}
+	if d != nil {
+		deltaPool.Put(d)
+	}
+}
+
 // newBatchSlots builds one batchSlot per worker and wires each harness's
 // Det source. It returns nil when the machine configuration cannot be
 // batched (a cache or BTB geometry over 8 ways); the caller falls back
 // to the sequential path. Unless the campaign disabled delta replay,
-// each slot also carries a delta engine for run to try first. The slots'
-// engines must be released back to their pools with releaseBatchSlots
-// when the campaign finishes.
+// each slot also carries a delta engine for walk to try first. The
+// slots' engines must be released back to their pools with
+// releaseBatchSlots when the campaign finishes.
 func newBatchSlots(mcfg machine.Config, harnesses []*pmc.Harness, lanes int, dm DeltaMode) []*batchSlot {
 	slots := make([]*batchSlot, len(harnesses))
 	for w := range slots {
@@ -206,9 +252,10 @@ func newBatchSlots(mcfg machine.Config, harnesses []*pmc.Harness, lanes int, dm 
 	return slots
 }
 
-// releaseBatchSlots returns every slot's engines to their pools.
-// Invalidate drops the engines' program-keyed tables so a pooled engine
-// does not pin the campaign's program in memory.
+// releaseBatchSlots returns every slot's engines to their pools when
+// the campaign finishes. Invalidate first drops the engines'
+// program-keyed tables so a pooled engine does not pin the finished
+// campaign's program in memory.
 func releaseBatchSlots(slots []*batchSlot) {
 	for _, s := range slots {
 		if s == nil {
@@ -216,14 +263,12 @@ func releaseBatchSlots(slots []*batchSlot) {
 		}
 		if s.batch != nil {
 			s.batch.Invalidate()
-			batchPool.Put(s.batch)
-			s.batch = nil
 		}
 		if s.delta != nil {
 			s.delta.Invalidate()
-			deltaPool.Put(s.delta)
-			s.delta = nil
 		}
+		putEngines(s.batch, s.delta)
+		s.batch, s.delta = nil, nil
 	}
 }
 
@@ -301,16 +346,11 @@ func measureChunk(cfg *CampaignConfig, co *campaignObs, slot *batchSlot, meas me
 		})
 	}
 	if len(slot.specs) > 0 {
-		runGuarded(func(_, _ int) error {
-			cs, dets, err := slot.run(cfg)
-			if err != nil {
-				return err
-			}
+		if cs, dets, err := walk(cfg, co, slot.batch, slot.delta, slot.specs); err == nil {
 			for j := range slot.specs {
 				slot.cache.put(slot.specs[j], cs[j], dets[j])
 			}
-			return nil
-		}, w, lo)
+		}
 	}
 
 	// Phase C: the per-layout pipeline, sequential semantics verbatim.

@@ -212,7 +212,11 @@ func (c *CampaignConfig) machineConfig() machine.Config {
 	return c.Machine
 }
 
-func (c *CampaignConfig) stopRule() interp.StopRule {
+// StopRule is the rule the campaign's trace is generated under: the
+// Limiter when set, otherwise the Budget. With Program and InputSeed it
+// keys the trace, which a scheduler sharing traces across campaigns
+// hands to NewLayoutRunner.
+func (c *CampaignConfig) StopRule() interp.StopRule {
 	if c.Limiter.StopCount > 0 {
 		return c.Limiter.Rule()
 	}
@@ -415,7 +419,7 @@ func RunCampaign(cfg CampaignConfig) (*Dataset, error) {
 		return nil, errors.New("core: campaign needs a budget or limiter")
 	}
 
-	trace, err := interp.Run(cfg.Program, cfg.InputSeed, cfg.stopRule())
+	trace, err := interp.Run(cfg.Program, cfg.InputSeed, cfg.StopRule())
 	if err != nil {
 		return nil, fmt.Errorf("core: trace generation failed: %w", err)
 	}
@@ -452,6 +456,9 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 	var slots []*batchSlot
 	if bs > 1 {
 		slots = newBatchSlots(cfg.machineConfig(), harnesses, bs, cfg.Delta)
+		if slots == nil {
+			co.declined(declineGeometry)
+		}
 		defer releaseBatchSlots(slots)
 	}
 

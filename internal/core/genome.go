@@ -165,50 +165,10 @@ func (r *LayoutRunner) PrimeGenomes(w int, gs []toolchain.Genome, exes []*toolch
 
 // primeGenomes is PrimeGenomes for a caller already holding the engines.
 func (r *LayoutRunner) primeGenomes(w int, gs []toolchain.Genome, exes []*toolchain.Executable) error {
-	if w < 0 || w >= len(r.meas) {
-		return fmt.Errorf("core: worker slot %d outside [0,%d)", w, len(r.meas))
-	}
 	if len(gs) != len(exes) {
 		return fmt.Errorf("core: %d genomes with %d executables", len(gs), len(exes))
 	}
-	if r.cfg.Fidelity == pmc.FidelityPaperNaive || len(gs) < 2 || len(gs) > 64 {
-		return nil
-	}
-	slot := r.slots[w]
-	if slot == nil || slot.batch.MaxLanes() < len(gs) {
-		b, err := machine.NewBatch(r.cfg.machineConfig(), len(gs))
-		if err != nil {
-			return err
-		}
-		slot = &batchSlot{batch: b, cache: &detCache{}}
-		if r.cfg.Delta != DeltaOff {
-			slot.delta = getDelta(r.cfg.machineConfig(), len(gs))
-		}
-		r.slots[w] = slot
-		r.harnesses[w].Det = slot.cache
-	}
-	slot.cache.reset()
-	slot.specs = slot.specs[:0]
-	for j := range gs {
-		hs := uint64(0)
-		if r.cfg.HeapMode == heap.ModeRandomized {
-			hs = r.cfg.genomeHeapSeed(gs[j].Fingerprint())
-		}
-		slot.specs = append(slot.specs, machine.RunSpec{
-			Exe:      exes[j],
-			Trace:    r.trace,
-			HeapMode: r.cfg.HeapMode,
-			HeapSeed: hs,
-		})
-	}
-	cs, dets, err := slot.run(&r.cfg)
-	if err != nil {
-		return err
-	}
-	for j := range slot.specs {
-		slot.cache.put(slot.specs[j], cs[j], dets[j])
-	}
-	return nil
+	return r.prime(w, exes, func(j int) uint64 { return r.cfg.genomeHeapSeed(gs[j].Fingerprint()) })
 }
 
 // FailedGenomeObservation is the observation recorded for a genome that

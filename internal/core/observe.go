@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"interferometry/internal/obs"
@@ -63,6 +64,66 @@ type campaignObs struct {
 	runSec     *obs.Histogram
 	fitSec     *obs.Histogram
 	layoutSec  *obs.Histogram
+
+	// Engine instruments: layouts whose deterministic replay a walk
+	// produced, by engine, and walks declined, by reason. Scalar replays
+	// are counted by the harnesses (harnessMetrics).
+	batchLanes *obs.Counter
+	deltaLanes *obs.Counter
+	declines   [numDeclines]*obs.Counter
+}
+
+// decline is why a requested trace walk, or one of its engines, did not
+// measure a group of layouts. Every decline costs only the shortcut: the
+// layouts replay on the next engine, or one by one on the scalar one.
+type decline uint8
+
+const (
+	// declineFidelity: FidelityPaperNaive literally executes every run.
+	declineFidelity decline = iota
+	// declineLanes: more layouts than the engines' 64-lane mask.
+	declineLanes
+	// declineGeometry: a machine config the batch banks cannot hold.
+	declineGeometry
+	// declineWalkError and declineWalkPanic: the batched walk failed or
+	// panicked.
+	declineWalkError
+	declineWalkPanic
+	// declineDeltaPreflight: delta auto judged the recording unprofitable.
+	declineDeltaPreflight
+	// declineDeltaError: the delta engine refused the trace or layouts;
+	// the batched walk measured them instead.
+	declineDeltaError
+	numDeclines
+)
+
+var declineNames = [numDeclines]string{
+	declineFidelity:       "fidelity",
+	declineLanes:          "lanes",
+	declineGeometry:       "geometry",
+	declineWalkError:      "walk_error",
+	declineWalkPanic:      "walk_panic",
+	declineDeltaPreflight: "delta_preflight",
+	declineDeltaError:     "delta_error",
+}
+
+// declined counts one decline (nil-safe).
+func (co *campaignObs) declined(d decline) {
+	if co != nil {
+		co.declines[d].Inc()
+	}
+}
+
+// walked counts the lanes one successful walk measured (nil-safe).
+func (co *campaignObs) walked(delta bool, lanes int) {
+	if co == nil {
+		return
+	}
+	if delta {
+		co.deltaLanes.Add(uint64(lanes))
+	} else {
+		co.batchLanes.Add(uint64(lanes))
+	}
 }
 
 // newCampaignObs resolves the campaign instruments, or nil when the
@@ -72,7 +133,7 @@ func newCampaignObs(cfg *CampaignConfig) *campaignObs {
 	if o == nil {
 		return nil
 	}
-	return &campaignObs{
+	co := &campaignObs{
 		o:                o,
 		campID:           campSpanID(cfg),
 		layoutsDone:      o.Counter("interferometry_layouts_done_total", "layouts measured successfully"),
@@ -87,8 +148,22 @@ func newCampaignObs(cfg *CampaignConfig) *campaignObs {
 		runSec:           o.Histogram("interferometry_stage_run_seconds", "measurement stage latency", obs.DurationBuckets),
 		fitSec:           o.Histogram("interferometry_stage_fit_seconds", "plausibility-check+record stage latency", obs.DurationBuckets),
 		layoutSec:        o.Histogram("interferometry_layout_seconds", "whole-layout latency including retries", obs.DurationBuckets),
+		batchLanes:       o.Counter(engineLayouts("batch"), engineLayoutsHelp),
+		deltaLanes:       o.Counter(engineLayouts("delta"), engineLayoutsHelp),
 	}
+	for d := range co.declines {
+		co.declines[d] = o.Counter(fmt.Sprintf("interferometry_engine_declines_total{reason=%q}", declineNames[d]),
+			"requested trace walks an engine declined; the layouts replayed on the next engine")
+	}
+	return co
 }
+
+// engineLayouts names the per-engine member of the layouts-measured family.
+func engineLayouts(engine string) string {
+	return fmt.Sprintf("interferometry_engine_layouts_total{engine=%q}", engine)
+}
+
+const engineLayoutsHelp = "layouts whose deterministic replay each engine produced"
 
 // layoutID derives the deterministic span ID of campaign-local layout i.
 func (co *campaignObs) layoutID(cfg *CampaignConfig, i int) uint64 {
@@ -169,6 +244,7 @@ func harnessMetrics(o *obs.Observer) *pmc.HarnessMetrics {
 		Measurements: o.Counter("interferometry_pmc_measurements_total", "layout measurements performed"),
 		Simulations:  o.Counter("interferometry_pmc_simulations_total", "full machine simulations executed"),
 		SynthRuns:    o.Counter("interferometry_pmc_synth_runs_total", "protocol runs synthesized from a shared simulation"),
+		Scalar:       o.Counter(engineLayouts("scalar"), engineLayoutsHelp),
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 
 // LayoutRunner exposes the campaign's per-layout pipeline to external
 // schedulers — campaignd leases layout indices from its job queue and
-// drives them through here. The shared work (trace interpretation, the
-// one compile every layout reorders) happens once in NewLayoutRunner;
-// after that any layout index can be built and measured independently on
-// any worker slot, in any order, any number of times, and always yields
-// the same observation: every per-layout input is re-derived from the
+// drives them through here. The shared work (the trace, the one compile
+// every layout reorders) is prepared once in NewLayoutRunner; after that
+// any layout index can be built and measured independently on any
+// worker slot, in any order, any number of times, and always yields the
+// same observation: every per-layout input is re-derived from the
 // campaign config, never from scheduler state.
 //
 // The build and measure seams are exposed separately (instead of one
@@ -39,23 +39,24 @@ type LayoutRunner struct {
 	build buildSeam
 	gb    genomeSeam
 	meas  []measureSeam
-
-	// slots lazily holds one batched-replay engine per worker slot for
-	// MeasureBatch; nil entries mean the slot has not batched yet.
-	slots []*batchSlot
-	// harnesses are the bare per-slot harnesses behind meas, kept so
-	// MeasureBatch can wire each harness's Det source on first use.
-	harnesses []*pmc.Harness
+	// dets holds each worker slot's det cache, wired as the Det source
+	// of the slot's harness behind meas: a walk (prime) leaves its
+	// replays there for the slot's measurements. The walk engines
+	// themselves are borrowed from the pools for each walk.
+	dets []*detCache
 
 	// attKey is the builder cache key observations are attested
 	// against; see AttestationKey.
 	attKey string
 }
 
-// NewLayoutRunner validates the config, interprets the trace and
-// prepares the shared compile plus one measurement harness per worker
-// slot (workers <= 0 means 1).
-func NewLayoutRunner(cfg CampaignConfig, workers int) (*LayoutRunner, error) {
+// NewLayoutRunner validates the config and prepares the shared compile
+// plus one measurement harness per worker slot (workers <= 0 means 1).
+// trace is the campaign's trace when the caller already holds it — a
+// scheduler running many campaigns of one program and budget shares one
+// — and must be the trace the config's program, input seed and stop
+// rule generate. Nil interprets it here.
+func NewLayoutRunner(cfg CampaignConfig, workers int, trace *interp.Trace) (*LayoutRunner, error) {
 	if cfg.Program == nil {
 		return nil, errors.New("core: campaign needs a program")
 	}
@@ -68,22 +69,30 @@ func NewLayoutRunner(cfg CampaignConfig, workers int) (*LayoutRunner, error) {
 	if workers <= 0 {
 		workers = 1
 	}
-	trace, err := interp.Run(cfg.Program, cfg.InputSeed, cfg.stopRule())
-	if err != nil {
-		return nil, fmt.Errorf("core: trace generation failed: %w", err)
+	if trace == nil {
+		var err error
+		if trace, err = interp.Run(cfg.Program, cfg.InputSeed, cfg.StopRule()); err != nil {
+			return nil, fmt.Errorf("core: trace generation failed: %w", err)
+		}
+	} else if trace.Program != cfg.Program || trace.InputSeed != cfg.InputSeed || trace.Stop != cfg.StopRule() {
+		return nil, errors.New("core: trace was not generated from the campaign's program, input seed and stop rule")
 	}
 	build, gb, meas, harnesses := newSeams(&cfg, workers)
+	dets := make([]*detCache, workers)
+	for w := range dets {
+		dets[w] = &detCache{}
+		harnesses[w].Det = dets[w]
+	}
 	return &LayoutRunner{
-		cfg:       cfg,
-		co:        newCampaignObs(&cfg),
-		workers:   workers,
-		trace:     trace,
-		build:     build,
-		gb:        gb,
-		meas:      meas,
-		slots:     make([]*batchSlot, workers),
-		harnesses: harnesses,
-		attKey:    toolchain.NewBuilder(cfg.Program, cfg.Compile, cfg.Link).CacheKey(),
+		cfg:     cfg,
+		co:      newCampaignObs(&cfg),
+		workers: workers,
+		trace:   trace,
+		build:   build,
+		gb:      gb,
+		meas:    meas,
+		dets:    dets,
+		attKey:  toolchain.NewBuilder(cfg.Program, cfg.Compile, cfg.Link).CacheKey(),
 	}, nil
 }
 
@@ -98,14 +107,14 @@ var ErrRunnerReleased = errors.New("core: layout runner released")
 
 // Release drops the runner's engines once its campaign is finished: the
 // trace, the build seams, and the per-slot harnesses with their
-// machines and batch engines. It waits for seam calls in flight; later
+// machines and det caches. It waits for seam calls in flight; later
 // ones fail with ErrRunnerReleased. What a finished campaign still
 // answers is kept: the layout-seed derivation, AttestationKey, Workers
 // and the failed-observation stamps.
 func (r *LayoutRunner) Release() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.trace, r.build, r.gb, r.meas, r.slots, r.harnesses = nil, nil, nil, nil, nil, nil
+	r.trace, r.build, r.gb, r.meas, r.dets = nil, nil, nil, nil, nil
 }
 
 // acquire pins the engines for one seam call. On success the caller
@@ -167,63 +176,83 @@ func (r *LayoutRunner) MeasureLayout(w, i int, exe *toolchain.Executable) (Obser
 // replay is pinned bit-identical to the sequential one, and a declined
 // prime (unbatchable machine geometry, too many lanes, or a batch
 // failure) costs nothing — MeasureLayout simply replays sequentially.
-// The returned error is diagnostic only; callers may ignore it.
+// A group of one is not walked: it replays on the scalar engine. The
+// returned error is diagnostic only, and every decline is already
+// counted on the campaign's observer; callers may ignore it.
 //
 // Like MeasureLayout, two concurrent calls must use distinct slots, and
 // the priming is consumed by the same slot's MeasureLayout.
 func (r *LayoutRunner) PrimeBatch(w int, layouts []int, exes []*toolchain.Executable) error {
-	if err := r.acquire(); err != nil {
-		return err
-	}
-	defer r.mu.RUnlock()
-	if w < 0 || w >= len(r.meas) {
-		return fmt.Errorf("core: worker slot %d outside [0,%d)", w, len(r.meas))
-	}
 	if len(layouts) != len(exes) {
 		return fmt.Errorf("core: %d layouts with %d executables", len(layouts), len(exes))
-	}
-	if r.cfg.Fidelity == pmc.FidelityPaperNaive || len(layouts) < 2 || len(layouts) > 64 {
-		return nil
 	}
 	for _, i := range layouts {
 		if err := r.checkIndex(i); err != nil {
 			return err
 		}
 	}
-	slot := r.slots[w]
-	if slot == nil || slot.batch.MaxLanes() < len(layouts) {
-		b, err := machine.NewBatch(r.cfg.machineConfig(), len(layouts))
-		if err != nil {
-			return err
-		}
-		slot = &batchSlot{batch: b, cache: &detCache{}}
-		if r.cfg.Delta != DeltaOff {
-			slot.delta = getDelta(r.cfg.machineConfig(), len(layouts))
-		}
-		r.slots[w] = slot
-		r.harnesses[w].Det = slot.cache
+	if err := r.acquire(); err != nil {
+		return err
 	}
-	slot.cache.reset()
-	slot.specs = slot.specs[:0]
-	for j, i := range layouts {
+	defer r.mu.RUnlock()
+	return r.prime(w, exes, func(j int) uint64 { return r.cfg.heapSeed(layouts[j]) })
+}
+
+// prime is the one walk behind PrimeBatch and PrimeGenomes, for a caller
+// holding the engines. It walks the trace once for exes in engines
+// borrowed from the pools for the walk and leaves the replays in slot
+// w's det cache; the slot owns no engine. heapSeed derives lane j's heap
+// seed under ModeRandomized. Panics in the walk are recovered and
+// counted as declines.
+func (r *LayoutRunner) prime(w int, exes []*toolchain.Executable, heapSeed func(j int) uint64) error {
+	if w < 0 || w >= len(r.dets) {
+		return fmt.Errorf("core: worker slot %d outside [0,%d)", w, len(r.dets))
+	}
+	dc := r.dets[w]
+	dc.reset()
+	switch {
+	case len(exes) < 2:
+		return nil
+	case r.cfg.Fidelity == pmc.FidelityPaperNaive:
+		r.co.declined(declineFidelity)
+		return errors.New("core: FidelityPaperNaive executes every run; no shared walk")
+	case len(exes) > maxBatchLanes:
+		r.co.declined(declineLanes)
+		return fmt.Errorf("core: %d layouts exceed the walk's %d lanes", len(exes), maxBatchLanes)
+	}
+	for j, exe := range exes {
 		hs := uint64(0)
 		if r.cfg.HeapMode == heap.ModeRandomized {
-			hs = r.cfg.heapSeed(i)
+			hs = heapSeed(j)
 		}
-		slot.specs = append(slot.specs, machine.RunSpec{
-			Exe:      exes[j],
+		dc.specs = append(dc.specs, machine.RunSpec{
+			Exe:      exe,
 			Trace:    r.trace,
 			HeapMode: r.cfg.HeapMode,
 			HeapSeed: hs,
 		})
 	}
-	cs, dets, err := slot.run(&r.cfg)
+	mcfg := r.cfg.machineConfig()
+	b, err := getBatch(mcfg, len(exes))
 	if err != nil {
+		dc.reset()
+		r.co.declined(declineGeometry)
 		return err
 	}
-	for j := range slot.specs {
-		slot.cache.put(slot.specs[j], cs[j], dets[j])
+	var d *machine.Delta
+	if r.cfg.Delta != DeltaOff {
+		d = getDelta(mcfg, len(exes))
 	}
+	// The engines' result slices are reused by their next walk, so the
+	// replays are copied into the cache before the engines go back.
+	defer putEngines(b, d)
+	cs, dets, err := walk(&r.cfg, r.co, b, d, dc.specs)
+	if err != nil {
+		dc.reset()
+		return err
+	}
+	dc.cs = append(dc.cs, cs...)
+	dc.dets = append(dc.dets, dets...)
 	return nil
 }
 

@@ -9,6 +9,9 @@ import (
 	"interferometry/internal/core"
 	"interferometry/internal/faultinject"
 	"interferometry/internal/jobqueue/backoff"
+	"interferometry/internal/obs"
+	"interferometry/internal/pmc"
+	"interferometry/internal/toolchain"
 )
 
 // TestLayoutRunnerMatchesRunCampaign drives every layout through the
@@ -21,7 +24,7 @@ func TestLayoutRunnerMatchesRunCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := core.NewLayoutRunner(cfg, 3)
+	r, err := core.NewLayoutRunner(cfg, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +63,7 @@ func TestLayoutRunnerMatchesRunCampaign(t *testing.T) {
 // TestLayoutRunnerRepeatedExecutionIdentical re-runs the same layout:
 // duplicate executions (the lease-expiry case) must be byte-identical.
 func TestLayoutRunnerRepeatedExecutionIdentical(t *testing.T) {
-	r, err := core.NewLayoutRunner(smallCampaign(2), 2)
+	r, err := core.NewLayoutRunner(smallCampaign(2), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +85,10 @@ func TestLayoutRunnerRepeatedExecutionIdentical(t *testing.T) {
 }
 
 func TestLayoutRunnerValidation(t *testing.T) {
-	if _, err := core.NewLayoutRunner(core.CampaignConfig{}, 1); err == nil {
+	if _, err := core.NewLayoutRunner(core.CampaignConfig{}, 1, nil); err == nil {
 		t.Error("empty config accepted")
 	}
-	r, err := core.NewLayoutRunner(smallCampaign(2), 1)
+	r, err := core.NewLayoutRunner(smallCampaign(2), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestLayoutRunnerSeamsCarryFaults(t *testing.T) {
 	cfg.Faults = faultinject.New(11, faultinject.Config{
 		Build: faultinject.Rates{Panic: 1, MaxFaults: 1},
 	})
-	r, err := core.NewLayoutRunner(cfg, 1)
+	r, err := core.NewLayoutRunner(cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,5 +239,78 @@ func TestCampaignBackoffSpacesRetries(t *testing.T) {
 	}
 	if time.Since(start) > 10*time.Second {
 		t.Error("cancellation did not interrupt the backoff sleep")
+	}
+}
+
+// TestPrimeBatchEnginesAndDeclines: a primed group of four is measured
+// by one batched walk and by no scalar replay, bit-identical to an
+// unprimed runner; a group of one replays on the scalar engine without
+// a decline; and a FidelityPaperNaive group declines the walk, counted
+// by reason, and replays every layout on the scalar engine.
+func TestPrimeBatchEnginesAndDeclines(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		fidelity      pmc.Fidelity
+		group         int
+		batch, scalar uint64
+		fidelityDecl  uint64
+	}{
+		{"group of four", pmc.FidelityPaper, 4, 4, 0, 0},
+		{"group of one", pmc.FidelityPaper, 1, 0, 1, 0},
+		{"naive fidelity", pmc.FidelityPaperNaive, 2, 0, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := &obs.Observer{Metrics: obs.NewMetrics()}
+			cfg := smallCampaign(tc.group)
+			cfg.Fidelity = tc.fidelity
+			plain, err := core.NewLayoutRunner(cfg, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Obs = o
+			r, err := core.NewLayoutRunner(cfg, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idxs := make([]int, tc.group)
+			exes := make([]*toolchain.Executable, tc.group)
+			for i := range idxs {
+				idxs[i] = i
+				if exes[i], err = r.BuildLayout(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			primeErr := r.PrimeBatch(0, idxs, exes)
+			if (tc.fidelityDecl > 0) != (primeErr != nil) {
+				t.Errorf("prime error %v", primeErr)
+			}
+			for i, exe := range exes {
+				got, err := r.MeasureLayout(0, i, exe)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exe2, err := plain.BuildLayout(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := plain.MeasureLayout(0, i, exe2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("layout %d: primed %+v, unprimed %+v", i, got, want)
+				}
+			}
+			counter := func(name string) uint64 { return o.Counter(name, "").Value() }
+			if got := counter(`interferometry_engine_layouts_total{engine="batch"}`); got != tc.batch {
+				t.Errorf("batched lanes %d, want %d", got, tc.batch)
+			}
+			if got := counter(`interferometry_engine_layouts_total{engine="scalar"}`); got != tc.scalar {
+				t.Errorf("scalar replays %d, want %d", got, tc.scalar)
+			}
+			if got := counter(`interferometry_engine_declines_total{reason="fidelity"}`); got != tc.fidelityDecl {
+				t.Errorf("fidelity declines %d, want %d", got, tc.fidelityDecl)
+			}
+		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"math"
 	"sort"
 
+	"interferometry/internal/interp"
 	"interferometry/internal/obs"
 	"interferometry/internal/stats"
 	"interferometry/internal/toolchain"
@@ -201,8 +202,10 @@ func newSearchObs(o *obs.Observer) *searchObs {
 
 // NewSearch validates the config and prepares the shared trace, seams
 // and per-worker harnesses (workers <= 0 means 1). The embedded
-// campaign's Layouts is overridden with the population size.
-func NewSearch(cfg SearchConfig, workers int) (*Search, error) {
+// campaign's Layouts is overridden with the population size. trace is
+// handed to NewLayoutRunner: the embedded campaign's trace, or nil to
+// interpret it.
+func NewSearch(cfg SearchConfig, workers int, trace *interp.Trace) (*Search, error) {
 	if cfg.Population < 0 || cfg.Generations < 0 {
 		return nil, errors.New("core: search population and generations must be non-negative")
 	}
@@ -211,7 +214,7 @@ func NewSearch(cfg SearchConfig, workers int) (*Search, error) {
 	}
 	cfg.Campaign.Layouts = cfg.population()
 	cfg.Campaign.FirstLayout = 0
-	runner, err := NewLayoutRunner(cfg.Campaign, workers)
+	runner, err := NewLayoutRunner(cfg.Campaign, workers, trace)
 	if err != nil {
 		return nil, err
 	}
@@ -590,7 +593,7 @@ func (s *Search) Finalize(gens []GenerationResult) (*SearchResult, error) {
 // bit-identically on restart.
 func RunSearch(cfg SearchConfig) (*SearchResult, error) {
 	workers := normalizeWorkers(cfg.Campaign.Workers, cfg.population())
-	s, err := NewSearch(cfg, workers)
+	s, err := NewSearch(cfg, workers, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -159,7 +159,7 @@ func TestSearchTieBreakPinned(t *testing.T) {
 // of its counters, and breeding must draw only from valid parents.
 func TestSearchDegradedIndividualCannotWin(t *testing.T) {
 	cfg := searchTestConfig()
-	s, err := NewSearch(cfg, 1)
+	s, err := NewSearch(cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSearchDegradedIndividualCannotWin(t *testing.T) {
 // than entering selection with garbage counters.
 func TestSearchScreenRepairsInvalidMeasurement(t *testing.T) {
 	cfg := searchTestConfig()
-	s, err := NewSearch(cfg, 1)
+	s, err := NewSearch(cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

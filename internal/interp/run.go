@@ -36,6 +36,7 @@ func Run(p *isa.Program, inputSeed uint64, stop StopRule) (*Trace, error) {
 	tr := &Trace{
 		Program:       p,
 		InputSeed:     inputSeed,
+		Stop:          stop,
 		ProcEntries:   make([]uint64, len(p.Procs)),
 		ProcLastEntry: make([]uint64, len(p.Procs)),
 	}

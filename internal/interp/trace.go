@@ -22,6 +22,10 @@ import (
 type Trace struct {
 	Program   *isa.Program
 	InputSeed uint64
+	// Stop is the stop rule the run was generated under. With Program
+	// and InputSeed it is everything the trace is a function of, so a
+	// consumer handed a trace can check it is the one it would generate.
+	Stop StopRule
 
 	// BlockSeq is the executed block sequence.
 	BlockSeq []isa.BlockID

@@ -143,14 +143,16 @@ type Harness struct {
 }
 
 // det resolves one deterministic replay: from the Det source when it has
-// the spec, otherwise by simulating.
-func (h *Harness) det(spec machine.RunSpec) (machine.Counters, float64, error) {
+// the spec, otherwise by simulating on the harness's own machine, which
+// scalar reports.
+func (h *Harness) det(spec machine.RunSpec) (c machine.Counters, det float64, scalar bool, err error) {
 	if h.Det != nil {
 		if c, d, ok := h.Det.Det(spec); ok {
-			return c, d, nil
+			return c, d, false, nil
 		}
 	}
-	return h.Machine.RunDeterministic(spec)
+	c, det, err = h.Machine.RunDeterministic(spec)
+	return c, det, true, err
 }
 
 // HarnessMetrics are the harness's observability counters, resolved by
@@ -167,6 +169,10 @@ type HarnessMetrics struct {
 	// SynthRuns counts protocol runs synthesized from a shared
 	// simulation instead of simulated (the FidelityPaper fast path).
 	SynthRuns *obs.Counter
+	// Scalar counts measurements whose deterministic replay ran on the
+	// harness's own machine, one layout at a time, rather than coming
+	// from its Det source.
+	Scalar *obs.Counter
 }
 
 // RunID identifies one measurement for error reporting: the campaign
@@ -182,14 +188,18 @@ type RunID struct {
 }
 
 // done records one successful measurement: how many full simulations it
-// cost and how many protocol runs were synthesized instead of simulated.
-func (hm *HarnessMetrics) done(sims, synth uint64) {
+// cost, how many protocol runs were synthesized instead of simulated, and
+// whether the harness's own machine replayed it.
+func (hm *HarnessMetrics) done(sims, synth uint64, scalar bool) {
 	if hm == nil {
 		return
 	}
 	hm.Measurements.Inc()
 	hm.Simulations.Add(sims)
 	hm.SynthRuns.Add(synth)
+	if scalar {
+		hm.Scalar.Inc()
+	}
 }
 
 func (id RunID) String() string {
@@ -270,7 +280,7 @@ func (h *Harness) Measure(spec machine.RunSpec) (Measurement, error) {
 	}
 	switch h.Fidelity {
 	case FidelityFast:
-		c, det, err := h.det(spec)
+		c, det, scalar, err := h.det(spec)
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -284,7 +294,7 @@ func (h *Harness) Measure(spec machine.RunSpec) (Measurement, error) {
 			m.Events[e] = e.read(c)
 		}
 		m.Runs = 1
-		h.Metrics.done(1, 0)
+		h.Metrics.done(1, 0, scalar)
 		return m, nil
 
 	case FidelityPaper:
@@ -292,7 +302,7 @@ func (h *Harness) Measure(spec machine.RunSpec) (Measurement, error) {
 		// deterministic state — the per-run NoiseSeed perturbs only the
 		// final cycle scalar — so one simulation plus the per-run noise
 		// transform reproduces all 3×runs observations exactly.
-		c, det, err := h.det(spec)
+		c, det, scalar, err := h.det(spec)
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -322,7 +332,7 @@ func (h *Harness) Measure(spec machine.RunSpec) (Measurement, error) {
 			}
 			m.Runs += runs
 		}
-		h.Metrics.done(1, uint64(m.Runs))
+		h.Metrics.done(1, uint64(m.Runs), scalar)
 		return m, nil
 
 	case FidelityPaperNaive:
@@ -356,7 +366,7 @@ func (h *Harness) Measure(spec machine.RunSpec) (Measurement, error) {
 			}
 			m.Runs += runs
 		}
-		h.Metrics.done(uint64(m.Runs), 0)
+		h.Metrics.done(uint64(m.Runs), 0, true)
 		return m, nil
 
 	default:
