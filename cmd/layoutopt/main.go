@@ -21,8 +21,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 	"time"
@@ -36,37 +38,52 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind main: it parses args, searches, prints the
+// report to stdout and returns the exit code — 0 when the search beats
+// the sampling baseline (or none was measured), 1 when it does not or
+// on failure, 2 on bad usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("layoutopt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench       = flag.String("bench", "400.perlbench", "benchmark name from the suite")
-		scaleName   = flag.String("scale", "small", "experiment scale: small, medium or paper")
-		population  = flag.Int("population", 0, "individuals per generation (0 = search default 16)")
-		generations = flag.Int("generations", 0, "generations to run (0 = search default 8)")
-		elite       = flag.Int("elite", 0, "best individuals surviving unchanged (0 = default 2)")
-		tournament  = flag.Int("tournament", 0, "tournament size for parent selection (0 = default 3)")
-		budget      = flag.Uint64("budget", 0, "instructions per run (0 = scale default)")
-		seed        = flag.Uint64("seed", 0x1f2e3d4c, "base seed of the search's genome streams")
-		workers     = flag.Int("workers", 0, "parallel measurement slots (0 = GOMAXPROCS, capped at the population)")
-		baselineN   = flag.Int("baseline", 32, "random layouts in the held-out sampling baseline (0 disables)")
-		bootstrapB  = flag.Int("bootstrap", 1000, "bootstrap resamples for the baseline median CI")
-		jsonOut     = flag.String("json", "", "write the summary JSON to this file (\"-\" = stdout)")
-		server      = flag.String("server", "", "run the search on this campaignd coordinator instead of locally")
+		bench       = fs.String("bench", "400.perlbench", "benchmark name from the suite")
+		scaleName   = fs.String("scale", "small", "experiment scale: small, medium or paper")
+		population  = fs.Int("population", 0, "individuals per generation (0 = search default 16)")
+		generations = fs.Int("generations", 0, "generations to run (0 = search default 8)")
+		elite       = fs.Int("elite", 0, "best individuals surviving unchanged (0 = default 2)")
+		tournament  = fs.Int("tournament", 0, "tournament size for parent selection (0 = default 3)")
+		budget      = fs.Uint64("budget", 0, "instructions per run (0 = scale default)")
+		seed        = fs.Uint64("seed", 0x1f2e3d4c, "base seed of the search's genome streams")
+		workers     = fs.Int("workers", 0, "parallel measurement slots (0 = GOMAXPROCS, capped at the population)")
+		baselineN   = fs.Int("baseline", 32, "random layouts in the held-out sampling baseline (0 disables)")
+		bootstrapB  = fs.Int("bootstrap", 1000, "bootstrap resamples for the baseline median CI")
+		jsonOut     = fs.String("json", "", "write the summary JSON to this file (\"-\" = stdout)")
+		server      = fs.String("server", "", "run the search on this campaignd coordinator instead of locally")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	scale, ok := experiments.ScaleByName(*scaleName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scale %q (want small, medium or paper)\n", *scaleName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown scale %q (want small, medium or paper)\n", *scaleName)
+		return 2
 	}
 	ps, ok := progen.ByName(*bench)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *bench)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown benchmark %q\n", *bench)
+		return 2
 	}
 	prog, err := progen.Generate(ps)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if *budget == 0 {
 		*budget = scale.Budget
@@ -84,7 +101,7 @@ func main() {
 	var summary results.SearchSummary
 	start := time.Now()
 	if *server != "" {
-		summary, err = runRemote(*server, *bench, *budget, *seed, *population, *generations, *elite, *tournament)
+		summary, err = runRemote(stdout, *server, *bench, *budget, *seed, *population, *generations, *elite, *tournament)
 	} else {
 		var res *core.SearchResult
 		res, err = core.RunSearch(core.SearchConfig{
@@ -99,8 +116,8 @@ func main() {
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	elapsed := time.Since(start)
 
@@ -112,13 +129,13 @@ func main() {
 		held.BaseSeed = core.HeldOutSeed(*seed)
 		cpis, berr := core.SampleLayoutCPIs(held, *baselineN)
 		if berr != nil {
-			fmt.Fprintln(os.Stderr, berr)
-			os.Exit(1)
+			fmt.Fprintln(stderr, berr)
+			return 1
 		}
 		ci, berr := stats.BootstrapQuantileCI(cpis, 0.5, *bootstrapB, held.BaseSeed, 0.95)
 		if berr != nil {
-			fmt.Fprintf(os.Stderr, "baseline CI: %v\n", berr)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "baseline CI: %v\n", berr)
+			return 1
 		}
 		median := stats.Median(cpis)
 		summary.Baseline = &results.SamplingBaseline{
@@ -132,31 +149,32 @@ func main() {
 		}
 	}
 
-	report(summary, elapsed)
+	report(stdout, summary, elapsed)
 	if *jsonOut != "" {
-		w := os.Stdout
+		w := stdout
 		if *jsonOut != "-" {
 			f, ferr := os.Create(*jsonOut)
 			if ferr != nil {
-				fmt.Fprintln(os.Stderr, ferr)
-				os.Exit(1)
+				fmt.Fprintln(stderr, ferr)
+				return 1
 			}
 			defer f.Close()
 			w = f
 		}
 		if err := results.WriteJSON(w, summary); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
 	if b := summary.Baseline; b != nil && !b.Beats {
-		os.Exit(1) // scriptable verdict: the search failed to beat sampling
+		return 1 // scriptable verdict: the search failed to beat sampling
 	}
+	return 0
 }
 
 // runRemote submits the search to a campaignd coordinator, waits for
 // the trajectory to finish, and decodes the service's summary report.
-func runRemote(base, bench string, budget, seed uint64, population, generations, elite, tournament int) (results.SearchSummary, error) {
+func runRemote(stdout io.Writer, base, bench string, budget, seed uint64, population, generations, elite, tournament int) (results.SearchSummary, error) {
 	client := &campaignd.Client{Base: base}
 	ctx := context.Background()
 	spec := campaignd.JobSpec{
@@ -175,7 +193,7 @@ func runRemote(base, bench string, budget, seed uint64, population, generations,
 	if err != nil {
 		return results.SearchSummary{}, err
 	}
-	fmt.Printf("search %s running on %s (%d×%d)\n", st.ID, base, st.Layouts, st.Generations)
+	fmt.Fprintf(stdout, "search %s running on %s (%d×%d)\n", st.ID, base, st.Layouts, st.Generations)
 	if st, err = client.Wait(ctx, st.ID, 250*time.Millisecond); err != nil {
 		return results.SearchSummary{}, err
 	}
@@ -192,7 +210,7 @@ func runRemote(base, bench string, budget, seed uint64, population, generations,
 	if health, herr := client.FleetHealth(ctx); herr == nil {
 		for id, h := range health {
 			if h.Quarantined {
-				fmt.Printf("warning: worker %s quarantined by the coordinator (%d rejected, %d audit-failed)\n",
+				fmt.Fprintf(stdout, "warning: worker %s quarantined by the coordinator (%d rejected, %d audit-failed)\n",
 					id, h.Rejected, h.AuditFailed)
 			}
 		}
@@ -205,25 +223,25 @@ func runRemote(base, bench string, budget, seed uint64, population, generations,
 }
 
 // report prints the trajectory and the verdict.
-func report(s results.SearchSummary, elapsed time.Duration) {
-	fmt.Printf("layoutopt %s: %d×%d search in %s (%.2f generations/s)\n",
+func report(w io.Writer, s results.SearchSummary, elapsed time.Duration) {
+	fmt.Fprintf(w, "layoutopt %s: %d×%d search in %s (%.2f generations/s)\n",
 		s.Benchmark, s.Population, s.Generations, elapsed.Round(time.Millisecond),
 		float64(s.Generations)/elapsed.Seconds())
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "gen\tbest CPI\tvalid\tfailed\tbest layout")
 	for _, g := range s.Trajectory {
 		fmt.Fprintf(tw, "%d\t%.4f\t%d\t%d\t%s\n", g.Gen, g.BestCPI, g.Valid, g.Failed, g.BestFingerprint)
 	}
 	tw.Flush()
-	fmt.Printf("best: CPI %.4f at generation %d (layout %s, trajectory %s)\n",
+	fmt.Fprintf(w, "best: CPI %.4f at generation %d (layout %s, trajectory %s)\n",
 		s.BestCPI, s.BestGen, s.BestFingerprint, s.TrajectoryHash[:12])
 	if b := s.Baseline; b != nil {
 		verdict := "BEATS"
 		if !b.Beats {
 			verdict = "does NOT beat"
 		}
-		fmt.Printf("baseline: median CPI %.4f over %d held-out random layouts (95%% CI [%.4f, %.4f], seed %#x)\n",
+		fmt.Fprintf(w, "baseline: median CPI %.4f over %d held-out random layouts (95%% CI [%.4f, %.4f], seed %#x)\n",
 			b.MedianCPI, b.N, b.CILow, b.CIHigh, b.Seed)
-		fmt.Printf("verdict: search %s the sampling median (improvement %.2f%%)\n", verdict, 100*b.Improvement)
+		fmt.Fprintf(w, "verdict: search %s the sampling median (improvement %.2f%%)\n", verdict, 100*b.Improvement)
 	}
 }
