@@ -61,7 +61,6 @@ import (
 
 	"interferometry/internal/artifactcache"
 	"interferometry/internal/campaignd"
-	"interferometry/internal/core"
 	"interferometry/internal/experiments"
 	"interferometry/internal/faultinject"
 	"interferometry/internal/jobqueue"
@@ -78,7 +77,6 @@ func main() {
 		workers        = flag.Int("workers", 2, "task worker pool size (serve: 0 = coordinator only; worker: concurrent tasks)")
 		workerMode     = flag.Bool("worker", false, "run as a remote worker pulling tasks from -coordinator")
 		coordinator    = flag.String("coordinator", "", "coordinator base URL for -worker mode, e.g. http://host:8347")
-		workerDelta    = flag.String("delta", "auto", "worker mode: delta replay for lease-group walks (auto = when the trace profile favors it, on, off)")
 		cacheDir       = flag.String("artifact-cache", "", "directory for the content-addressed layout artifact cache (empty = off)")
 		cacheMB        = flag.Int64("artifact-cache-mb", 256, "artifact cache size bound in MiB")
 		queueCap       = flag.Int("queue-capacity", 256, "max tasks in the system (queued + leased)")
@@ -113,7 +111,6 @@ func main() {
 		chaosSeed   = flag.Uint64("chaos-seed", 0xc4a05, "root seed of the per-round fault schedules")
 		chaosShard  = flag.Int("chaos-shard-workers", 0, "run soak rounds sharded across this many workers (0 = single process)")
 		chaosKills  = flag.Int("chaos-coordinator-kill", 0, "hard-kill and restart a WAL-backed coordinator this many times per soak round (0 = off)")
-		chaosDelta  = flag.String("chaos-delta", "auto", "sharded soak workers' delta-replay mode (auto, on, off)")
 		chaosByz    = flag.Int("chaos-byzantine", 0, "sharded soak rounds make this many workers liars: corrupted results must all be rejected or audit-disowned (0 = off)")
 		chaosError  = flag.Float64("chaos-error", 0.2, "per-call injected error rate")
 		chaosPanic  = flag.Float64("chaos-panic", 0.1, "per-call injected panic rate")
@@ -130,11 +127,6 @@ func main() {
 	}
 
 	if *chaos {
-		dm, derr := core.ParseDeltaMode(*chaosDelta)
-		if derr != nil {
-			fmt.Fprintln(os.Stderr, derr)
-			os.Exit(2)
-		}
 		spec := campaignd.JobSpec{Benchmark: *chaosBench, Layouts: *chaosLay}
 		if *chaosSearch {
 			spec.Kind = campaignd.KindSearch
@@ -147,7 +139,6 @@ func main() {
 			Seed:             *chaosSeed,
 			Workers:          *workers,
 			ShardWorkers:     *chaosShard,
-			WorkerDelta:      dm,
 			ByzantineWorkers: *chaosByz,
 			AuditRate:        *auditRate,
 			CoordinatorKills: *chaosKills,
@@ -196,16 +187,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-worker needs -coordinator URL")
 			os.Exit(2)
 		}
-		dm, derr := core.ParseDeltaMode(*workerDelta)
-		if derr != nil {
-			fmt.Fprintln(os.Stderr, derr)
-			os.Exit(2)
-		}
 		w := &campaignd.Worker{
 			Coordinator: *coordinator,
 			ID:          *workerID,
 			Parallel:    *workers,
-			Delta:       dm,
 			Cache:       cache,
 			Obs:         observer,
 		}

@@ -107,7 +107,6 @@ func main() {
 	checkpointDir := flag.String("checkpoint", "", "campaign directory for JSONL observation checkpoints")
 	resume := flag.Bool("resume", false, "reload the checkpoint and measure only missing layouts")
 	batch := flag.Int("batch", 0, "batched-replay width: layouts sharing one trace walk per worker (0 = auto, 1 = sequential)")
-	deltaMode := flag.String("delta", "auto", "delta replay: re-simulate only layout-perturbed state (auto = when the trace profile favors it, on, off)")
 	retries := flag.Int("retries", 2, "max measurement attempts per layout")
 	failureBudget := flag.Int("failure-budget", 0, "layouts allowed to fail before the campaign aborts")
 	outlierMAD := flag.Float64("outlier-mad", 0, "re-measure observations further than this many MADs from the median CPI (0 = off)")
@@ -133,11 +132,6 @@ func main() {
 		}
 		return
 	}
-	dm, err := core.ParseDeltaMode(*deltaMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	if *campaign != "" {
 		observer, err := obsFlags.Observer(*campaign)
 		if err != nil {
@@ -150,7 +144,6 @@ func main() {
 			layouts:       *layouts,
 			workers:       *workers,
 			batch:         *batch,
-			delta:         dm,
 			checkpointDir: *checkpointDir,
 			resume:        *resume,
 			retries:       *retries,
@@ -234,7 +227,6 @@ type campaignOptions struct {
 	layouts       int
 	workers       int
 	batch         int
-	delta         core.DeltaMode
 	checkpointDir string
 	resume        bool
 	retries       int
@@ -271,7 +263,6 @@ func runSupervisedCampaign(opts campaignOptions) error {
 		BaseSeed:      0x1f2e3d4c,
 		Workers:       opts.workers,
 		BatchSize:     opts.batch,
-		Delta:         opts.delta,
 		MaxAttempts:   opts.retries,
 		FailureBudget: opts.failureBudget,
 		OutlierMAD:    opts.outlierMAD,

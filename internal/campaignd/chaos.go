@@ -50,11 +50,6 @@ type SoakConfig struct {
 	// groups in batched walks. The byte-identity check is unchanged —
 	// sharding and batching must not move a byte.
 	ShardWorkers int
-	// WorkerDelta selects each sharded worker's delta-replay mode
-	// (Worker.Delta). The byte-identity check is unchanged — delta replay
-	// must not move a byte either, and DeltaOn rounds prove the engine's
-	// fallback path under the same fault schedule.
-	WorkerDelta core.DeltaMode
 	// ByzantineWorkers, when positive, makes this many of the sharded
 	// workers liars (faultinject.Liar): every result they report is
 	// corrupted — bit-flipped counters, stale layout seeds, replayed old
@@ -304,7 +299,6 @@ func soakRound(cfg SoakConfig, round int, ref, refReport, refProvenance []byte, 
 				startWorker(&Worker{
 					Coordinator: "http://" + ln.Addr().String(),
 					ID:          id,
-					Delta:       cfg.WorkerDelta,
 					Wait:        500 * time.Millisecond,
 					Tamper:      faultinject.NewLiar(cfg.Seed + uint64(round)*0x9e3779b9 + uint64(n)),
 				})
@@ -318,7 +312,6 @@ func soakRound(cfg SoakConfig, round int, ref, refReport, refProvenance []byte, 
 		for n := 0; n < honest; n++ {
 			w := &Worker{
 				Coordinator: "http://" + ln.Addr().String(),
-				Delta:       cfg.WorkerDelta,
 				Wait:        500 * time.Millisecond,
 				Faults:      injector,
 			}

@@ -49,10 +49,6 @@ type Worker struct {
 	// Parallel is the number of concurrent task loops (and the worker's
 	// runner slot count). Zero or negative means 1.
 	Parallel int
-	// Delta selects the delta-replay engine for the worker's lease-group
-	// walks (core.CampaignConfig.Delta): the zero value is auto. Like
-	// batching it changes throughput but never a byte of any result.
-	Delta core.DeltaMode
 	// Wait bounds each lease long poll. Zero means the coordinator's
 	// default.
 	Wait time.Duration
@@ -491,7 +487,6 @@ func (rc *workerRunners) get(id string, spec JobSpec, scale experiments.Scale) (
 	cfg.LayoutCache = rc.w.Cache
 	cfg.Faults = rc.w.Faults
 	cfg.Obs = rc.w.Obs
-	cfg.Delta = rc.w.Delta
 	r, err := rc.w.shared.runner(cfg, rc.w.parallel())
 	if err != nil {
 		return nil, err

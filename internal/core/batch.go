@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -31,7 +32,7 @@ import (
 // and a campaignd worker tops a lease group up to this many tasks.
 const AutoBatchLanes = 32
 
-// maxBatchLanes is the walk engines' lane limit (one miss-mask word).
+// maxBatchLanes is the batch engine's lane limit (one miss-mask word).
 const maxBatchLanes = 64
 
 // AutoBatch is the automatic batch width of one of workers consumers
@@ -111,63 +112,83 @@ func (dc *detCache) Det(spec machine.RunSpec) (machine.Counters, float64, bool) 
 }
 
 // batchSlot is one in-process campaign worker's batched-replay state:
-// the walk engines it holds for the campaign, the det cache its harness
-// reads, and per-chunk scratch.
+// the det cache its harness reads and per-chunk scratch. The walk
+// engine is borrowed for each walk (walkTrace).
 type batchSlot struct {
-	batch *machine.Batch
-	// delta is the delta-replay engine, present only when the campaign's
-	// DeltaMode allows it and the machine config passes its geometry
-	// gates; nil otherwise. walk tries it before the batched walk.
-	delta *machine.Delta
 	cache *detCache
 
 	idxs  []int // pending layout indices of the current chunk
 	exes  []*toolchain.Executable
 	errs  []error
-	specs []machine.RunSpec
+	built []int // the chunk's successfully built layouts, walked together
+	bexes []*toolchain.Executable
 }
 
-// walk measures specs in one trace walk, choosing the engine per the
-// campaign's DeltaMode: DeltaOn tries the delta engine d first and falls
-// back to the batched walk b on any decline; DeltaAuto additionally
-// requires the recording's profitability preflight to pass. Both engines
-// are pinned bit-identical to the scalar path, so the choice never
-// changes results. A panic in either engine is recovered as a failed
-// walk. Every outcome is counted on co. The returned slices belong to
-// the engine that produced them and are reused by its next walk.
-func walk(cfg *CampaignConfig, co *campaignObs, b *machine.Batch, d *machine.Delta, specs []machine.RunSpec) (cs []machine.Counters, dets []float64, err error) {
+// walkTrace is the one trace walk behind every shared replay: in-process
+// chunks (measureChunk), LayoutRunner.PrimeBatch and PrimeGenomes, and
+// through those campaignd's lease groups. It replays trace once for exes
+// on a batch engine borrowed from batchPool and leaves each layout's
+// deterministic replay in dc, where the slot's harness finds it;
+// heapSeed derives lane j's heap seed under ModeRandomized.
+//
+// Fewer than two layouts are not walked: they replay on the scalar
+// engine. FidelityPaperNaive, a group over the engine's lanes, a machine
+// geometry the banks cannot hold, and a walk that fails or panics
+// decline, leaving dc empty so every layout replays on the scalar
+// engine. The walk is pinned bit-identical to the scalar replay, so no
+// outcome changes a result. Every outcome is counted on co, and the
+// returned error is diagnostic only.
+func walkTrace(cfg *CampaignConfig, co *campaignObs, dc *detCache, trace *interp.Trace, exes []*toolchain.Executable, heapSeed func(j int) uint64) (err error) {
+	dc.reset()
+	switch {
+	case len(exes) < 2:
+		return nil
+	case cfg.Fidelity == pmc.FidelityPaperNaive:
+		co.declined(declineFidelity)
+		return errors.New("core: FidelityPaperNaive executes every run; no shared walk")
+	case len(exes) > maxBatchLanes:
+		co.declined(declineLanes)
+		return fmt.Errorf("core: %d layouts exceed the walk's %d lanes", len(exes), maxBatchLanes)
+	}
+	b, err := getBatch(cfg.machineConfig(), len(exes))
+	if err != nil {
+		co.declined(declineGeometry)
+		return err
+	}
 	defer func() {
 		if v := recover(); v != nil {
-			cs, dets, err = nil, nil, &PanicError{Value: v, Stack: debug.Stack()}
+			// A panicked engine is dropped, not pooled.
+			dc.reset()
+			err = &PanicError{Value: v, Stack: debug.Stack()}
 			co.declined(declineWalkPanic)
+			return
 		}
+		batchPool.Put(b)
 	}()
-	if d != nil && len(specs) > 0 {
-		use := cfg.Delta == DeltaOn
-		if cfg.Delta == DeltaAuto {
-			ok, perr := d.Preflight(specs[0])
-			use = perr == nil && ok
-			if !use {
-				co.declined(declineDeltaPreflight)
-			}
+	for j, exe := range exes {
+		hs := uint64(0)
+		if cfg.HeapMode == heap.ModeRandomized {
+			hs = heapSeed(j)
 		}
-		if use {
-			if cs, dets, err := d.Run(specs); err == nil {
-				co.walked(true, len(specs))
-				return cs, dets, nil
-			}
-			// A decline (unsupported layout shape, spec mix, or a
-			// defensive divergence check) costs only the preflight;
-			// the batched walk below measures the same specs.
-			co.declined(declineDeltaError)
-		}
+		dc.specs = append(dc.specs, machine.RunSpec{
+			Exe:      exe,
+			Trace:    trace,
+			HeapMode: cfg.HeapMode,
+			HeapSeed: hs,
+		})
 	}
-	if cs, dets, err = b.Run(specs); err != nil {
+	cs, dets, err := b.Run(dc.specs)
+	if err != nil {
+		dc.reset()
 		co.declined(declineWalkError)
-		return nil, nil, err
+		return err
 	}
-	co.walked(false, len(specs))
-	return cs, dets, nil
+	// The engine's result slices are reused by its next walk, so the
+	// replays are copied into the cache before the engine goes back.
+	dc.cs = append(dc.cs, cs...)
+	dc.dets = append(dc.dets, dets...)
+	co.walked(len(exes))
+	return nil
 }
 
 // batchPool recycles batch engines across campaigns and walks: a Batch's
@@ -176,6 +197,9 @@ func walk(cfg *CampaignConfig, co *campaignObs, b *machine.Batch, d *machine.Del
 // re-derives all layout-dependent state and flushes every bank, so a
 // recycled engine is indistinguishable from a fresh one; only engines
 // matching the campaign's exact machine config and lane need are reused.
+// A pooled engine keeps its program-keyed block tables, so the next walk
+// of the same program reuses them; sync.Pool drops idle entries within
+// two garbage collections, which bounds what a pooled engine pins.
 var batchPool = sync.Pool{}
 
 // getBatch returns a pooled or fresh engine for the config, or an error
@@ -191,85 +215,19 @@ func getBatch(mcfg machine.Config, lanes int) (*machine.Batch, error) {
 	return machine.NewBatch(mcfg, lanes)
 }
 
-// deltaPool recycles delta engines the same way batchPool recycles batch
-// engines: the per-lane replay state is sized by the machine config, and
-// a held recording is reused only for the trace it was built from, so a
-// recycled engine measures exactly like a fresh one.
-var deltaPool = sync.Pool{}
-
-// getDelta returns a pooled or fresh delta engine for the config, or nil
-// when the configuration fails the delta geometry gates (the campaign
-// then simply never tries delta replay — never an error).
-func getDelta(mcfg machine.Config, lanes int) *machine.Delta {
-	if v := deltaPool.Get(); v != nil {
-		d := v.(*machine.Delta)
-		if d.Config() == mcfg && d.MaxLanes() >= lanes {
-			return d
-		}
-	}
-	d, err := machine.NewDelta(mcfg, lanes)
+// batchable reports whether the batch engine accepts the campaign's
+// machine config at the given width. An in-process campaign asks once:
+// a refusal is counted as one decline and the campaign runs the
+// sequential supervisor. The engine built to find out is pooled for the
+// campaign's first walk.
+func batchable(cfg *CampaignConfig, co *campaignObs, lanes int) bool {
+	b, err := getBatch(cfg.machineConfig(), lanes)
 	if err != nil {
-		return nil
+		co.declined(declineGeometry)
+		return false
 	}
-	return d
-}
-
-// putEngines returns walk engines to their pools as they are; either
-// may be nil. A returned engine keeps its program-keyed tables (the
-// batch engine's block tables, the delta engine's recording, both
-// matched by program identity and trace key), so the next walk of the
-// same trace reuses them. sync.Pool drops idle entries within two
-// garbage collections, which bounds what a pooled engine pins.
-func putEngines(b *machine.Batch, d *machine.Delta) {
-	if b != nil {
-		batchPool.Put(b)
-	}
-	if d != nil {
-		deltaPool.Put(d)
-	}
-}
-
-// newBatchSlots builds one batchSlot per worker and wires each harness's
-// Det source. It returns nil when the machine configuration cannot be
-// batched (a cache or BTB geometry over 8 ways); the caller falls back
-// to the sequential path. Unless the campaign disabled delta replay,
-// each slot also carries a delta engine for walk to try first. The
-// slots' engines must be released back to their pools with
-// releaseBatchSlots when the campaign finishes.
-func newBatchSlots(mcfg machine.Config, harnesses []*pmc.Harness, lanes int, dm DeltaMode) []*batchSlot {
-	slots := make([]*batchSlot, len(harnesses))
-	for w := range slots {
-		b, err := getBatch(mcfg, lanes)
-		if err != nil {
-			return nil
-		}
-		slots[w] = &batchSlot{batch: b, cache: &detCache{}}
-		if dm != DeltaOff {
-			slots[w].delta = getDelta(mcfg, lanes)
-		}
-		harnesses[w].Det = slots[w].cache
-	}
-	return slots
-}
-
-// releaseBatchSlots returns every slot's engines to their pools when
-// the campaign finishes. Invalidate first drops the engines'
-// program-keyed tables so a pooled engine does not pin the finished
-// campaign's program in memory.
-func releaseBatchSlots(slots []*batchSlot) {
-	for _, s := range slots {
-		if s == nil {
-			continue
-		}
-		if s.batch != nil {
-			s.batch.Invalidate()
-		}
-		if s.delta != nil {
-			s.delta.Invalidate()
-		}
-		putEngines(s.batch, s.delta)
-		s.batch, s.delta = nil, nil
-	}
+	batchPool.Put(b)
+	return true
 }
 
 // measureChunk drives the layouts of one chunk [lo, hi) on worker w,
@@ -277,9 +235,10 @@ func releaseBatchSlots(slots []*batchSlot) {
 //
 //	A. one guarded build attempt per layout (exactly attempt one of
 //	   measureLayout);
-//	B. one batched trace walk over every successfully built layout,
-//	   priming the worker's det cache — a batch failure just leaves the
-//	   cache empty and phase C simulates sequentially;
+//	B. one trace walk (walkTrace) over every successfully built layout,
+//	   priming the worker's det cache — a declined walk, or a chunk with
+//	   one layout built, leaves the cache empty and phase C replays on
+//	   the scalar engine;
 //	C. per layout, the sequential pipeline: measureBuilt through the
 //	   (possibly fault-wrapped) measure seam, then on any failure the
 //	   same retry tail measureLayout runs — full build+measure attempts
@@ -288,7 +247,7 @@ func releaseBatchSlots(slots []*batchSlot) {
 //
 // A panic in a per-layout phase is that layout's final failure (the
 // sequential supervisor does not retry panics); a panic in the shared
-// batch walk is treated as a batch failure, costing only the shortcut.
+// walk is a declined walk, costing only the shortcut.
 // deliver and fail receive each layout's outcome exactly as the
 // sequential sweep body would produce it.
 func measureChunk(cfg *CampaignConfig, co *campaignObs, slot *batchSlot, meas measureSeam, build buildSeam, trace *interp.Trace, lo, hi, w int, done []bool, deliver func(i int, o Observation), fail func(i int, err error)) {
@@ -307,7 +266,8 @@ func measureChunk(cfg *CampaignConfig, co *campaignObs, slot *batchSlot, meas me
 	}
 	slot.exes = slot.exes[:0]
 	slot.errs = slot.errs[:0]
-	slot.cache.reset()
+	slot.built = slot.built[:0]
+	slot.bexes = slot.bexes[:0]
 
 	// Phase A: attempt one's build for every layout in the chunk.
 	for _, i := range slot.idxs {
@@ -322,36 +282,16 @@ func measureChunk(cfg *CampaignConfig, co *campaignObs, slot *batchSlot, meas me
 		}, w, i)
 		if err != nil {
 			exe = nil
+		} else {
+			slot.built = append(slot.built, i)
+			slot.bexes = append(slot.bexes, exe)
 		}
 		slot.exes = append(slot.exes, exe)
 		slot.errs = append(slot.errs, err)
 	}
 
-	// Phase B: one trace walk for every built layout. The spec mirrors
-	// measureBuilt's exactly (Batch.Run ignores the noise fields).
-	slot.specs = slot.specs[:0]
-	for j, i := range slot.idxs {
-		if slot.exes[j] == nil {
-			continue
-		}
-		hs := uint64(0)
-		if cfg.HeapMode == heap.ModeRandomized {
-			hs = cfg.heapSeed(i)
-		}
-		slot.specs = append(slot.specs, machine.RunSpec{
-			Exe:      slot.exes[j],
-			Trace:    trace,
-			HeapMode: cfg.HeapMode,
-			HeapSeed: hs,
-		})
-	}
-	if len(slot.specs) > 0 {
-		if cs, dets, err := walk(cfg, co, slot.batch, slot.delta, slot.specs); err == nil {
-			for j := range slot.specs {
-				slot.cache.put(slot.specs[j], cs[j], dets[j])
-			}
-		}
-	}
+	// Phase B: one trace walk for every built layout.
+	walkTrace(cfg, co, slot.cache, trace, slot.bexes, func(j int) uint64 { return cfg.heapSeed(slot.built[j]) })
 
 	// Phase C: the per-layout pipeline, sequential semantics verbatim.
 	for j, i := range slot.idxs {

@@ -98,54 +98,3 @@ func BenchmarkCampaignSequential(b *testing.B) {
 func BenchmarkCampaignBatched(b *testing.B) {
 	benchCampaignBatch(b, pmc.FidelityPaper, nil, 0)
 }
-
-// benchCampaignDelta runs the delta engine's design-regime workload: a
-// streaming benchmark whose layout-sensitive cache events die out early
-// in the trace (470.lbm at a short budget), so per-lane work collapses
-// to the short sensitive prefix plus the skeleton sum. Dense traces
-// (the perlbench workload above) are the opposite regime — there the
-// auto mode's profitability preflight routes chunks to the batched
-// walk, which measures faster; see DESIGN.md §15 for the regime
-// analysis and measurements.
-func benchCampaignDelta(b *testing.B, mode core.DeltaMode) {
-	b.Helper()
-	spec, ok := progen.ByName("470.lbm")
-	if !ok {
-		b.Fatal("missing spec")
-	}
-	cfg := core.CampaignConfig{
-		Program:   progen.MustGenerate(spec),
-		InputSeed: 1,
-		Budget:    5000,
-		Layouts:   32,
-		Fidelity:  pmc.FidelityPaper,
-		BaseSeed:  42,
-		Delta:     mode,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ds, err := core.RunCampaign(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(ds.Obs) != cfg.Layouts {
-			b.Fatalf("campaign returned %d observations", len(ds.Obs))
-		}
-	}
-	b.ReportMetric(float64(cfg.Layouts)*float64(b.N)/b.Elapsed().Seconds(), "layouts/s")
-}
-
-// BenchmarkCampaignDelta measures the delta-replay campaign in the
-// regime the engine is built for (auto mode picks delta here on its
-// own). Results are byte-identical to BenchmarkCampaignDeltaOff's.
-func BenchmarkCampaignDelta(b *testing.B) {
-	benchCampaignDelta(b, core.DeltaAuto)
-}
-
-// BenchmarkCampaignDeltaOff is the apples-to-apples companion: the same
-// lbm workload with delta replay disabled, so the pair isolates the
-// engine's contribution from the workload change.
-func BenchmarkCampaignDeltaOff(b *testing.B) {
-	benchCampaignDelta(b, core.DeltaOff)
-}

@@ -85,18 +85,6 @@ type CampaignConfig struct {
 	// disables batching. FidelityPaperNaive always runs sequentially.
 	BatchSize int
 
-	// Delta selects the delta-replay engine (machine.Delta) for the
-	// batched phase: the trace is walked once per campaign into a
-	// classified recording, and each chunk's layouts replay only their
-	// perturbed state. Like batching it is pinned bit-identical to the
-	// sequential path, so the knob changes only throughput. DeltaAuto
-	// (the default) uses it when the recording's profitability estimate
-	// says the delta walk beats the batched one — which is rare: it pays
-	// off only on traces whose layout-sensitive events die out early.
-	// DeltaOn always tries it (falling back to the batched walk when the
-	// engine declines the trace or layout), DeltaOff never does.
-	Delta DeltaMode
-
 	// Compile and Link override toolchain defaults when non-zero.
 	Compile toolchain.CompileConfig
 	Link    toolchain.LinkConfig
@@ -162,47 +150,6 @@ type CampaignConfig struct {
 	// progress reporting (DESIGN.md §8). Nil disables all three; the
 	// campaign then pays only nil checks.
 	Obs *obs.Observer
-}
-
-// DeltaMode selects how the campaign uses the delta-replay engine.
-type DeltaMode uint8
-
-// Delta-replay modes.
-const (
-	// DeltaAuto uses delta replay when its profitability preflight says
-	// the recording beats the batched walk on this trace.
-	DeltaAuto DeltaMode = iota
-	// DeltaOff never uses delta replay.
-	DeltaOff
-	// DeltaOn always attempts delta replay first, falling back to the
-	// batched walk when the engine declines the trace or a layout.
-	DeltaOn
-)
-
-func (m DeltaMode) String() string {
-	switch m {
-	case DeltaAuto:
-		return "auto"
-	case DeltaOff:
-		return "off"
-	case DeltaOn:
-		return "on"
-	default:
-		return fmt.Sprintf("DeltaMode(%d)", uint8(m))
-	}
-}
-
-// ParseDeltaMode parses the CLI spelling of a DeltaMode.
-func ParseDeltaMode(s string) (DeltaMode, error) {
-	switch s {
-	case "auto", "":
-		return DeltaAuto, nil
-	case "off":
-		return DeltaOff, nil
-	case "on":
-		return DeltaOn, nil
-	}
-	return DeltaAuto, fmt.Errorf("core: unknown delta mode %q (want auto, on or off)", s)
 }
 
 func (c *CampaignConfig) machineConfig() machine.Config {
@@ -364,13 +311,14 @@ type measureSeam interface {
 // newSeams prepares the campaign's two measurement seams: one compile
 // shared by every layout and worker (only Reorder+Link depend on the
 // layout seed) and one counter harness per worker slot, both wrapped by
-// the fault injector when one is configured. The bare harnesses are
-// returned alongside the (possibly fault-wrapped) seams so the batched
-// replay path can wire each harness's Det source. The genome seam is
-// the same builder (cached when a layout cache is configured) exposed
-// by explicit permutation instead of seed; fault wrapping for genome
-// builds happens per call, keyed by fingerprint, in buildGenome.
-func newSeams(cfg *CampaignConfig, workers int) (buildSeam, genomeSeam, []measureSeam, []*pmc.Harness) {
+// the fault injector when one is configured. Each harness reads its
+// slot's det cache, returned alongside, through the pmc.DetSource seam:
+// a shared trace walk (walkTrace) leaves its replays there, and an
+// empty cache replays on the harness's own scalar machine. The genome
+// seam is the same builder (cached when a layout cache is configured)
+// exposed by explicit permutation instead of seed; fault wrapping for
+// genome builds happens per call, keyed by fingerprint, in buildGenome.
+func newSeams(cfg *CampaignConfig, workers int) (buildSeam, genomeSeam, []measureSeam, []*detCache) {
 	builder := toolchain.NewBuilder(cfg.Program, cfg.Compile, cfg.Link)
 	builder.Observe(builderMetrics(cfg.Obs))
 	var build buildSeam = builder
@@ -387,22 +335,23 @@ func newSeams(cfg *CampaignConfig, workers int) (buildSeam, genomeSeam, []measur
 	mcfg := cfg.machineConfig()
 	hmetrics := harnessMetrics(cfg.Obs)
 	measurers := make([]measureSeam, workers)
-	harnesses := make([]*pmc.Harness, workers)
+	dets := make([]*detCache, workers)
 	for w := range measurers {
+		dets[w] = &detCache{}
 		h := &pmc.Harness{
 			Machine:      machine.New(mcfg),
 			Fidelity:     cfg.Fidelity,
 			RunsPerGroup: cfg.RunsPerGroup,
 			Metrics:      hmetrics,
+			Det:          dets[w],
 		}
-		harnesses[w] = h
 		if cfg.Faults != nil {
 			measurers[w] = cfg.Faults.WrapMeasurer(h)
 		} else {
 			measurers[w] = h
 		}
 	}
-	return build, gb, measurers, harnesses
+	return build, gb, measurers, dets
 }
 
 // RunCampaign executes the campaign under the supervisor: one trace,
@@ -445,21 +394,17 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 	}
 
 	workers := normalizeWorkers(cfg.Workers, cfg.Layouts)
-	build, _, measurers, harnesses := newSeams(&cfg, workers)
+	build, _, measurers, dets := newSeams(&cfg, workers)
 
-	// Batched replay: when the effective batch width exceeds 1, each
-	// worker takes contiguous chunks of layouts and walks the trace once
-	// per chunk, priming its harness's Det source. Results are pinned
-	// bit-identical to the sequential path, so everything downstream —
-	// retries, failure budget, outlier screen, checkpoints — is shared.
+	// Batched replay: when the effective batch width exceeds 1 and the
+	// batch engine accepts the machine config, each worker takes
+	// contiguous chunks of layouts and walks the trace once per chunk,
+	// priming its harness's det cache. Results are pinned bit-identical
+	// to the sequential path, so everything downstream — retries,
+	// failure budget, outlier screen, checkpoints — is shared.
 	bs := cfg.batchSize(workers)
-	var slots []*batchSlot
-	if bs > 1 {
-		slots = newBatchSlots(cfg.machineConfig(), harnesses, bs, cfg.Delta)
-		if slots == nil {
-			co.declined(declineGeometry)
-		}
-		defer releaseBatchSlots(slots)
+	if bs > 1 && !batchable(&cfg, co, bs) {
+		bs = 1
 	}
 
 	// Checkpoint: load completed observations on resume, then persist
@@ -500,9 +445,11 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 	}
 	var failed []*IndexError
 	var err error
-	if slots != nil {
+	if bs > 1 {
+		slots := make([]batchSlot, workers)
 		failed, err = superviseChunksT(cfg.context(), workers, cfg.Layouts, bs, cfg.FailureBudget, newSupTel(cfg.Obs), func(w, lo, hi int, fail func(i int, err error), _ func() bool) {
-			measureChunk(&cfg, co, slots[w], measurers[w], build, trace, lo, hi, w, done, record, fail)
+			slots[w].cache = dets[w]
+			measureChunk(&cfg, co, &slots[w], measurers[w], build, trace, lo, hi, w, done, record, fail)
 		})
 	} else {
 		failed, err = superviseForT(cfg.context(), workers, cfg.Layouts, cfg.FailureBudget, newSupTel(cfg.Obs), func(w, i int) error {

@@ -65,23 +65,22 @@ type campaignObs struct {
 	fitSec     *obs.Histogram
 	layoutSec  *obs.Histogram
 
-	// Engine instruments: layouts whose deterministic replay a walk
-	// produced, by engine, and walks declined, by reason. Scalar replays
-	// are counted by the harnesses (harnessMetrics).
+	// Engine instruments: layouts whose deterministic replay a batched
+	// walk produced, and walks declined, by reason. Scalar replays are
+	// counted by the harnesses (harnessMetrics).
 	batchLanes *obs.Counter
-	deltaLanes *obs.Counter
 	declines   [numDeclines]*obs.Counter
 }
 
-// decline is why a requested trace walk, or one of its engines, did not
-// measure a group of layouts. Every decline costs only the shortcut: the
-// layouts replay on the next engine, or one by one on the scalar one.
+// decline is why a requested trace walk did not measure a group of
+// layouts. Every decline costs only the shortcut: the layouts replay
+// one by one on the scalar engine.
 type decline uint8
 
 const (
 	// declineFidelity: FidelityPaperNaive literally executes every run.
 	declineFidelity decline = iota
-	// declineLanes: more layouts than the engines' 64-lane mask.
+	// declineLanes: more layouts than the engine's 64-lane mask.
 	declineLanes
 	// declineGeometry: a machine config the batch banks cannot hold.
 	declineGeometry
@@ -89,22 +88,15 @@ const (
 	// panicked.
 	declineWalkError
 	declineWalkPanic
-	// declineDeltaPreflight: delta auto judged the recording unprofitable.
-	declineDeltaPreflight
-	// declineDeltaError: the delta engine refused the trace or layouts;
-	// the batched walk measured them instead.
-	declineDeltaError
 	numDeclines
 )
 
 var declineNames = [numDeclines]string{
-	declineFidelity:       "fidelity",
-	declineLanes:          "lanes",
-	declineGeometry:       "geometry",
-	declineWalkError:      "walk_error",
-	declineWalkPanic:      "walk_panic",
-	declineDeltaPreflight: "delta_preflight",
-	declineDeltaError:     "delta_error",
+	declineFidelity:  "fidelity",
+	declineLanes:     "lanes",
+	declineGeometry:  "geometry",
+	declineWalkError: "walk_error",
+	declineWalkPanic: "walk_panic",
 }
 
 // declined counts one decline (nil-safe).
@@ -115,13 +107,8 @@ func (co *campaignObs) declined(d decline) {
 }
 
 // walked counts the lanes one successful walk measured (nil-safe).
-func (co *campaignObs) walked(delta bool, lanes int) {
-	if co == nil {
-		return
-	}
-	if delta {
-		co.deltaLanes.Add(uint64(lanes))
-	} else {
+func (co *campaignObs) walked(lanes int) {
+	if co != nil {
 		co.batchLanes.Add(uint64(lanes))
 	}
 }
@@ -149,11 +136,10 @@ func newCampaignObs(cfg *CampaignConfig) *campaignObs {
 		fitSec:           o.Histogram("interferometry_stage_fit_seconds", "plausibility-check+record stage latency", obs.DurationBuckets),
 		layoutSec:        o.Histogram("interferometry_layout_seconds", "whole-layout latency including retries", obs.DurationBuckets),
 		batchLanes:       o.Counter(engineLayouts("batch"), engineLayoutsHelp),
-		deltaLanes:       o.Counter(engineLayouts("delta"), engineLayoutsHelp),
 	}
 	for d := range co.declines {
 		co.declines[d] = o.Counter(fmt.Sprintf("interferometry_engine_declines_total{reason=%q}", declineNames[d]),
-			"requested trace walks an engine declined; the layouts replayed on the next engine")
+			"requested trace walks declined; the layouts replayed on the scalar engine")
 	}
 	return co
 }

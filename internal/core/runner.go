@@ -8,8 +8,6 @@ import (
 
 	"interferometry/internal/heap"
 	"interferometry/internal/interp"
-	"interferometry/internal/machine"
-	"interferometry/internal/pmc"
 	"interferometry/internal/toolchain"
 )
 
@@ -41,8 +39,8 @@ type LayoutRunner struct {
 	meas  []measureSeam
 	// dets holds each worker slot's det cache, wired as the Det source
 	// of the slot's harness behind meas: a walk (prime) leaves its
-	// replays there for the slot's measurements. The walk engines
-	// themselves are borrowed from the pools for each walk.
+	// replays there for the slot's measurements. The batch engine is
+	// borrowed from batchPool for each walk.
 	dets []*detCache
 
 	// attKey is the builder cache key observations are attested
@@ -77,12 +75,7 @@ func NewLayoutRunner(cfg CampaignConfig, workers int, trace *interp.Trace) (*Lay
 	} else if trace.Program != cfg.Program || trace.InputSeed != cfg.InputSeed || trace.Stop != cfg.StopRule() {
 		return nil, errors.New("core: trace was not generated from the campaign's program, input seed and stop rule")
 	}
-	build, gb, meas, harnesses := newSeams(&cfg, workers)
-	dets := make([]*detCache, workers)
-	for w := range dets {
-		dets[w] = &detCache{}
-		harnesses[w].Det = dets[w]
-	}
+	build, gb, meas, dets := newSeams(&cfg, workers)
 	return &LayoutRunner{
 		cfg:     cfg,
 		co:      newCampaignObs(&cfg),
@@ -198,62 +191,14 @@ func (r *LayoutRunner) PrimeBatch(w int, layouts []int, exes []*toolchain.Execut
 	return r.prime(w, exes, func(j int) uint64 { return r.cfg.heapSeed(layouts[j]) })
 }
 
-// prime is the one walk behind PrimeBatch and PrimeGenomes, for a caller
-// holding the engines. It walks the trace once for exes in engines
-// borrowed from the pools for the walk and leaves the replays in slot
-// w's det cache; the slot owns no engine. heapSeed derives lane j's heap
-// seed under ModeRandomized. Panics in the walk are recovered and
-// counted as declines.
+// prime is PrimeBatch and PrimeGenomes for a caller holding the
+// engines: walkTrace into slot w's det cache, with heapSeed deriving
+// lane j's heap seed under ModeRandomized.
 func (r *LayoutRunner) prime(w int, exes []*toolchain.Executable, heapSeed func(j int) uint64) error {
 	if w < 0 || w >= len(r.dets) {
 		return fmt.Errorf("core: worker slot %d outside [0,%d)", w, len(r.dets))
 	}
-	dc := r.dets[w]
-	dc.reset()
-	switch {
-	case len(exes) < 2:
-		return nil
-	case r.cfg.Fidelity == pmc.FidelityPaperNaive:
-		r.co.declined(declineFidelity)
-		return errors.New("core: FidelityPaperNaive executes every run; no shared walk")
-	case len(exes) > maxBatchLanes:
-		r.co.declined(declineLanes)
-		return fmt.Errorf("core: %d layouts exceed the walk's %d lanes", len(exes), maxBatchLanes)
-	}
-	for j, exe := range exes {
-		hs := uint64(0)
-		if r.cfg.HeapMode == heap.ModeRandomized {
-			hs = heapSeed(j)
-		}
-		dc.specs = append(dc.specs, machine.RunSpec{
-			Exe:      exe,
-			Trace:    r.trace,
-			HeapMode: r.cfg.HeapMode,
-			HeapSeed: hs,
-		})
-	}
-	mcfg := r.cfg.machineConfig()
-	b, err := getBatch(mcfg, len(exes))
-	if err != nil {
-		dc.reset()
-		r.co.declined(declineGeometry)
-		return err
-	}
-	var d *machine.Delta
-	if r.cfg.Delta != DeltaOff {
-		d = getDelta(mcfg, len(exes))
-	}
-	// The engines' result slices are reused by their next walk, so the
-	// replays are copied into the cache before the engines go back.
-	defer putEngines(b, d)
-	cs, dets, err := walk(&r.cfg, r.co, b, d, dc.specs)
-	if err != nil {
-		dc.reset()
-		return err
-	}
-	dc.cs = append(dc.cs, cs...)
-	dc.dets = append(dc.dets, dets...)
-	return nil
+	return walkTrace(&r.cfg, r.co, r.dets[w], r.trace, exes, heapSeed)
 }
 
 func (r *LayoutRunner) checkIndex(i int) error {

@@ -365,11 +365,7 @@ func (s *Search) evaluateChunk(w, lo, hi int, genomes []toolchain.Genome, out []
 			builtE = append(builtE, exes[j])
 		}
 	}
-	if len(builtG) >= 2 {
-		runGuarded(func(_, _ int) error {
-			return r.primeGenomes(w, builtG, builtE)
-		}, w, lo)
-	}
+	r.primeGenomes(w, builtG, builtE)
 
 	// Phase C: the per-genome pipeline with the sequential retry tail.
 	for j := 0; j < n; j++ {

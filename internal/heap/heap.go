@@ -36,16 +36,6 @@ type Allocator interface {
 	Live(obj isa.ObjectID) bool
 }
 
-// PlacementAlign is the alignment every placement from either allocator
-// honors under the default MinSlot: Bump aligns each object to 16
-// bytes, and Randomized carves power-of-two slots of at least MinSlot
-// from slot-aligned regions (large-object page jitter moves bases in
-// whole 4096-byte pages). Consumers that derive canonical sub-object
-// geometry from placements — the machine's delta-replay recording keys
-// its heap units on 16-byte boundaries — rely on this invariant and
-// verify it per placement.
-const PlacementAlign = 16
-
 // Config sets the simulated address range for a heap.
 type Config struct {
 	// Base is the first heap address. Zero means 0x20000000, above the

@@ -333,3 +333,52 @@ func BenchmarkBatchRun(b *testing.B) {
 		}
 	}
 }
+
+// TestBatchReuseAfterFallback is the reuse-after-fallback regression: a
+// Run rejected mid-validation (predictor instance shared across
+// lanes) must leave the engine's per-lane scratch and loaded tables in
+// a state where the next Run still matches sequential exactly.
+func TestBatchReuseAfterFallback(t *testing.T) {
+	cfg := machine.XeonE5440()
+	batch, err := machine.NewBatch(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := batchPrograms(t, 20000)
+	pp := progs[0]
+	mk := func(seed uint64) *toolchain.Executable {
+		exe, err := toolchain.BuildLayout(pp.prog, seed, toolchain.CompileConfig{}, toolchain.LinkConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exe
+	}
+	good := []machine.RunSpec{
+		{Exe: mk(1), Trace: pp.trace, HeapMode: heap.ModeRandomized, HeapSeed: 7},
+		{Exe: mk(2), Trace: pp.trace, HeapMode: heap.ModeRandomized, HeapSeed: 9},
+	}
+	if _, _, err := batch.Run(good); err != nil {
+		t.Fatal(err)
+	}
+	shared := branch.NewGshare(1024, 8)
+	saboteur := []machine.RunSpec{good[0], good[1]}
+	saboteur[0].Predictor, saboteur[1].Predictor = shared, shared
+	if _, _, err := batch.Run(saboteur); err == nil {
+		t.Fatal("shared predictor instance accepted")
+	}
+	c, d, err := batch.Run(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := machine.New(cfg)
+	for ki := range good {
+		wantC, wantD, err := seq.RunDeterministic(good[ki])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c[ki] != wantC || math.Float64bits(d[ki]) != math.Float64bits(wantD) {
+			t.Fatalf("lane %d diverged after fallback reuse:\nbatch %+v det %v\nseq   %+v det %v",
+				ki, c[ki], d[ki], wantC, wantD)
+		}
+	}
+}

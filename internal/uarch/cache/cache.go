@@ -46,33 +46,6 @@ func (c Config) Validate() error {
 // Sets returns the number of sets.
 func (c Config) Sets() int { return c.SizeBytes / c.LineBytes / c.Ways }
 
-// Indexer maps addresses to line and set coordinates for a geometry
-// without carrying any cache state. Replay engines that keep per-set
-// bookkeeping outside a Cache instance (the delta engine's apply
-// windows) share one per level; its indexing is identical to Cache's.
-type Indexer struct {
-	lineShift uint
-	setMask   uint64
-}
-
-// Indexer returns the address indexer for the geometry. Like New, it
-// panics on invalid geometry.
-func (c Config) Indexer() Indexer {
-	if err := c.Validate(); err != nil {
-		panic(err)
-	}
-	return Indexer{
-		lineShift: uint(bits.TrailingZeros(uint(c.LineBytes))),
-		setMask:   uint64(c.Sets() - 1),
-	}
-}
-
-// Line returns the index of the cache line containing addr.
-func (ix Indexer) Line(addr uint64) uint64 { return addr >> ix.lineShift }
-
-// Set returns the set index the line containing addr maps to.
-func (ix Indexer) Set(addr uint64) uint64 { return addr >> ix.lineShift & ix.setMask }
-
 // Cache is a set-associative cache with true-LRU replacement.
 type Cache struct {
 	cfg       Config

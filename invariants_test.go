@@ -229,15 +229,16 @@ func TestInvariantLinkerSoundness(t *testing.T) {
 	}
 }
 
-// TestInvariantDeltaPathEquivalence pins §5 invariants 1-2 under the
-// delta-replay engine: a campaign forced through machine.Delta produces
-// bit-identical observations — same semantic counters (invariant 1),
-// same reproducible (seed → measurement) mapping (invariant 2) — as the
-// sequential scalar path, and repeating the delta run reproduces itself.
-// The delta engine re-simulates only layout-perturbed state, so this is
-// the invariant the whole engine hangs on: unchanged segments replayed
-// from the recording must be indistinguishable from re-simulation.
-func TestInvariantDeltaPathEquivalence(t *testing.T) {
+// TestInvariantBatchPathEquivalence pins §5 invariants 1-2 under the
+// batched replay engine: a campaign whose chunks share one trace walk
+// (machine.Batch) produces bit-identical observations — same semantic
+// counters (invariant 1), same reproducible (seed → measurement)
+// mapping (invariant 2) — as the sequential scalar path, and repeating
+// the batched run reproduces itself. One walk serves every layout of a
+// chunk, so this is the invariant batching hangs on: per-lane state
+// replayed side by side must be indistinguishable from one scalar
+// replay per layout.
+func TestInvariantBatchPathEquivalence(t *testing.T) {
 	spec, ok := progen.ByName("400.perlbench")
 	if !ok {
 		t.Fatal("suite benchmark missing")
@@ -247,7 +248,7 @@ func TestInvariantDeltaPathEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	layouts := seedCount()
-	run := func(mode core.DeltaMode, batch int) *core.Dataset {
+	run := func(batch int) *core.Dataset {
 		t.Helper()
 		ds, err := core.RunCampaign(core.CampaignConfig{
 			Program:   prog,
@@ -257,22 +258,21 @@ func TestInvariantDeltaPathEquivalence(t *testing.T) {
 			BaseSeed:  invariantBase,
 			HeapMode:  heap.ModeRandomized,
 			BatchSize: batch,
-			Delta:     mode,
 		})
 		if err != nil {
-			t.Fatalf("delta mode %s: %v", mode, err)
+			t.Fatalf("batch width %d: %v", batch, err)
 		}
 		return ds
 	}
-	scalar := run(core.DeltaOff, 1) // BatchSize 1: the sequential scalar path
-	delta := run(core.DeltaOn, 0)
-	again := run(core.DeltaOn, 0)
+	scalar := run(1) // BatchSize 1: the sequential scalar path
+	batched := run(0)
+	again := run(0)
 	for i := range scalar.Obs {
-		if scalar.Obs[i] != delta.Obs[i] {
-			t.Fatalf("layout %d diverged under delta replay:\nscalar %+v\ndelta  %+v", i, scalar.Obs[i], delta.Obs[i])
+		if scalar.Obs[i] != batched.Obs[i] {
+			t.Fatalf("layout %d diverged under batched replay:\nscalar  %+v\nbatched %+v", i, scalar.Obs[i], batched.Obs[i])
 		}
-		if delta.Obs[i] != again.Obs[i] {
-			t.Fatalf("layout %d not reproducible under delta replay:\nfirst  %+v\nsecond %+v", i, delta.Obs[i], again.Obs[i])
+		if batched.Obs[i] != again.Obs[i] {
+			t.Fatalf("layout %d not reproducible under batched replay:\nfirst  %+v\nsecond %+v", i, batched.Obs[i], again.Obs[i])
 		}
 	}
 	if scalar.Obs[0].Instructions == 0 || scalar.Obs[0].Cycles == 0 {
