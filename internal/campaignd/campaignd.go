@@ -432,7 +432,10 @@ func (s *Server) Start() {
 // pending layout task as one atomic batch. A spec identical to a live
 // or finished campaign returns that campaign instead of duplicating
 // work. ErrOverloaded and ErrTenantOverQuota mean the queue cannot hold
-// the fan-out — retry later (429 + Retry-After).
+// the fan-out now — retry later (429 + Retry-After). A first wave (the
+// layouts, or a search's population) larger than the queue capacity or
+// the tenant's quota can never be held and is refused outright, an error
+// wrapping jobqueue.ErrTooLarge (400).
 func (s *Server) Submit(spec JobSpec) (Status, error) {
 	return s.admit(spec, true)
 }
@@ -468,6 +471,14 @@ func (s *Server) admit(spec JobSpec, record bool) (Status, error) {
 		s.mu.Unlock()
 		<-ch
 		s.mu.Lock()
+	}
+	if record {
+		// A first wave the queue can never hold would be shed on every
+		// retry: refuse it as a bad request before building anything.
+		if err := s.queue.Admissible(spec.Tenant, spec.waveTasks(s.cfg.scale())); err != nil {
+			s.mu.Unlock()
+			return Status{}, fmt.Errorf("campaignd: campaign too large for this service: %w", err)
+		}
 	}
 	if max := s.cfg.MaxCampaignsPerTenant; record && max > 0 && s.runningCampaignsLocked(spec.Tenant) >= max {
 		s.mu.Unlock()

@@ -3,9 +3,12 @@ package campaignd_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -123,20 +126,28 @@ func TestServiceMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestOverloadShedsWithRetryAfter: a fan-out the queue cannot hold is
-// rejected whole with 429 + Retry-After, the shed is counted, and after
-// a drain every queue gauge is back to zero — no leaked tasks or leases.
+// TestOverloadShedsWithRetryAfter: a fan-out the queue cannot hold now
+// is rejected whole with 429 + Retry-After, the shed is counted, the
+// same spec goes through once the queue drains, and after a drain every
+// queue gauge is back to zero — no leaked tasks or leases.
 func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	o := &obs.Observer{Metrics: obs.NewMetrics()}
+	// No local workers: queued tasks stay queued until a remote worker
+	// joins, so occupancy is exact.
 	srv, client := startService(t, campaignd.Config{
-		Workers:       2,
-		QueueCapacity: 4,
-		Obs:           o,
+		NoLocalWorkers: true,
+		QueueCapacity:  4,
+		Obs:            o,
 	})
 	ctx := context.Background()
+	first, err := client.Submit(ctx, testSpec(4))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// 6 layouts > capacity 4: shed atomically, nothing admitted.
-	_, err := client.Submit(ctx, testSpec(6))
+	// 2 more layouts with the queue at its capacity of 4: shed
+	// atomically, nothing admitted.
+	_, err = client.Submit(ctx, testSpec(2))
 	var re *campaignd.RetryError
 	if !errors.As(err, &re) {
 		t.Fatalf("overload returned %v, want *RetryError", err)
@@ -147,12 +158,17 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	if v := o.Counter("campaignd_shed_total", "").Value(); v != 1 {
 		t.Errorf("shed counter = %d, want 1", v)
 	}
-	if d := o.Gauge("campaignd_queue_depth", "").Value(); d != 0 {
-		t.Errorf("queue depth %v after an all-or-nothing shed", d)
+	if d := o.Gauge("campaignd_queue_depth", "").Value(); d != 4 {
+		t.Errorf("queue depth %v after an all-or-nothing shed, want 4", d)
 	}
 
-	// A fitting campaign still goes through and completes.
-	st, err := client.Submit(ctx, testSpec(4))
+	// Once a worker drains the queue, the shed campaign goes through and
+	// both complete.
+	startWorkers(t, client.Base, client.HTTP, 1)
+	if st := waitDone(t, client, first.ID); st.State != campaignd.StateDone {
+		t.Fatalf("campaign ended %s: %s", st.State, st.Error)
+	}
+	st, err := client.SubmitWait(ctx, testSpec(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +183,68 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	}
 	if l := o.Gauge("campaignd_leases_active", "").Value(); l != 0 {
 		t.Errorf("active leases %v after drain, want 0", l)
+	}
+}
+
+// TestOversizedFirstWaveRefused: a first wave larger than the queue
+// capacity or the tenant's quota — a campaign's layouts, or a search's
+// population — can never be admitted, so it is refused with 400 instead
+// of shed with 429, and SubmitWait returns at once instead of retrying
+// until its context ends. A wave that fits exactly completes.
+func TestOversizedFirstWaveRefused(t *testing.T) {
+	tenant := func(layouts int) campaignd.JobSpec {
+		s := testSpec(layouts)
+		s.Tenant = "acme"
+		return s
+	}
+	search := func(population int) campaignd.JobSpec {
+		return campaignd.JobSpec{Benchmark: "429.mcf", Budget: 60_000, Kind: campaignd.KindSearch,
+			Search: &campaignd.SearchSpec{Population: population, Generations: 1}}
+	}
+	for _, tc := range []struct {
+		name      string
+		cfg       campaignd.Config
+		fits, big campaignd.JobSpec
+	}{
+		{"capacity", campaignd.Config{Workers: 2, QueueCapacity: 16}, testSpec(16), testSpec(17)},
+		{"tenant quota", campaignd.Config{Workers: 2, MaxQueuedPerTenant: 16}, tenant(16), tenant(17)},
+		{"search population", campaignd.Config{Workers: 2, QueueCapacity: 16}, search(16), search(17)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, client := startService(t, tc.cfg)
+			body, err := json.Marshal(tc.big)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := client.HTTP.Post(client.Base+"/campaigns", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || resp.Header.Get("Retry-After") != "" {
+				t.Fatalf("oversized wave: HTTP %d, Retry-After %q; want 400 without a retry hint",
+					resp.StatusCode, resp.Header.Get("Retry-After"))
+			}
+
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			start := time.Now()
+			_, err = client.SubmitWait(ctx, tc.big)
+			if err == nil || ctx.Err() != nil {
+				t.Fatalf("SubmitWait of an oversized wave: %v after %s, want an immediate refusal", err, time.Since(start))
+			}
+			if !strings.Contains(err.Error(), "too large") {
+				t.Errorf("refusal %q does not say the campaign is too large", err)
+			}
+
+			st, err := client.SubmitWait(ctx, tc.fits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st = waitDone(t, client, st.ID); st.State != campaignd.StateDone {
+				t.Fatalf("fitting campaign ended %s: %s", st.State, st.Error)
+			}
+		})
 	}
 }
 

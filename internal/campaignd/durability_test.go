@@ -124,8 +124,9 @@ func TestKillRestartResumesFromWAL(t *testing.T) {
 // TestTenantQuotaShedsWithRetryAfterOverHTTP pins the two-tenant
 // admission contract: a flood tenant over its task quota is shed with
 // 429 + Retry-After, while another tenant's submissions still admit —
-// saturation is per tenant, not global. Tenancy is also identity: the
-// same spec shape under two tenants is two campaigns.
+// saturation is per tenant, not global. A campaign larger than the
+// quota itself is refused outright, without a retry hint. Tenancy is
+// also identity: the same spec shape under two tenants is two campaigns.
 func TestTenantQuotaShedsWithRetryAfterOverHTTP(t *testing.T) {
 	// No local workers: queued tasks stay queued, so occupancy is exact.
 	_, client := startService(t, campaignd.Config{
@@ -139,10 +140,8 @@ func TestTenantQuotaShedsWithRetryAfterOverHTTP(t *testing.T) {
 	flood := testSpec(6)
 	flood.Tenant = "flood"
 	var re *campaignd.RetryError
-	if _, err := client.Submit(ctx, flood); !errors.As(err, &re) {
-		t.Fatalf("6-task submit under a 4-task quota returned %v, want 429 RetryError", err)
-	} else if re.After <= 0 {
-		t.Fatalf("shed submission carried no Retry-After hint")
+	if _, err := client.Submit(ctx, flood); err == nil || errors.As(err, &re) {
+		t.Fatalf("6-task submit under a 4-task quota returned %v, want a refusal without retry", err)
 	}
 
 	flood.Layouts = 4
@@ -155,6 +154,8 @@ func TestTenantQuotaShedsWithRetryAfterOverHTTP(t *testing.T) {
 	flood2.Tenant = "flood"
 	if _, err := client.Submit(ctx, flood2); !errors.As(err, &re) {
 		t.Fatalf("submit past a saturated tenant quota returned %v, want 429 RetryError", err)
+	} else if re.After <= 0 {
+		t.Fatalf("shed submission carried no Retry-After hint")
 	}
 
 	// The flood tenant sitting at its quota must not starve anyone else.

@@ -22,6 +22,7 @@ import (
 	"container/heap"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -37,6 +38,10 @@ var (
 	// tenant's quota while the queue itself still has room — the
 	// per-tenant 429.
 	ErrTenantQuota = errors.New("jobqueue: tenant over quota")
+	// ErrTooLarge rejects a batch larger than the queue's capacity or
+	// the tenant's quota: no amount of waiting admits it, so it is not
+	// backpressure.
+	ErrTooLarge = errors.New("jobqueue: batch larger than the queue admits")
 	// ErrClosed rejects operations on a closed queue.
 	ErrClosed = errors.New("jobqueue: queue closed")
 	// ErrLeaseLost reports a heartbeat, complete or requeue on a lease
@@ -320,6 +325,21 @@ func (q *Queue[T]) PushBatch(priority int, payloads []T) error {
 // hit.
 func (q *Queue[T]) PushBatchTenant(tenant string, priority int, payloads []T) error {
 	return q.pushBatch(tenant, priority, payloads, nil)
+}
+
+// Admissible reports whether a batch of n tasks for tenant could ever
+// be admitted: nil when n fits under both the capacity and the tenant's
+// quota of an empty queue, otherwise an error wrapping ErrTooLarge that
+// names the bound. Unlike PushBatchTenant's ErrFull and ErrTenantQuota,
+// the answer does not depend on what the queue holds now.
+func (q *Queue[T]) Admissible(tenant string, n int) error {
+	if c := q.cfg.capacity(); n > c {
+		return fmt.Errorf("%w: %d tasks, capacity %d", ErrTooLarge, n, c)
+	}
+	if quota := q.cfg.quotaOf(tenant); quota > 0 && n > quota {
+		return fmt.Errorf("%w: %d tasks, tenant %q quota %d", ErrTooLarge, n, tenant, quota)
+	}
+	return nil
 }
 
 // pushBatch is the shared admission path behind PushBatchTenant and

@@ -252,3 +252,41 @@ func TestLeaseExpiryRacingDrain(t *testing.T) {
 		t.Fatalf("requeued counter %v; expiry and drain must not count as requeues", v)
 	}
 }
+
+// TestAdmissibleNamesBoundsNotOccupancy: Admissible refuses a batch
+// larger than the capacity or the tenant's quota with ErrTooLarge, and
+// its answer ignores what the queue holds now — a fitting batch that
+// PushBatchTenant sheds with ErrFull is still admissible.
+func TestAdmissibleNamesBoundsNotOccupancy(t *testing.T) {
+	q := jobqueue.New[int](jobqueue.Config{
+		Capacity:     4,
+		MaxPerTenant: 3,
+		TenantQuotas: map[string]int{"small": 2, "open": 0},
+	})
+	for _, tc := range []struct {
+		tenant string
+		n      int
+		fits   bool
+	}{
+		{"a", 3, true},
+		{"a", 4, false}, // over the default tenant quota
+		{"small", 2, true},
+		{"small", 3, false}, // over its own quota
+		{"open", 4, true},
+		{"open", 5, false}, // unlimited tenant, over the capacity
+	} {
+		err := q.Admissible(tc.tenant, tc.n)
+		if tc.fits != (err == nil) || (err != nil && !errors.Is(err, jobqueue.ErrTooLarge)) {
+			t.Errorf("Admissible(%q, %d) = %v, want fits=%v", tc.tenant, tc.n, err, tc.fits)
+		}
+	}
+	if err := q.PushBatchTenant("a", 0, []int{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.PushBatchTenant("b", 0, []int{4, 5}); !errors.Is(err, jobqueue.ErrFull) {
+		t.Fatalf("batch past the remaining room: %v, want ErrFull", err)
+	}
+	if err := q.Admissible("b", 2); err != nil {
+		t.Errorf("Admissible depends on occupancy: %v", err)
+	}
+}
