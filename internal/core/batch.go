@@ -290,8 +290,9 @@ func measureChunk(cfg *CampaignConfig, co *campaignObs, slot *batchSlot, meas me
 		slot.errs = append(slot.errs, err)
 	}
 
-	// Phase B: one trace walk for every built layout.
-	walkTrace(cfg, co, slot.cache, trace, slot.bexes, func(j int) uint64 { return cfg.heapSeed(slot.built[j]) })
+	// Phase B: one trace walk for every built layout. A decline is
+	// counted and only means phase C replays on the scalar engine.
+	_ = walkTrace(cfg, co, slot.cache, trace, slot.bexes, func(j int) uint64 { return cfg.heapSeed(slot.built[j]) })
 
 	// Phase C: the per-layout pipeline, sequential semantics verbatim.
 	for j, i := range slot.idxs {

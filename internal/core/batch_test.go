@@ -8,6 +8,8 @@ import (
 	"interferometry/internal/core"
 	"interferometry/internal/faultinject"
 	"interferometry/internal/heap"
+	"interferometry/internal/machine"
+	"interferometry/internal/obs"
 	"interferometry/internal/pmc"
 	"interferometry/internal/results"
 )
@@ -175,4 +177,29 @@ func TestBatchedCampaignPaperNaiveStaysSequential(t *testing.T) {
 	cfg.RunsPerGroup = 2
 	seq, bat := runPair(t, cfg, 4, nil)
 	assertDatasetsIdentical(t, seq, bat)
+}
+
+// TestUnbatchableGeometryRunsSequentially: a machine the batch banks
+// cannot hold (a 16-way L2) is refused once per campaign — one geometry
+// decline, no batched lane — and the campaign runs the sequential
+// supervisor, byte-identical to BatchSize 1.
+func TestUnbatchableGeometryRunsSequentially(t *testing.T) {
+	cfg := smallCampaign(6)
+	cfg.Workers = 2
+	cfg.Machine = machine.XeonE5440()
+	cfg.Machine.L2.Ways = 16
+	seq, bat := runPair(t, cfg, 0, func(c *core.CampaignConfig) {
+		c.Obs = &obs.Observer{Metrics: obs.NewMetrics()}
+	})
+	assertDatasetsIdentical(t, seq, bat)
+	counter := func(name string) uint64 { return bat.Config.Obs.Counter(name, "").Value() }
+	if got := counter(`interferometry_engine_declines_total{reason="geometry"}`); got != 1 {
+		t.Errorf("geometry declines %d, want 1 per campaign", got)
+	}
+	if got := counter(`interferometry_engine_layouts_total{engine="batch"}`); got != 0 {
+		t.Errorf("batched lanes %d, want 0", got)
+	}
+	if got := counter(`interferometry_engine_layouts_total{engine="scalar"}`); got != 6 {
+		t.Errorf("scalar replays %d, want 6", got)
+	}
 }

@@ -447,8 +447,10 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 	var err error
 	if bs > 1 {
 		slots := make([]batchSlot, workers)
-		failed, err = superviseChunksT(cfg.context(), workers, cfg.Layouts, bs, cfg.FailureBudget, newSupTel(cfg.Obs), func(w, lo, hi int, fail func(i int, err error), _ func() bool) {
+		for w := range slots {
 			slots[w].cache = dets[w]
+		}
+		failed, err = superviseChunksT(cfg.context(), workers, cfg.Layouts, bs, cfg.FailureBudget, newSupTel(cfg.Obs), func(w, lo, hi int, fail func(i int, err error), _ func() bool) {
 			measureChunk(&cfg, co, &slots[w], measurers[w], build, trace, lo, hi, w, done, record, fail)
 		})
 	} else {

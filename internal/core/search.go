@@ -365,7 +365,7 @@ func (s *Search) evaluateChunk(w, lo, hi int, genomes []toolchain.Genome, out []
 			builtE = append(builtE, exes[j])
 		}
 	}
-	r.primeGenomes(w, builtG, builtE)
+	_ = r.primeGenomes(w, builtG, builtE) // declines are counted; phase C then replays on the scalar engine
 
 	// Phase C: the per-genome pipeline with the sequential retry tail.
 	for j := 0; j < n; j++ {
