@@ -151,17 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	report(stdout, summary, elapsed)
 	if *jsonOut != "" {
-		w := stdout
-		if *jsonOut != "-" {
-			f, ferr := os.Create(*jsonOut)
-			if ferr != nil {
-				fmt.Fprintln(stderr, ferr)
-				return 1
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := results.WriteJSON(w, summary); err != nil {
+		if err := writeSummary(*jsonOut, stdout, summary); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -170,6 +160,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1 // scriptable verdict: the search failed to beat sampling
 	}
 	return 0
+}
+
+// writeSummary writes the summary JSON to path, "-" meaning stdout.
+func writeSummary(path string, stdout io.Writer, s results.SearchSummary) error {
+	if path == "-" {
+		return results.WriteJSON(stdout, s)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := results.WriteJSON(f, s); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runRemote submits the search to a campaignd coordinator, waits for

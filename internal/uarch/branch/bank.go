@@ -207,23 +207,6 @@ func (b *BTBBank) PredictUpdate(k int, pc, actual uint64) bool {
 	return false
 }
 
-// PredictUpdateRow is PredictUpdate across the lanes of one resolved
-// indirect transfer: pcs[k] is the transfer PC and actuals[k] the actual
-// target in lane k's layout. Bit k of the returned mask is set iff lane
-// k mispredicted (the BTB-miss penalty case). At most 64 lanes; len(pcs)
-// must equal len(actuals) and not exceed Lanes(). Like XeonBank's row
-// form, one call replaces K dependent calls so the per-lane table loads
-// can overlap.
-func (b *BTBBank) PredictUpdateRow(pcs, actuals []uint64) uint64 {
-	var wrong uint64
-	for k := range pcs {
-		if !b.PredictUpdate(k, pcs[k], actuals[k]) {
-			wrong |= 1 << k
-		}
-	}
-	return wrong
-}
-
 // Reset restores every lane to power-on state.
 func (b *BTBBank) Reset() {
 	for i := range b.tags {
