@@ -18,8 +18,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden digests in testdata")
 
-const experimentDigests = "experiments.sha256"
-
 // TestGoldenExperiments pins the rendered output of every experiment at
 // small scale, bar the "==== name (scale, elapsed) ====" header main
 // prints around it, to a sha256 digest per experiment. The experiments
@@ -30,7 +28,9 @@ func TestGoldenExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders every experiment at small scale")
 	}
-	skipUnlessAMD64(t)
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digests are recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
 	ctx := experiments.NewContext(experiments.Small)
 	got := map[string]string{}
 	for _, r := range runners() {
@@ -40,17 +40,7 @@ func TestGoldenExperiments(t *testing.T) {
 		}
 		got[r.name] = digest([]byte(res.String()))
 	}
-	checkDigests(t, experimentDigests, got)
-}
-
-// skipUnlessAMD64 skips golden checks on architectures where the
-// compiler may fuse floating-point multiply-adds and move the last bit
-// of a fitted value.
-func skipUnlessAMD64(t *testing.T) {
-	t.Helper()
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("golden digests are recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
-	}
+	checkDigests(t, "experiments.sha256", got)
 }
 
 func digest(b []byte) string {
