@@ -106,7 +106,6 @@ func main() {
 	layouts := flag.Int("layouts", 0, "campaign layouts (0 = the scale's default)")
 	checkpointDir := flag.String("checkpoint", "", "campaign directory for JSONL observation checkpoints")
 	resume := flag.Bool("resume", false, "reload the checkpoint and measure only missing layouts")
-	batch := flag.Int("batch", 0, "batched-replay width: layouts sharing one trace walk per worker (0 = auto, 1 = sequential)")
 	retries := flag.Int("retries", 2, "max measurement attempts per layout")
 	failureBudget := flag.Int("failure-budget", 0, "layouts allowed to fail before the campaign aborts")
 	outlierMAD := flag.Float64("outlier-mad", 0, "re-measure observations further than this many MADs from the median CPI (0 = off)")
@@ -143,7 +142,6 @@ func main() {
 			scale:         scale,
 			layouts:       *layouts,
 			workers:       *workers,
-			batch:         *batch,
 			checkpointDir: *checkpointDir,
 			resume:        *resume,
 			retries:       *retries,
@@ -226,7 +224,6 @@ type campaignOptions struct {
 	scale         experiments.Scale
 	layouts       int
 	workers       int
-	batch         int
 	checkpointDir string
 	resume        bool
 	retries       int
@@ -262,7 +259,6 @@ func runSupervisedCampaign(opts campaignOptions) error {
 		Fidelity:      opts.scale.Fidelity,
 		BaseSeed:      0x1f2e3d4c,
 		Workers:       opts.workers,
-		BatchSize:     opts.batch,
 		MaxAttempts:   opts.retries,
 		FailureBudget: opts.failureBudget,
 		OutlierMAD:    opts.outlierMAD,

@@ -278,15 +278,15 @@ func TestTrustProtocolMetricsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	execute := func(layout int) core.ObsWire {
-		exe, berr := runner.BuildLayout(layout)
-		if berr != nil {
-			t.Fatal(berr)
+		var wire core.ObsWire
+		if err := runner.Measure(0, []core.Unit{{Layout: layout}}, 1, func(_ int, o core.Observation, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire = o.Wire()
+		}); err != nil {
+			t.Fatal(err)
 		}
-		o, merr := runner.MeasureLayout(0, layout, exe)
-		if merr != nil {
-			t.Fatal(merr)
-		}
-		wire := o.Wire()
 		wire.Fingerprint = wire.Attest(runner.AttestationKey())
 		return wire
 	}

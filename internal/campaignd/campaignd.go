@@ -217,6 +217,9 @@ type task struct {
 	genome *toolchain.Genome
 }
 
+// unit is the runner unit the task measures.
+func (t task) unit() core.Unit { return core.Unit{Layout: t.layout, Genome: t.genome} }
+
 // Server is the campaign job service.
 type Server struct {
 	cfg       Config
@@ -768,10 +771,11 @@ func (s *Server) worker(slot int) {
 	}
 }
 
-// runTask executes one leased task. Every exit path settles the lease:
-// Complete when the task is finished for good (success, permanent
-// failure, dead campaign), Requeue when it should run again (seam
-// failure with attempts left, breaker denial).
+// runTask executes one leased task, a layout or a search individual,
+// through the runner's two seams, each behind its breaker. Every exit
+// path settles the lease: Complete when the task is finished for good
+// (success, permanent failure, dead campaign), Requeue when it should
+// run again (seam failure with attempts left, breaker denial).
 func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 	t := lease.Payload()
 	c := t.camp
@@ -782,11 +786,6 @@ func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 	if err := c.ctx.Err(); err != nil {
 		c.abort(context.Cause(c.ctx))
 		lease.Complete()
-		return
-	}
-
-	if t.genome != nil {
-		s.runSearchTask(slot, lease, c, t)
 		return
 	}
 
@@ -802,7 +801,7 @@ func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 	start := s.now()
 	err := core.Guard(func() error {
 		var berr error
-		exe, berr = c.runner.BuildLayout(t.layout)
+		exe, berr = c.runner.Build(t.unit())
 		return berr
 	})
 	if settleReleased(lease, s.build, err) {
@@ -829,7 +828,7 @@ func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 	start = s.now()
 	err = core.Guard(func() error {
 		var merr error
-		o, merr = c.runner.MeasureLayout(slot, t.layout, exe)
+		o, merr = c.runner.MeasureBuilt(slot, t.unit(), exe)
 		return merr
 	})
 	if settleReleased(lease, s.measure, err) {
@@ -841,7 +840,7 @@ func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
 		return
 	}
 
-	c.complete(t.layout, core.CompletedObservation(o, c.attemptsOf(t.layout)+1))
+	c.completeTask(t, o)
 	// ErrLeaseLost here means we overran the lease and the task was
 	// requeued: the result above still counted (complete is idempotent
 	// and a duplicate execution derives identical bytes), and the

@@ -243,6 +243,7 @@ func (s *Server) newCampaign(spec JobSpec) (*campaign, []int, error) {
 	}
 	cfg.LayoutCache = s.cfg.LayoutCache
 	cfg.Faults = s.cfg.Faults
+	cfg.Obs = s.cfg.Obs
 	id := spec.ID(scale)
 
 	var sink *core.CheckpointSink
@@ -333,6 +334,17 @@ func (c *campaign) complete(i int, o core.Observation) {
 	}
 }
 
+// completeTask records a task's observation, stamped with the attempts
+// it took, on its layout or on its search individual.
+func (c *campaign) completeTask(t task, o core.Observation) {
+	o = core.CompletedObservation(o, c.attemptsOf(t.layout)+1)
+	if t.genome != nil {
+		c.completeSearch(t, o)
+		return
+	}
+	c.complete(t.layout, o)
+}
+
 // recordFailure counts one failed execution of layout i and reports the
 // total so far. Breaker denials never reach here: they requeue without
 // executing, so they cost no attempt.
@@ -359,7 +371,7 @@ func (c *campaign) failLayout(i, attempts int, err error) {
 		return
 	}
 	c.done[i] = true
-	c.obs[i] = c.runner.FailedObservation(i, attempts)
+	c.obs[i] = c.runner.FailedObservation(core.Unit{Layout: i}, attempts)
 	c.failures = append(c.failures, core.LayoutFailure{
 		Index: i, LayoutSeed: c.obs[i].LayoutSeed, Err: err.Error(),
 	})

@@ -89,15 +89,15 @@ func (f *releaseFixture) submit(spec JobSpec) (*campaign, func(layout int) *core
 		f.t.Fatal(err)
 	}
 	return c, func(layout int) *core.ObsWire {
-		exe, err := runner.BuildLayout(layout)
-		if err != nil {
+		var w core.ObsWire
+		if err := runner.Measure(0, []core.Unit{{Layout: layout}}, 1, func(_ int, o core.Observation, err error) {
+			if err != nil {
+				f.t.Fatal(err)
+			}
+			w = o.Wire()
+		}); err != nil {
 			f.t.Fatal(err)
 		}
-		o, err := runner.MeasureLayout(0, layout, exe)
-		if err != nil {
-			f.t.Fatal(err)
-		}
-		w := o.Wire()
 		w.Fingerprint = w.Attest(runner.AttestationKey())
 		return &w
 	}
@@ -115,7 +115,7 @@ func TestClosedCampaignReleasesRunner(t *testing.T) {
 	// A campaign that finishes.
 	spec := JobSpec{Benchmark: "429.mcf", Layouts: 2, Budget: 60_000}
 	c, execute := f.submit(spec)
-	key, seed := c.runner.AttestationKey(), c.runner.LayoutSeed(1)
+	key, seed := c.runner.AttestationKey(), c.runner.Seed(core.Unit{Layout: 1})
 	for i := 0; i < spec.Layouts; i++ {
 		lr := f.lease("honest")
 		if status, body := f.post("/worker/complete", completeRequest{LeaseID: lr.LeaseID, Observation: execute(lr.Layout)}); status != http.StatusOK {
@@ -130,10 +130,10 @@ func TestClosedCampaignReleasesRunner(t *testing.T) {
 	if ds.Trace != nil || len(ds.Obs) != spec.Layouts {
 		t.Errorf("done dataset keeps its trace (%v) or lost rows (%d)", ds.Trace != nil, len(ds.Obs))
 	}
-	if _, err := c.runner.BuildLayout(0); !errors.Is(err, core.ErrRunnerReleased) {
+	if _, err := c.runner.Build(core.Unit{Layout: 0}); !errors.Is(err, core.ErrRunnerReleased) {
 		t.Errorf("seam of a done campaign: err %v, want ErrRunnerReleased", err)
 	}
-	if c.runner.AttestationKey() != key || c.runner.LayoutSeed(1) != seed {
+	if c.runner.AttestationKey() != key || c.runner.Seed(core.Unit{Layout: 1}) != seed {
 		t.Error("release changed the attestation key or the seed derivation")
 	}
 	if _, err := f.srv.audit(c, task{camp: c, layout: 0}, execute(0)); !errors.Is(err, core.ErrRunnerReleased) {
@@ -192,9 +192,10 @@ func TestReleaseRacesSeamCalls(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; ; i++ {
-			exe, err := c.runner.BuildLayout(i % 4)
+			u := core.Unit{Layout: i % 4}
+			exe, err := c.runner.Build(u)
 			if err == nil {
-				_, err = c.runner.MeasureLayout(0, i%4, exe)
+				_, err = c.runner.MeasureBuilt(0, u, exe)
 			}
 			if i == 0 {
 				running.Done()

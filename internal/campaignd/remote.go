@@ -267,12 +267,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		s.remote.Accept(worker)
-		o := req.Observation.Observation()
-		if t.genome != nil {
-			c.completeSearch(t, core.CompletedObservation(o, c.attemptsOf(t.layout)+1))
-		} else {
-			c.complete(t.layout, core.CompletedObservation(o, c.attemptsOf(t.layout)+1))
-		}
+		c.completeTask(t, req.Observation.Observation())
 		lease.Complete()
 	}
 	s.writeJSON(w, http.StatusOK, ack{OK: true})
@@ -281,23 +276,15 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 // verifyResult runs the cheap structural checks on a reported
 // observation: the attestation must re-derive against the campaign's
 // own toolchain identity, and the layout seed must be the leased
-// task's. Both are pure recomputation from the coordinator's spec — no
-// re-execution.
+// unit's — a layout's derived seed, a search individual's genome
+// fingerprint. Both are pure recomputation from the coordinator's spec
+// — no re-execution.
 func verifyResult(c *campaign, t task, o *core.ObsWire) error {
 	if err := o.VerifyAttestation(c.runner.AttestationKey()); err != nil {
 		return err
 	}
-	if t.genome != nil {
-		// Search individual: the observation must carry the genome's
-		// fingerprint as its layout seed, or it was derived from the
-		// wrong genome.
-		if want := t.genome.Fingerprint(); o.LayoutSeed != want {
-			return fmt.Errorf("worker observation has layout seed %#x, genome fingerprint is %#x", o.LayoutSeed, want)
-		}
-		return nil
-	}
-	if want := c.runner.LayoutSeed(t.layout); o.LayoutSeed != want {
-		return fmt.Errorf("worker observation has layout seed %#x, layout %d derives %#x", o.LayoutSeed, t.layout, want)
+	if want := c.runner.Seed(t.unit()); o.LayoutSeed != want {
+		return fmt.Errorf("worker observation has layout seed %#x, %v derives %#x", o.LayoutSeed, t.unit(), want)
 	}
 	return nil
 }
@@ -344,46 +331,29 @@ func (s *Server) auditPick(c *campaign, t task, attempt int) bool {
 	if rate >= 1 {
 		return true
 	}
-	key := uint64(0)
-	if t.genome != nil {
-		key = t.genome.Fingerprint()
-	} else {
-		key = c.runner.LayoutSeed(t.layout)
-	}
+	key := c.runner.Seed(t.unit())
 	return xrand.New(xrand.Mix(0xa0d17ed, c.spec.effectiveSeed(), key, uint64(attempt))).Float64() < rate
 }
 
 // audit re-executes the leased task through the campaign's reserved
-// runner slot and compares the observation byte for byte with what the
-// worker reported. Audits assume the coordinator's own seams are clean
-// (no fault injector on the serve path); they run serialized on the one
-// reserved slot, so at most one audit's build+measure is in flight.
+// runner slot, the way a worker executes it (Measure, one attempt), and
+// compares the observation byte for byte with what the worker reported.
+// Audits assume the coordinator's own seams are clean (no fault
+// injector on the serve path); they run serialized on the one reserved
+// slot, so at most one audit's build+measure is in flight.
 func (s *Server) audit(c *campaign, t task, got *core.ObsWire) (match bool, err error) {
 	s.auditMu.Lock()
 	defer s.auditMu.Unlock()
 	s.audits.Inc()
-	slot := s.slots.audit()
 	var o core.Observation
-	err = core.Guard(func() error {
-		var exe *toolchain.Executable
-		var gerr error
-		if t.genome != nil {
-			exe, gerr = c.runner.BuildGenome(*t.genome)
-			if gerr != nil {
-				return gerr
-			}
-			o, gerr = c.runner.MeasureGenome(slot, *t.genome, exe)
-			return gerr
-		}
-		exe, gerr = c.runner.BuildLayout(t.layout)
-		if gerr != nil {
-			return gerr
-		}
-		o, gerr = c.runner.MeasureLayout(slot, t.layout, exe)
-		return gerr
-	})
-	if err != nil {
+	var uerr error
+	if err := c.runner.Measure(s.slots.audit(), []core.Unit{t.unit()}, 1, func(_ int, mo core.Observation, merr error) {
+		o, uerr = mo, merr
+	}); err != nil {
 		return false, err
+	}
+	if uerr != nil {
+		return false, uerr
 	}
 	want := o.Wire()
 	want.Fingerprint = want.Attest(c.runner.AttestationKey())

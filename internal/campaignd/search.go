@@ -67,6 +67,7 @@ func (s *Server) newSearchCampaign(spec JobSpec) (*campaign, error) {
 	}
 	cfg.Campaign.LayoutCache = s.cfg.LayoutCache
 	cfg.Campaign.Faults = s.cfg.Faults
+	cfg.Campaign.Obs = s.cfg.Obs
 	id := spec.ID(scale)
 	if root := s.cfg.CheckpointRoot; root != "" {
 		dir := filepath.Join(root, id)
@@ -187,7 +188,7 @@ func (c *campaign) completeSearch(t task, o core.Observation) {
 // the search — it simply loses selection, exactly as in core.Search;
 // a generation with no valid individual fails the campaign at Settle.
 func (c *campaign) failSearchIndividual(t task, attempts int) {
-	o := c.runner.FailedGenomeObservation(*t.genome, attempts)
+	o := c.runner.FailedObservation(t.unit(), attempts)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	g := c.search.cur
@@ -438,60 +439,4 @@ func verifyResumedSearch(c *campaign, gens map[int]string) error {
 		}
 	}
 	return nil
-}
-
-// runSearchTask executes one individual through the same breaker-
-// guarded build and measure seams a layout task uses.
-func (s *Server) runSearchTask(slot int, lease *jobqueue.Lease[task], c *campaign, t task) {
-	stopBeat := s.heartbeat(lease)
-	defer stopBeat()
-
-	if s.build.Allow() != nil {
-		s.deny(lease, s.build)
-		return
-	}
-	var exe *toolchain.Executable
-	start := s.now()
-	err := core.Guard(func() error {
-		var berr error
-		exe, berr = c.runner.BuildGenome(*t.genome)
-		return berr
-	})
-	if settleReleased(lease, s.build, err) {
-		return
-	}
-	s.build.Record(s.now().Sub(start), err)
-	if err != nil {
-		s.taskFailed(lease, c, t, fmt.Errorf("build: %w", err))
-		return
-	}
-
-	if err := c.ctx.Err(); err != nil {
-		c.abort(context.Cause(c.ctx))
-		lease.Complete()
-		return
-	}
-
-	if s.measure.Allow() != nil {
-		s.deny(lease, s.measure)
-		return
-	}
-	var o core.Observation
-	start = s.now()
-	err = core.Guard(func() error {
-		var merr error
-		o, merr = c.runner.MeasureGenome(slot, *t.genome, exe)
-		return merr
-	})
-	if settleReleased(lease, s.measure, err) {
-		return
-	}
-	s.measure.Record(s.now().Sub(start), err)
-	if err != nil {
-		s.taskFailed(lease, c, t, fmt.Errorf("measure: %w", err))
-		return
-	}
-
-	c.completeSearch(t, core.CompletedObservation(o, c.attemptsOf(t.layout)+1))
-	lease.Complete()
 }

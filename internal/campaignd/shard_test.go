@@ -174,6 +174,34 @@ func TestLeaseGroupSpansCampaigns(t *testing.T) {
 	}
 }
 
+// TestCoordinatorCampaignsObserved: a coordinator's own task loops
+// measure through runners observed by the service's observer, so its
+// /metrics shows which engine ran, as a remote worker's does. Local
+// tasks measure one layout each, on the scalar engine.
+func TestCoordinatorCampaignsObserved(t *testing.T) {
+	spec := testSpec(4)
+	o := &obs.Observer{Metrics: obs.NewMetrics()}
+	_, client := startService(t, campaignd.Config{Workers: 2, Obs: o})
+	ctx := context.Background()
+	st, err := client.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = waitDone(t, client, st.ID); st.State != campaignd.StateDone {
+		t.Fatalf("campaign ended %s: %s", st.State, st.Error)
+	}
+	if s, b := engineLayouts(o, "scalar"), engineLayouts(o, "batch"); s != 4 || b != 0 {
+		t.Errorf("local tasks: %d scalar replays and %d batched lanes, want 4 and 0", s, b)
+	}
+	got, err := client.Result(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := datasetCSV(t, cleanDataset(t, spec)); !bytes.Equal(got, want) {
+		t.Errorf("observed coordinator's dataset differs from single-process run:\n--- got ---\n%s--- clean ---\n%s", got, want)
+	}
+}
+
 // blockingTransport passes requests through until it sees the first
 // /worker/complete, which it stalls until the request context dies —
 // pinning its worker in the "executed but never reported" state a

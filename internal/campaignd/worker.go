@@ -32,10 +32,10 @@ import (
 // Each task loop measures in lease groups: after one task arrives it
 // leases whatever else the coordinator hands over at once, up to each
 // campaign's share (see share) and core.AutoBatchLanes tasks in all, and
-// every same-campaign part of the group shares one batched trace walk
-// (core.LayoutRunner.PrimeBatch). A part of one layout replays on the
-// scalar engine. Grouping changes throughput, never a byte of any
-// result.
+// every same-campaign part of the group goes through one
+// core.LayoutRunner.Measure call, which shares one batched trace walk
+// across it. A part of one layout replays on the scalar engine.
+// Grouping changes throughput, never a byte of any result.
 type Worker struct {
 	// Coordinator is the coordinator's base URL, e.g.
 	// "http://localhost:8347".
@@ -236,12 +236,12 @@ func (w *Worker) executeGroup(ctx context.Context, runners *workerRunners, slot 
 	}
 }
 
-// executeBatch builds every leased layout of one campaign, walks the
-// trace once for all of them that built (a pure accelerator: a lone
-// layout or a declined walk just replays on the scalar engine, and a
-// primed measurement is bit-identical to an unprimed one), then
-// measures and completes each task individually — a failure costs only
-// its own task.
+// executeBatch runs one campaign's part of a lease group through the
+// runner's pipeline (core.LayoutRunner.Measure) with a single attempt —
+// the coordinator owns retry policy and requeues a failed task — and
+// completes each task as its outcome arrives: a failure costs only its
+// own task. The part shares one trace walk; a part of one, or a
+// declined walk, replays on the scalar engine, bit-identically.
 func (w *Worker) executeBatch(ctx context.Context, runners *workerRunners, slot int, batch []leaseResponse) {
 	runner, err := runners.get(batch[0].CampaignID, batch[0].Spec, batch[0].Scale)
 	if err != nil {
@@ -250,90 +250,33 @@ func (w *Worker) executeBatch(ctx context.Context, runners *workerRunners, slot 
 		}
 		return
 	}
-	if len(batch[0].Genome) > 0 {
-		w.executeGenomeBatch(ctx, runner, slot, batch)
-		return
-	}
-	built := batch[:0:0]
-	var idxs []int
-	var exes []*toolchain.Executable
+	leases := batch[:0:0]
+	units := make([]core.Unit, 0, len(batch))
 	for _, lr := range batch {
-		var exe *toolchain.Executable
-		err := core.Guard(func() error {
-			var berr error
-			exe, berr = runner.BuildLayout(lr.Layout)
-			return berr
-		})
-		if err != nil {
-			w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Error: fmt.Sprintf("build: %v", err)})
-			continue
+		u := core.Unit{Layout: lr.Layout}
+		if len(lr.Genome) > 0 {
+			g, err := toolchain.DecodeGenome(lr.Genome)
+			if err != nil {
+				w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Error: fmt.Sprintf("decode genome: %v", err)})
+				continue
+			}
+			u.Genome = &g
 		}
-		built = append(built, lr)
-		idxs = append(idxs, lr.Layout)
-		exes = append(exes, exe)
+		leases = append(leases, lr)
+		units = append(units, u)
 	}
-	// Declines are counted on the campaign's observer; the measurements
-	// below replay whatever the walk did not cover.
-	_ = runner.PrimeBatch(slot, idxs, exes)
-	for j, lr := range built {
-		var o core.Observation
-		err := core.Guard(func() error {
-			var merr error
-			o, merr = runner.MeasureLayout(slot, lr.Layout, exes[j])
-			return merr
-		})
+	err = runner.Measure(slot, units, 1, func(k int, o core.Observation, err error) {
 		if err != nil {
-			w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Error: fmt.Sprintf("measure: %v", err)})
-			continue
+			w.complete(ctx, completeRequest{LeaseID: leases[k].LeaseID, Error: err.Error()})
+			return
 		}
 		wire := w.stamp(o, runner)
-		w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Observation: &wire})
-	}
-}
-
-// executeGenomeBatch is executeBatch for search individuals: each lease
-// carries its genome's canonical encoding instead of a layout index.
-// The decoded genomes build, share one batched trace walk, and measure
-// through the same per-genome pipeline the coordinator's local pool
-// uses — identical bytes either way.
-func (w *Worker) executeGenomeBatch(ctx context.Context, runner *core.LayoutRunner, slot int, batch []leaseResponse) {
-	built := batch[:0:0]
-	var genomes []toolchain.Genome
-	var exes []*toolchain.Executable
-	for _, lr := range batch {
-		g, err := toolchain.DecodeGenome(lr.Genome)
-		if err != nil {
-			w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Error: fmt.Sprintf("decode genome: %v", err)})
-			continue
+		w.complete(ctx, completeRequest{LeaseID: leases[k].LeaseID, Observation: &wire})
+	})
+	if err != nil {
+		for _, lr := range leases {
+			w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Error: err.Error()})
 		}
-		var exe *toolchain.Executable
-		err = core.Guard(func() error {
-			var berr error
-			exe, berr = runner.BuildGenome(g)
-			return berr
-		})
-		if err != nil {
-			w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Error: fmt.Sprintf("build: %v", err)})
-			continue
-		}
-		built = append(built, lr)
-		genomes = append(genomes, g)
-		exes = append(exes, exe)
-	}
-	_ = runner.PrimeGenomes(slot, genomes, exes) // declines are counted; see executeBatch
-	for j, lr := range built {
-		var o core.Observation
-		err := core.Guard(func() error {
-			var merr error
-			o, merr = runner.MeasureGenome(slot, genomes[j], exes[j])
-			return merr
-		})
-		if err != nil {
-			w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Error: fmt.Sprintf("measure: %v", err)})
-			continue
-		}
-		wire := w.stamp(o, runner)
-		w.complete(ctx, completeRequest{LeaseID: lr.LeaseID, Observation: &wire})
 	}
 }
 

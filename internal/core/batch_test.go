@@ -14,8 +14,8 @@ import (
 	"interferometry/internal/results"
 )
 
-// runPair runs the same campaign config twice — sequentially
-// (BatchSize 1) and batched — and returns both datasets. mutate lets a
+// runPair runs the same campaign config twice — at BatchSize 1, the
+// scalar-replay reference, and batched — and returns both datasets. mutate lets a
 // caller attach per-run state (a fresh fault injector) to each config.
 func runPair(t *testing.T, cfg core.CampaignConfig, batch int, mutate func(*core.CampaignConfig)) (seq, bat *core.Dataset) {
 	t.Helper()
@@ -166,11 +166,10 @@ func TestBatchedCampaignManySeeds(t *testing.T) {
 	}
 }
 
-// TestBatchSizeOneMatchesHistoric pins that BatchSize 1 and the
-// pre-batching sequential path are the same code: a campaign with the
-// default (auto) batch size and an explicitly sequential one agree.
-// This is implied by the pair tests above but stated directly so a
-// regression in the auto-width resolution cannot hide.
+// TestBatchedCampaignPaperNaiveStaysSequential: FidelityPaperNaive
+// executes every protocol run, so a campaign at that fidelity runs
+// chunks of one whatever its BatchSize, and a BatchSize-4 campaign is
+// byte-identical to the BatchSize-1 reference.
 func TestBatchedCampaignPaperNaiveStaysSequential(t *testing.T) {
 	cfg := smallCampaign(6)
 	cfg.Fidelity = pmc.FidelityPaperNaive
@@ -181,8 +180,8 @@ func TestBatchedCampaignPaperNaiveStaysSequential(t *testing.T) {
 
 // TestUnbatchableGeometryRunsSequentially: a machine the batch banks
 // cannot hold (a 16-way L2) is refused once per campaign — one geometry
-// decline, no batched lane — and the campaign runs the sequential
-// supervisor, byte-identical to BatchSize 1.
+// decline, no batched lane — and the campaign runs chunks of one, which
+// never walk, byte-identical to BatchSize 1.
 func TestUnbatchableGeometryRunsSequentially(t *testing.T) {
 	cfg := smallCampaign(6)
 	cfg.Workers = 2

@@ -83,9 +83,9 @@ func BenchmarkCampaignFastFidelity(b *testing.B) {
 	benchCampaign(b, pmc.FidelityFast, nil)
 }
 
-// BenchmarkCampaignSequential pins the pre-batching sequential path
-// (BatchSize 1, one trace walk per layout) at paper fidelity: the
-// before side of the batched-replay comparison.
+// BenchmarkCampaignSequential pins chunks of one (BatchSize 1, one
+// scalar replay per layout) at paper fidelity: the before side of the
+// batched-replay comparison.
 func BenchmarkCampaignSequential(b *testing.B) {
 	benchCampaignBatch(b, pmc.FidelityPaper, nil, 1)
 }

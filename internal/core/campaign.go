@@ -22,7 +22,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"interferometry/internal/faultinject"
 	"interferometry/internal/heap"
@@ -75,14 +74,15 @@ type CampaignConfig struct {
 	// Workers bounds parallelism. Zero means GOMAXPROCS.
 	Workers int
 
-	// BatchSize is the batched-replay width: each worker leases a
-	// contiguous chunk of up to BatchSize layouts and walks the trace
-	// once for the whole chunk (machine.Batch), synthesizing every
-	// layout's measurement from the shared walk. Batching is pinned
-	// bit-identical to sequential replay, so this knob changes only
-	// throughput, never results. Zero picks a width automatically
-	// (each worker's fair share of the campaign, capped at 32); 1
-	// disables batching. FidelityPaperNaive always runs sequentially.
+	// BatchSize is the chunk width: each worker takes a contiguous
+	// chunk of up to BatchSize layouts and walks the trace once for the
+	// whole chunk (machine.Batch), synthesizing every layout's
+	// measurement from the shared walk. The walk is pinned bit-identical
+	// to scalar replay, so this knob changes only throughput, never
+	// results. Zero picks a width automatically (each worker's fair
+	// share of the campaign, capped at 32); 1 replays every layout on the
+	// scalar engine, the reference the batched paths are compared
+	// against. FidelityPaperNaive always runs chunks of one.
 	BatchSize int
 
 	// Compile and Link override toolchain defaults when non-zero.
@@ -298,8 +298,8 @@ func (c *CampaignConfig) noiseSeed(i int) uint64 {
 }
 
 // buildSeam and measureSeam are the two narrow interfaces every
-// measurement passes through; the fault injector wraps them and the
-// supervisor retries across them.
+// measurement passes through; the fault injector wraps them and
+// LayoutRunner.Measure retries across them.
 type buildSeam interface {
 	Build(seed uint64) (*toolchain.Executable, error)
 }
@@ -317,7 +317,8 @@ type measureSeam interface {
 // empty cache replays on the harness's own scalar machine. The genome
 // seam is the same builder (cached when a layout cache is configured)
 // exposed by explicit permutation instead of seed; fault wrapping for
-// genome builds happens per call, keyed by fingerprint, in buildGenome.
+// genome builds happens per call, keyed by fingerprint, in
+// LayoutRunner.buildUnit.
 func newSeams(cfg *CampaignConfig, workers int) (buildSeam, genomeSeam, []measureSeam, []*detCache) {
 	builder := toolchain.NewBuilder(cfg.Program, cfg.Compile, cfg.Link)
 	builder.Observe(builderMetrics(cfg.Obs))
@@ -358,53 +359,39 @@ func newSeams(cfg *CampaignConfig, workers int) (buildSeam, genomeSeam, []measur
 // Layouts executables, one measurement each, with retries, failure
 // budget, outlier screening and checkpointing per the config.
 func RunCampaign(cfg CampaignConfig) (*Dataset, error) {
-	if cfg.Program == nil {
-		return nil, errors.New("core: campaign needs a program")
-	}
-	if cfg.Layouts <= 0 {
-		return nil, errors.New("core: campaign needs at least one layout")
-	}
-	if cfg.Budget == 0 && cfg.Limiter.StopCount == 0 {
-		return nil, errors.New("core: campaign needs a budget or limiter")
-	}
-
-	trace, err := interp.Run(cfg.Program, cfg.InputSeed, cfg.StopRule())
-	if err != nil {
-		return nil, fmt.Errorf("core: trace generation failed: %w", err)
-	}
-	return runWithTrace(cfg, trace)
+	return runWithTrace(cfg, nil)
 }
 
-// runWithTrace is the supervised sweep behind RunCampaign and Extend:
-// the trace is layout-independent, so extensions reuse it instead of
-// re-interpreting the program.
+// runWithTrace is the supervised sweep behind RunCampaign and Extend: a
+// LayoutRunner over the campaign, its chunks handed out across the
+// runner's worker slots. The trace is layout-independent, so an
+// extension passes its parent's instead of re-interpreting the program;
+// nil interprets it.
 func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
+	workers := normalizeWorkers(cfg.Workers, cfg.Layouts)
+	r, err := NewLayoutRunner(cfg, workers, trace)
+	if err != nil {
+		return nil, err
+	}
+	co := r.co
 	ds := &Dataset{
 		Benchmark: cfg.Program.Name,
 		Config:    cfg,
-		Trace:     trace,
+		Trace:     r.trace,
 		Obs:       make([]Observation, cfg.Layouts),
 	}
-
-	co := newCampaignObs(&cfg)
 	campSpan := obs.Span{}
 	if co != nil {
 		campSpan = co.o.StartSpan("campaign", co.campID, 0, 0)
 		co.o.Prog().AddTotal(cfg.Layouts)
 	}
 
-	workers := normalizeWorkers(cfg.Workers, cfg.Layouts)
-	build, _, measurers, dets := newSeams(&cfg, workers)
-
-	// Batched replay: when the effective batch width exceeds 1 and the
-	// batch engine accepts the machine config, each worker takes
-	// contiguous chunks of layouts and walks the trace once per chunk,
-	// priming its harness's det cache. Results are pinned bit-identical
-	// to the sequential path, so everything downstream — retries,
-	// failure budget, outlier screen, checkpoints — is shared.
-	bs := cfg.batchSize(workers)
-	if bs > 1 && !batchable(&cfg, co, bs) {
-		bs = 1
+	// Each worker takes contiguous chunks of layouts and walks the trace
+	// once per chunk. A machine the batch engine cannot hold is refused
+	// once, and the campaign then runs chunks of one.
+	chunk := cfg.batchSize(workers)
+	if chunk > 1 && !batchable(&cfg, co, chunk) {
+		chunk = 1
 	}
 
 	// Checkpoint: load completed observations on resume, then persist
@@ -413,7 +400,6 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 	done := make([]bool, cfg.Layouts)
 	if cfg.Checkpoint.Dir != "" {
 		var loaded map[int]Observation
-		var err error
 		ckpt, loaded, err = openCheckpoint(&cfg)
 		if err != nil {
 			return nil, err
@@ -443,38 +429,30 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 			co.o.Prog().Done()
 		}
 	}
-	var failed []*IndexError
-	var err error
-	if bs > 1 {
-		slots := make([]batchSlot, workers)
-		for w := range slots {
-			slots[w].cache = dets[w]
-		}
-		failed, err = superviseChunksT(cfg.context(), workers, cfg.Layouts, bs, cfg.FailureBudget, newSupTel(cfg.Obs), func(w, lo, hi int, fail func(i int, err error), _ func() bool) {
-			measureChunk(&cfg, co, &slots[w], measurers[w], build, trace, lo, hi, w, done, record, fail)
-		})
-	} else {
-		failed, err = superviseForT(cfg.context(), workers, cfg.Layouts, cfg.FailureBudget, newSupTel(cfg.Obs), func(w, i int) error {
+	attempts := cfg.maxAttempts()
+	failed, err := superviseChunksT(cfg.context(), workers, cfg.Layouts, chunk, cfg.FailureBudget, newSupTel(cfg.Obs), func(w, lo, hi int, fail func(i int, err error), _ func() bool) {
+		units := make([]Unit, 0, hi-lo)
+		for i := lo; i < hi; i++ {
 			if done[i] {
 				if co != nil {
 					co.o.Prog().Done()
 				}
-				return nil
+				continue
 			}
-			o, merr := measureLayout(&cfg, co, measurers[w], build, trace, i, w)
-			if merr != nil {
-				return merr
-			}
-			record(i, o)
-			return nil
-		})
-	}
-	for _, f := range failed {
-		o := Observation{LayoutSeed: cfg.layoutSeed(f.Index), Status: StatusFailed}
-		if cfg.HeapMode == heap.ModeRandomized {
-			o.HeapSeed = cfg.heapSeed(f.Index)
+			units = append(units, Unit{Layout: i})
 		}
-		o.Attempts = cfg.maxAttempts()
+		if err := r.Measure(w, units, attempts, func(k int, o Observation, err error) {
+			if err != nil {
+				fail(units[k].Layout, err)
+				return
+			}
+			record(units[k].Layout, o)
+		}); err != nil {
+			fail(lo, err)
+		}
+	})
+	for _, f := range failed {
+		o := r.FailedObservation(Unit{Layout: f.Index}, attempts)
 		ds.Obs[f.Index] = o
 		ds.Failures = append(ds.Failures, LayoutFailure{Index: f.Index, LayoutSeed: o.LayoutSeed, Err: f.Err.Error()})
 		if err == nil && ckpt != nil {
@@ -493,7 +471,7 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 	}
 
 	if cfg.OutlierMAD > 0 {
-		screenOutliers(&cfg, co, ds, measurers, build, trace, ckpt)
+		screenOutliers(r, ds, ckpt)
 	}
 	campSpan.End()
 	if co != nil {
@@ -505,124 +483,6 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 		}
 	}
 	return ds, nil
-}
-
-// measureLayout builds and measures one layout with bounded attempts.
-// All attempts derive identical seeds — the pipeline is deterministic, so
-// a transient fault cleared by retrying yields the exact observation an
-// undisturbed run produces.
-func measureLayout(cfg *CampaignConfig, co *campaignObs, meas measureSeam, build buildSeam, trace *interp.Trace, i, w int) (Observation, error) {
-	attempts := cfg.maxAttempts()
-	layoutStage := stage{}
-	if co != nil {
-		layID := co.layoutID(cfg, i)
-		layoutStage = stage{
-			co:   co,
-			span: co.o.StartSpan("layout", layID, co.campID, w+1),
-			hist: co.layoutSec,
-			t0:   time.Now(),
-		}
-	}
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		obs, err := measureLayoutOnce(cfg, co, meas, build, trace, i, w)
-		if err == nil {
-			obs.Attempts = a + 1
-			if a > 0 {
-				obs.Status = StatusRetried
-			}
-			layoutStage.end()
-			return obs, nil
-		}
-		lastErr = err
-		if a < attempts-1 {
-			if co != nil {
-				co.o.Prog().Retry()
-			}
-			// Space the next attempt per the campaign's backoff policy
-			// (zero policy: no delay, no cancellation point). The jitter
-			// keys off the layout seed, so a resumed or replayed
-			// campaign backs off by identical amounts.
-			if serr := cfg.Backoff.Sleep(cfg.context(), a+1, cfg.BaseSeed, cfg.layoutSeed(i)); serr != nil {
-				layoutStage.end()
-				return Observation{}, fmt.Errorf("core: layout %d: retry backoff interrupted: %w", i, serr)
-			}
-		}
-	}
-	layoutStage.end()
-	return Observation{}, fmt.Errorf("core: layout %d failed after %d attempts: %w", i, attempts, lastErr)
-}
-
-func measureLayoutOnce(cfg *CampaignConfig, co *campaignObs, meas measureSeam, build buildSeam, trace *interp.Trace, i, w int) (Observation, error) {
-	if co != nil {
-		co.attempts.Inc()
-	}
-	exe, err := buildLayout(cfg, co, build, i, w)
-	if err != nil {
-		return Observation{}, err
-	}
-	return measureBuilt(cfg, co, meas, trace, exe, i, w)
-}
-
-// buildLayout is one attempt through the build seam: reorder+link for
-// layout i plus the executable integrity check that catches silent
-// corruption before it can be measured.
-func buildLayout(cfg *CampaignConfig, co *campaignObs, build buildSeam, i, w int) (*toolchain.Executable, error) {
-	var layID uint64
-	if co != nil {
-		layID = co.layoutID(cfg, i)
-	}
-	st := co.stageStart("compile", layID, tagCompile, w)
-	defer st.end()
-	exe, err := build.Build(cfg.layoutSeed(i))
-	if err != nil {
-		return nil, fmt.Errorf("core: layout %d: %w", i, err)
-	}
-	if err := toolchain.CheckExecutable(exe, cfg.FirstLayout+i); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return exe, nil
-}
-
-// measureBuilt is one attempt through the measure seam: the counter
-// harness run plus the plausibility check on its readings. The heap and
-// noise seeds are re-derived from the config, so any executable built
-// for layout i measures identically wherever and whenever it runs.
-func measureBuilt(cfg *CampaignConfig, co *campaignObs, meas measureSeam, trace *interp.Trace, exe *toolchain.Executable, i, w int) (Observation, error) {
-	var layID uint64
-	if co != nil {
-		layID = co.layoutID(cfg, i)
-	}
-	seed := cfg.layoutSeed(i)
-	hs := uint64(0)
-	if cfg.HeapMode == heap.ModeRandomized {
-		hs = cfg.heapSeed(i)
-	}
-	ns := cfg.noiseSeed(i)
-	st := co.stageStart("run", layID, tagRun, w)
-	m, err := meas.Measure(machine.RunSpec{
-		Exe:       exe,
-		Trace:     trace,
-		HeapMode:  cfg.HeapMode,
-		HeapSeed:  hs,
-		NoiseSeed: ns,
-	})
-	st.end()
-	if err != nil {
-		return Observation{}, fmt.Errorf("core: layout %d: %w", i, err)
-	}
-	st = co.stageStart("fit", layID, tagFit, w)
-	err = m.Check(trace.Instrs, pmc.RunID{
-		Layout:     cfg.FirstLayout + i,
-		LayoutSeed: seed,
-		HeapSeed:   hs,
-		NoiseSeed:  ns,
-	})
-	st.end()
-	if err != nil {
-		return Observation{}, fmt.Errorf("core: %w", err)
-	}
-	return Observation{LayoutSeed: seed, HeapSeed: hs, Measurement: m}, nil
 }
 
 // measurementValid reports whether a measurement's counters can enter
@@ -640,21 +500,22 @@ func measurementValid(m pmc.Measurement) bool {
 
 // screenOutliers is the robust-statistics screen: observations whose CPI
 // sits further than cfg.OutlierMAD median absolute deviations from the
-// campaign median are re-measured. In a deterministic pipeline the
-// re-measurement reproduces a genuine outlier exactly (it is then kept —
-// a real heavy-tailed layout, not an artifact); a corrupted measurement
-// comes back different and is replaced, marked StatusRetried. The screen
-// is best-effort for valid observations: re-measurement failures keep
-// the original. Invalid measurements (NaN/zero-instruction counter
-// reads) are excluded from the median and MAD, always re-measured, and
-// degraded to StatusFailed when the re-measurement cannot produce a
-// valid reading — garbage counters must not pose as data. A panicking
-// re-measurement is recovered, counted (outlier_screen_panics) and
-// settled like any failed re-measurement.
+// campaign median are re-measured through r. In a deterministic pipeline
+// the re-measurement reproduces a genuine outlier exactly (it is then
+// kept — a real heavy-tailed layout, not an artifact); a corrupted
+// measurement comes back different and is replaced, marked
+// StatusRetried. The screen is best-effort for valid observations:
+// re-measurement failures keep the original. Invalid measurements
+// (NaN/zero-instruction counter reads) are excluded from the median and
+// MAD, always re-measured, and degraded to StatusFailed when the
+// re-measurement cannot produce a valid reading — garbage counters must
+// not pose as data. A re-measurement that ends in a recovered panic is
+// counted (outlier_screen_panics) and settled like any failed one.
 //
-// The pool has one worker per measurement seam, capped by the number of
-// flagged layouts: a worker owns its seam, so the seams size the pool.
-func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers []measureSeam, build buildSeam, trace *interp.Trace, ckpt *checkpointWriter) {
+// The pool has one worker per runner slot, capped by the number of
+// flagged layouts, and re-measures one layout per call.
+func screenOutliers(r *LayoutRunner, ds *Dataset, ckpt *checkpointWriter) {
+	cfg, co := &r.cfg, r.co
 	idx := ds.usableIdx()
 	var valid, flagged []int
 	var cpis []float64
@@ -691,6 +552,10 @@ func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers
 	settle := func(i int, o Observation, err error) {
 		mu.Lock()
 		defer mu.Unlock()
+		var pe *PanicError
+		if co != nil && errors.As(err, &pe) {
+			co.screenPanics.Inc()
+		}
 		prev := ds.Obs[i]
 		if err == nil && measurementValid(o.Measurement) {
 			if o.Measurement != prev.Measurement {
@@ -719,10 +584,7 @@ func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers
 		if err != nil {
 			cause = fmt.Errorf("core: layout %d: invalid measurement (corrupt counters): re-measurement failed: %w", i, err)
 		}
-		failed := Observation{LayoutSeed: cfg.layoutSeed(i), Status: StatusFailed, Attempts: prev.Attempts + cfg.maxAttempts()}
-		if cfg.HeapMode == heap.ModeRandomized {
-			failed.HeapSeed = cfg.heapSeed(i)
-		}
+		failed := r.FailedObservation(Unit{Layout: i}, prev.Attempts+cfg.maxAttempts())
 		ds.Obs[i] = failed
 		ds.Failures = append(ds.Failures, LayoutFailure{Index: i, LayoutSeed: failed.LayoutSeed, Err: cause.Error()})
 		if ckpt != nil {
@@ -732,21 +594,18 @@ func screenOutliers(cfg *CampaignConfig, co *campaignObs, ds *Dataset, measurers
 			co.layoutsFailed.Inc()
 		}
 	}
-	workers := min(len(measurers), len(flagged))
+	workers := min(r.Workers(), len(flagged))
 	// Tolerate every re-measurement failing: the screen improves the
 	// dataset when it can and never degrades it.
-	panicked, _ := superviseForT(cfg.context(), workers, len(flagged), len(flagged), newSupTel(cfg.Obs), func(w, fi int) error {
+	unsettled, _ := superviseForT(cfg.context(), workers, len(flagged), len(flagged), newSupTel(cfg.Obs), func(w, fi int) error {
 		i := flagged[fi]
-		o, err := measureLayout(cfg, co, measurers[w], build, trace, i, w)
-		settle(i, o, err)
-		return nil
+		return r.Measure(w, []Unit{{Layout: i}}, cfg.maxAttempts(), func(_ int, o Observation, err error) {
+			settle(i, o, err)
+		})
 	})
-	// fn itself never fails, so every recorded failure is a panic the
-	// pool recovered before settle ran.
-	for _, f := range panicked {
-		if co != nil {
-			co.screenPanics.Inc()
-		}
+	// Measure settles every layout it runs, so a recorded failure is a
+	// re-measurement that never ran.
+	for _, f := range unsettled {
 		settle(flagged[f.Index], Observation{}, f.Err)
 	}
 	sort.Slice(ds.Failures, func(a, b int) bool { return ds.Failures[a].Index < ds.Failures[b].Index })

@@ -156,6 +156,21 @@ func (co *campaignObs) layoutID(cfg *CampaignConfig, i int) uint64 {
 	return obs.SpanID(co.campID, tagLayout, uint64(cfg.FirstLayout+i))
 }
 
+// layoutStage opens a unit's "layout" span (ID id, parented on the
+// campaign span) in worker lane w+1 and starts the whole-layout latency
+// timer.
+func (co *campaignObs) layoutStage(id uint64, w int) stage {
+	if co == nil {
+		return stage{}
+	}
+	return stage{
+		co:   co,
+		span: co.o.StartSpan("layout", id, co.campID, w+1),
+		hist: co.layoutSec,
+		t0:   time.Now(),
+	}
+}
+
 // stage is one timed, traced step of a layout measurement.
 type stage struct {
 	co   *campaignObs

@@ -79,116 +79,31 @@ func superviseFor(ctx context.Context, workers, n, budget int, fn func(worker, i
 	return superviseForT(ctx, workers, n, budget, nil, fn)
 }
 
-// superviseForT is superviseFor with optional telemetry: per-worker
-// busy/idle time and per-index queue wait flow into tel's instruments.
-// A nil tel keeps the loop exactly as cheap as the untelemetered form —
-// no clock is read.
+// superviseForT is superviseFor with optional telemetry (see
+// superviseChunksT): it is superviseChunksT with chunks of one index.
 func superviseForT(ctx context.Context, workers, n, budget int, tel *supTel, fn func(worker, i int) error) ([]*IndexError, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if budget < 0 {
-		budget = 0
-	}
-	var (
-		next   atomic.Int64
-		stop   atomic.Bool
-		mu     sync.Mutex
-		failed []*IndexError
-		wg     sync.WaitGroup
-	)
-	done := ctx.Done()
-	canceled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
+	return superviseChunksT(ctx, workers, n, 1, budget, tel, func(w, i, _ int, fail func(int, error), _ func() bool) {
+		if err := fn(w, i); err != nil {
+			fail(i, err)
 		}
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Telemetry clocks: free marks when the worker last became
-			// available (goroutine start, or the previous fn returning);
-			// the gap to the next fn start is that index's queue wait,
-			// and whatever is not busy time is idle time.
-			var born, free time.Time
-			var busy time.Duration
-			if tel != nil {
-				born = time.Now()
-				free = born
-				defer func() {
-					tel.busy.Add(busy.Seconds())
-					tel.idle.Add((time.Since(born) - busy).Seconds())
-				}()
-			}
-			for {
-				if stop.Load() || canceled() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				var t0 time.Time
-				if tel != nil {
-					t0 = time.Now()
-					tel.wait.Observe(t0.Sub(free).Seconds())
-				}
-				err := runGuarded(fn, w, i)
-				if tel != nil {
-					free = time.Now()
-					busy += free.Sub(t0)
-				}
-				if err != nil {
-					mu.Lock()
-					failed = append(failed, &IndexError{Index: i, Err: err})
-					if len(failed) > budget {
-						stop.Store(true)
-					}
-					mu.Unlock()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	sort.Slice(failed, func(a, b int) bool { return failed[a].Index < failed[b].Index })
-	if canceled() {
-		errs := make([]error, 0, len(failed)+1)
-		errs = append(errs, context.Cause(ctx))
-		for _, f := range failed {
-			errs = append(errs, f)
-		}
-		return failed, errors.Join(errs...)
-	}
-	if len(failed) > budget {
-		errs := make([]error, 0, len(failed)+1)
-		errs = append(errs, fmt.Errorf("%w: %d failures exceed budget %d", ErrSweepAborted, len(failed), budget))
-		for _, f := range failed {
-			errs = append(errs, f)
-		}
-		return failed, errors.Join(errs...)
-	}
-	return failed, nil
+	})
 }
 
-// superviseChunksT is superviseForT with chunked dispatch: indices are
-// handed out as contiguous chunks of up to chunk indices, and fn
-// processes one chunk per call, reporting per-index failures through its
-// fail callback. The chunk is a unit of dispatch, never of failure — one
-// bad index fails alone and the rest of its chunk proceeds — so the
-// failure budget, abort and cancellation semantics match superviseForT
-// index for index. fn is expected to guard its own per-index work; a
-// panic escaping fn itself is recovered and attributed to the chunk's
-// first index. stopped reports whether the sweep is over (canceled, or
-// the budget exceeded); a chunk that works through its indices one by
-// one checks it between indices so an abort lands within one index, as
-// under superviseForT.
+// superviseChunksT is superviseFor with chunked dispatch and optional
+// telemetry: indices are handed out as contiguous chunks of up to chunk
+// indices, and fn processes one chunk per call, reporting per-index
+// failures through its fail callback. The chunk is a unit of dispatch,
+// never of failure — one bad index fails alone and the rest of its
+// chunk proceeds — so the failure budget, abort and cancellation
+// semantics are superviseFor's index for index. fn is expected to guard
+// its own per-index work; a panic escaping fn itself is recovered and
+// attributed to the chunk's first index. stopped reports whether the
+// sweep is over (canceled, or the budget exceeded); a chunk that works
+// through its indices one by one checks it between indices so an abort
+// lands within one index, as with chunks of one.
+//
+// Per-worker busy/idle time and per-index queue wait flow into tel's
+// instruments. A nil tel keeps the loop free of clock reads.
 func superviseChunksT(ctx context.Context, workers, n, chunk, budget int, tel *supTel, fn func(worker, lo, hi int, fail func(i int, err error), stopped func() bool)) ([]*IndexError, error) {
 	if n <= 0 {
 		return nil, nil
@@ -266,10 +181,10 @@ func superviseChunksT(ctx context.Context, workers, n, chunk, budget int, tel *s
 						tel.wait.Observe(wait)
 					}
 				}
-				if err := runGuarded(func(_, _ int) error {
+				if err := Guard(func() error {
 					fn(w, lo, hi, fail, stopped)
 					return nil
-				}, w, lo); err != nil {
+				}); err != nil {
 					fail(lo, err)
 				}
 				if tel != nil {
@@ -300,14 +215,17 @@ func superviseChunksT(ctx context.Context, workers, n, chunk, budget int, tel *s
 	return failed, nil
 }
 
-// runGuarded invokes fn(w, i), converting a panic into a *PanicError.
-func runGuarded(fn func(worker, i int) error, w, i int) (err error) {
+// Guard runs fn, converting a panic into a *PanicError — the
+// conversion the supervisor applies to every attempt, so an injected
+// panic in a seam is one more retriable failure instead of a dead
+// process.
+func Guard(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return fn(w, i)
+	return fn()
 }
 
 // parallelFor is the zero-tolerance form of superviseFor: the first

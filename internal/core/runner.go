@@ -8,22 +8,27 @@ import (
 
 	"interferometry/internal/heap"
 	"interferometry/internal/interp"
+	"interferometry/internal/machine"
+	"interferometry/internal/pmc"
 	"interferometry/internal/toolchain"
 )
 
-// LayoutRunner exposes the campaign's per-layout pipeline to external
-// schedulers — campaignd leases layout indices from its job queue and
-// drives them through here. The shared work (the trace, the one compile
-// every layout reorders) is prepared once in NewLayoutRunner; after that
-// any layout index can be built and measured independently on any
-// worker slot, in any order, any number of times, and always yields the
-// same observation: every per-layout input is re-derived from the
-// campaign config, never from scheduler state.
+// LayoutRunner is the campaign's per-layout pipeline, and the only one:
+// RunCampaign and Search.Evaluate supervise it in-process, campaignd's
+// workers and spot audits drive it one lease group at a time, and the
+// coordinator's local tasks call its two seams. The shared work (the
+// trace, the one compile every layout reorders) is prepared once in
+// NewLayoutRunner; after that any unit can be built and measured
+// independently on any worker slot, in any order, any number of times,
+// and always yields the same observation: every per-unit input is
+// re-derived from the campaign config and the unit, never from
+// scheduler state.
 //
-// The build and measure seams are exposed separately (instead of one
-// measure-layout call) so a scheduler can wrap each in its own circuit
-// breaker and attribute failures to the seam that caused them. Fault
-// injection, when configured, is already inside both seams.
+// Measure is the pipeline: build, one shared trace walk, measure,
+// retry. The build and measure seams are also exposed one attempt at a
+// time (Build, MeasureBuilt) so a scheduler can wrap each in its own
+// circuit breaker and attribute failures to the seam that caused them.
+// Fault injection, when configured, is already inside both seams.
 type LayoutRunner struct {
 	cfg     CampaignConfig
 	co      *campaignObs
@@ -38,14 +43,59 @@ type LayoutRunner struct {
 	gb    genomeSeam
 	meas  []measureSeam
 	// dets holds each worker slot's det cache, wired as the Det source
-	// of the slot's harness behind meas: a walk (prime) leaves its
+	// of the slot's harness behind meas: a walk (walkTrace) leaves its
 	// replays there for the slot's measurements. The batch engine is
 	// borrowed from batchPool for each walk.
 	dets []*detCache
 
 	// attKey is the builder cache key observations are attested
-	// against; see AttestationKey.
-	attKey string
+	// against, computed on first use; see AttestationKey.
+	attOnce sync.Once
+	attKey  string
+}
+
+// Unit is one layout a runner builds and measures: campaign layout
+// index Layout, or, when Genome is set, that search individual (Layout
+// is then only the caller's label).
+type Unit struct {
+	Layout int
+	Genome *toolchain.Genome
+}
+
+// String names the unit the way the runner's errors do.
+func (u Unit) String() string {
+	if u.Genome != nil {
+		return fmt.Sprintf("genome %016x", u.Genome.Fingerprint())
+	}
+	return fmt.Sprintf("layout %d", u.Layout)
+}
+
+// unitKeys is what every attempt at a unit derives from it: seed names
+// the unit (its layout seed, or a genome's fingerprint) and keys its
+// fault draws and retry backoff; heap (zero outside ModeRandomized) and
+// noise are its two streams; ref is the campaign-global layout index the
+// checks report (-1 for a genome); span is its "layout" span ID.
+type unitKeys struct {
+	seed, heap, noise, span uint64
+	ref                     int
+}
+
+func (r *LayoutRunner) keys(u Unit) unitKeys {
+	c := &r.cfg
+	var k unitKeys
+	if u.Genome != nil {
+		fp := u.Genome.Fingerprint()
+		k = unitKeys{seed: fp, heap: c.genomeHeapSeed(fp), noise: c.genomeNoiseSeed(fp), span: fp, ref: -1}
+	} else {
+		k = unitKeys{seed: c.layoutSeed(u.Layout), heap: c.heapSeed(u.Layout), noise: c.noiseSeed(u.Layout), ref: c.FirstLayout + u.Layout}
+		if r.co != nil {
+			k.span = r.co.layoutID(c, u.Layout)
+		}
+	}
+	if c.HeapMode != heap.ModeRandomized {
+		k.heap = 0
+	}
+	return k
 }
 
 // NewLayoutRunner validates the config and prepares the shared compile
@@ -85,7 +135,6 @@ func NewLayoutRunner(cfg CampaignConfig, workers int, trace *interp.Trace) (*Lay
 		gb:      gb,
 		meas:    meas,
 		dets:    dets,
-		attKey:  toolchain.NewBuilder(cfg.Program, cfg.Compile, cfg.Link).CacheKey(),
 	}, nil
 }
 
@@ -102,21 +151,24 @@ var ErrRunnerReleased = errors.New("core: layout runner released")
 // trace, the build seams, and the per-slot harnesses with their
 // machines and det caches. It waits for seam calls in flight; later
 // ones fail with ErrRunnerReleased. What a finished campaign still
-// answers is kept: the layout-seed derivation, AttestationKey, Workers
-// and the failed-observation stamps.
+// answers is kept: Seed, AttestationKey, Workers and FailedObservation.
 func (r *LayoutRunner) Release() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.trace, r.build, r.gb, r.meas, r.dets = nil, nil, nil, nil, nil
 }
 
-// acquire pins the engines for one seam call. On success the caller
-// holds r.mu shared and must RUnlock it.
-func (r *LayoutRunner) acquire() error {
+// acquire pins the engines for one seam call on worker slot w. On
+// success the caller holds r.mu shared and must RUnlock it.
+func (r *LayoutRunner) acquire(w int) error {
 	r.mu.RLock()
-	if r.trace == nil {
+	switch {
+	case r.trace == nil:
 		r.mu.RUnlock()
 		return ErrRunnerReleased
+	case w < 0 || w >= len(r.meas):
+		r.mu.RUnlock()
+		return fmt.Errorf("core: worker slot %d outside [0,%d)", w, len(r.meas))
 	}
 	return nil
 }
@@ -125,99 +177,216 @@ func (r *LayoutRunner) acquire() error {
 // runner are fingerprinted against (ObsWire.Attest). Two runners built
 // from the same campaign config — coordinator and remote worker —
 // derive the same key, so fingerprints stamped on one side verify on
-// the other.
-func (r *LayoutRunner) AttestationKey() string { return r.attKey }
-
-// BuildLayout runs one attempt through the build seam for layout i:
-// reorder+link plus the executable integrity check. Panics from the
-// seam (injected or real) propagate; callers run under Guard.
-func (r *LayoutRunner) BuildLayout(i int) (*toolchain.Executable, error) {
-	if err := r.checkIndex(i); err != nil {
-		return nil, err
-	}
-	if err := r.acquire(); err != nil {
-		return nil, err
-	}
-	defer r.mu.RUnlock()
-	if r.co != nil {
-		r.co.attempts.Inc()
-	}
-	return buildLayout(&r.cfg, r.co, r.build, i, 0)
+// the other. It costs a compile, so it is derived on the first call:
+// a campaign nobody attests never pays for it.
+func (r *LayoutRunner) AttestationKey() string {
+	r.attOnce.Do(func() {
+		r.attKey = toolchain.NewBuilder(r.cfg.Program, r.cfg.Compile, r.cfg.Link).CacheKey()
+	})
+	return r.attKey
 }
 
-// MeasureLayout runs one attempt through the measure seam on worker
-// slot w (two concurrent calls must use distinct slots): the counter
-// harness plus the plausibility check.
-func (r *LayoutRunner) MeasureLayout(w, i int, exe *toolchain.Executable) (Observation, error) {
-	if err := r.checkIndex(i); err != nil {
-		return Observation{}, err
-	}
-	if err := r.acquire(); err != nil {
-		return Observation{}, err
-	}
-	defer r.mu.RUnlock()
-	if w < 0 || w >= len(r.meas) {
-		return Observation{}, fmt.Errorf("core: worker slot %d outside [0,%d)", w, len(r.meas))
-	}
-	return measureBuilt(&r.cfg, r.co, r.meas[w], r.trace, exe, i, w)
-}
-
-// PrimeBatch walks the trace once for a group of built layouts on worker
-// slot w, priming the slot's harness so the following MeasureLayout
-// calls synthesize their measurements from the shared walk instead of
-// replaying per layout. Priming is a pure accelerator: the batched
-// replay is pinned bit-identical to the sequential one, and a declined
-// prime (unbatchable machine geometry, too many lanes, or a batch
-// failure) costs nothing — MeasureLayout simply replays sequentially.
-// A group of one is not walked: it replays on the scalar engine. The
-// returned error is diagnostic only, and every decline is already
-// counted on the campaign's observer; callers may ignore it.
-//
-// Like MeasureLayout, two concurrent calls must use distinct slots, and
-// the priming is consumed by the same slot's MeasureLayout.
-func (r *LayoutRunner) PrimeBatch(w int, layouts []int, exes []*toolchain.Executable) error {
-	if len(layouts) != len(exes) {
-		return fmt.Errorf("core: %d layouts with %d executables", len(layouts), len(exes))
-	}
-	for _, i := range layouts {
-		if err := r.checkIndex(i); err != nil {
-			return err
-		}
-	}
-	if err := r.acquire(); err != nil {
-		return err
-	}
-	defer r.mu.RUnlock()
-	return r.prime(w, exes, func(j int) uint64 { return r.cfg.heapSeed(layouts[j]) })
-}
-
-// prime is PrimeBatch and PrimeGenomes for a caller holding the
-// engines: walkTrace into slot w's det cache, with heapSeed deriving
-// lane j's heap seed under ModeRandomized.
-func (r *LayoutRunner) prime(w int, exes []*toolchain.Executable, heapSeed func(j int) uint64) error {
-	if w < 0 || w >= len(r.dets) {
-		return fmt.Errorf("core: worker slot %d outside [0,%d)", w, len(r.dets))
-	}
-	return walkTrace(&r.cfg, r.co, r.dets[w], r.trace, exes, heapSeed)
-}
-
-func (r *LayoutRunner) checkIndex(i int) error {
-	if i < 0 || i >= r.cfg.Layouts {
-		return fmt.Errorf("core: layout index %d outside campaign [0,%d)", i, r.cfg.Layouts)
+func (r *LayoutRunner) checkUnit(u Unit) error {
+	if u.Genome == nil && (u.Layout < 0 || u.Layout >= r.cfg.Layouts) {
+		return fmt.Errorf("core: layout index %d outside campaign [0,%d)", u.Layout, r.cfg.Layouts)
 	}
 	return nil
 }
 
-// LayoutSeed returns the seed the campaign derives for layout i.
-// Schedulers use it to validate that a result streamed back from a
-// remote worker belongs to the layout it was leased for.
-func (r *LayoutRunner) LayoutSeed(i int) uint64 { return r.cfg.layoutSeed(i) }
+// Measure is the per-layout pipeline over one chunk of units on worker
+// slot w (two concurrent calls must use distinct slots). Attempt one
+// builds every unit; the trace is then walked once for the units that
+// built (walkTrace), and each unit is measured from that walk, in
+// order. A unit whose attempt fails — a build or measure error, a failed
+// check, a recovered panic — is rebuilt and remeasured, spaced by the
+// campaign's backoff, until attempts run out.
+//
+// done receives each unit's outcome in unit order: an observation
+// carrying its Attempts (StatusRetried when more than one), or the
+// error "core: <unit> failed after N attempts: …". The walk is pinned
+// bit-identical to the scalar replay, so the chunk never changes an
+// observation. An error from Measure itself means no unit ran: an
+// out-of-range unit or slot, or a released runner.
+func (r *LayoutRunner) Measure(w int, units []Unit, attempts int, done func(k int, o Observation, err error)) error {
+	for _, u := range units {
+		if err := r.checkUnit(u); err != nil {
+			return err
+		}
+	}
+	if err := r.acquire(w); err != nil {
+		return err
+	}
+	defer r.mu.RUnlock()
+	r.measure(w, units, attempts, done)
+	return nil
+}
+
+// measure is Measure for a caller holding the engines.
+func (r *LayoutRunner) measure(w int, units []Unit, attempts int, done func(k int, o Observation, err error)) {
+	attempts = max(attempts, 1)
+	keys := make([]unitKeys, len(units))
+	exes := make([]*toolchain.Executable, len(units))
+	errs := make([]error, len(units))
+	var built []*toolchain.Executable
+	var heapSeeds []uint64
+	for k, u := range units {
+		keys[k] = r.keys(u)
+		errs[k] = Guard(func() (err error) {
+			exes[k], err = r.buildUnit(w, u, keys[k])
+			return err
+		})
+		if errs[k] == nil {
+			built = append(built, exes[k])
+			heapSeeds = append(heapSeeds, keys[k].heap)
+		}
+	}
+	// A declined walk is counted; the units then replay on the scalar
+	// engine.
+	_ = r.walkTrace(w, built, heapSeeds)
+
+	for k, u := range units {
+		st := r.co.layoutStage(keys[k].span, w)
+		var o Observation
+		err := errs[k]
+		if err == nil {
+			err = Guard(func() (err error) {
+				o, err = r.measureUnit(w, u, keys[k], exes[k])
+				return err
+			})
+		}
+		for a := 1; ; a++ {
+			if err == nil {
+				o.Attempts = a
+				if a > 1 {
+					o.Status = StatusRetried
+				}
+				break
+			}
+			if a >= attempts {
+				err = fmt.Errorf("core: %v failed after %d attempts: %w", u, attempts, err)
+				break
+			}
+			if r.co != nil {
+				r.co.o.Prog().Retry()
+			}
+			// The jitter keys off the unit's seed, so a resumed or
+			// replayed campaign backs off by identical amounts.
+			if serr := r.cfg.Backoff.Sleep(r.cfg.context(), a, r.cfg.BaseSeed, keys[k].seed); serr != nil {
+				err = fmt.Errorf("core: %v: retry backoff interrupted: %w", u, serr)
+				break
+			}
+			err = Guard(func() error {
+				exe, err := r.buildUnit(w, u, keys[k])
+				if err == nil {
+					o, err = r.measureUnit(w, u, keys[k], exe)
+				}
+				return err
+			})
+		}
+		st.end()
+		done(k, o, err)
+	}
+}
+
+// Build runs one attempt through the build seam for u: reorder+link
+// plus the executable integrity check. Panics from the seam (injected
+// or real) propagate; callers run under Guard.
+func (r *LayoutRunner) Build(u Unit) (*toolchain.Executable, error) {
+	if err := r.checkUnit(u); err != nil {
+		return nil, err
+	}
+	if err := r.acquire(0); err != nil {
+		return nil, err
+	}
+	defer r.mu.RUnlock()
+	return r.buildUnit(0, u, r.keys(u))
+}
+
+// MeasureBuilt runs one attempt through the measure seam on worker slot
+// w (two concurrent calls must use distinct slots) for an executable
+// Build returned for u: the counter harness plus the plausibility
+// check. The observation's Attempts is left to the caller.
+func (r *LayoutRunner) MeasureBuilt(w int, u Unit, exe *toolchain.Executable) (Observation, error) {
+	if err := r.checkUnit(u); err != nil {
+		return Observation{}, err
+	}
+	if err := r.acquire(w); err != nil {
+		return Observation{}, err
+	}
+	defer r.mu.RUnlock()
+	return r.measureUnit(w, u, r.keys(u), exe)
+}
+
+// buildUnit is one attempt through the build seam, traced on slot w's
+// lane: reorder+link plus the executable integrity check that catches
+// silent corruption before it can be measured. A genome links by
+// explicit permutation, fault-wrapped per call so its fault draws key
+// off its fingerprint as a layout's key off its seed.
+func (r *LayoutRunner) buildUnit(w int, u Unit, k unitKeys) (*toolchain.Executable, error) {
+	if r.co != nil {
+		r.co.attempts.Inc()
+	}
+	st := r.co.stageStart("compile", k.span, tagCompile, w)
+	defer st.end()
+	build := r.build
+	if u.Genome != nil {
+		build = &genomeBuildAdapter{gb: r.gb, g: *u.Genome}
+		if r.cfg.Faults != nil {
+			build = r.cfg.Faults.WrapBuilder(build)
+		}
+	}
+	exe, err := build.Build(k.seed)
+	if err != nil {
+		return nil, fmt.Errorf("core: %v: %w", u, err)
+	}
+	if err := toolchain.CheckExecutable(exe, k.ref); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return exe, nil
+}
+
+// measureUnit is one attempt through slot w's measure seam: the counter
+// harness run plus the plausibility check on its readings. The heap and
+// noise seeds are re-derived from the unit, so any executable built for
+// it measures identically wherever and whenever it runs.
+func (r *LayoutRunner) measureUnit(w int, u Unit, k unitKeys, exe *toolchain.Executable) (Observation, error) {
+	st := r.co.stageStart("run", k.span, tagRun, w)
+	m, err := r.meas[w].Measure(machine.RunSpec{
+		Exe:       exe,
+		Trace:     r.trace,
+		HeapMode:  r.cfg.HeapMode,
+		HeapSeed:  k.heap,
+		NoiseSeed: k.noise,
+	})
+	st.end()
+	if err != nil {
+		return Observation{}, fmt.Errorf("core: %v: %w", u, err)
+	}
+	st = r.co.stageStart("fit", k.span, tagFit, w)
+	err = m.Check(r.trace.Instrs, pmc.RunID{
+		Layout:     k.ref,
+		LayoutSeed: k.seed,
+		HeapSeed:   k.heap,
+		NoiseSeed:  k.noise,
+	})
+	st.end()
+	if err != nil {
+		return Observation{}, fmt.Errorf("core: %w", err)
+	}
+	return Observation{LayoutSeed: k.seed, HeapSeed: k.heap, Measurement: m}, nil
+}
+
+// Seed returns the seed u's observations carry: the layout seed the
+// campaign derives for a layout, a genome's fingerprint. Schedulers use
+// it to validate that a result streamed back from a remote worker
+// belongs to the unit it was leased for.
+func (r *LayoutRunner) Seed(u Unit) uint64 { return r.keys(u).seed }
 
 // CompletedObservation stamps retry provenance onto a successful
 // observation the way the in-process supervisor does: Attempts is the
 // number of executions the layout took, and any retry marks the status.
-// Schedulers track attempts themselves, so the stamp is explicit here
-// rather than buried in a retry loop they don't use.
+// Schedulers that requeue track attempts themselves, so the stamp is
+// explicit here rather than buried in a retry loop they don't use.
 func CompletedObservation(o Observation, attempts int) Observation {
 	o.Attempts = attempts
 	if attempts > 1 {
@@ -226,15 +395,12 @@ func CompletedObservation(o Observation, attempts int) Observation {
 	return o
 }
 
-// FailedObservation is the observation recorded for a layout that
-// exhausted its attempts: the derived seeds with zero counters and
-// StatusFailed, exactly what the in-process supervisor records.
-func (r *LayoutRunner) FailedObservation(i, attempts int) Observation {
-	o := Observation{LayoutSeed: r.cfg.layoutSeed(i), Status: StatusFailed, Attempts: attempts}
-	if r.cfg.HeapMode == heap.ModeRandomized {
-		o.HeapSeed = r.cfg.heapSeed(i)
-	}
-	return o
+// FailedObservation is the observation recorded for a unit that
+// exhausted its attempts: its derived seeds with zero counters and
+// StatusFailed.
+func (r *LayoutRunner) FailedObservation(u Unit, attempts int) Observation {
+	k := r.keys(u)
+	return Observation{LayoutSeed: k.seed, HeapSeed: k.heap, Status: StatusFailed, Attempts: attempts}
 }
 
 // Dataset assembles the campaign dataset from per-layout observations
@@ -256,13 +422,6 @@ func (r *LayoutRunner) Dataset(observations []Observation, failures []LayoutFail
 	ds.Failures = append([]LayoutFailure(nil), failures...)
 	sort.Slice(ds.Failures, func(a, b int) bool { return ds.Failures[a].Index < ds.Failures[b].Index })
 	return ds, nil
-}
-
-// Guard runs fn, converting a panic into a *PanicError — the same
-// conversion the in-process supervisor applies, so an injected panic in
-// a seam is one more retriable task failure instead of a dead process.
-func Guard(fn func() error) error {
-	return runGuarded(func(int, int) error { return fn() }, 0, 0)
 }
 
 // CheckpointSink exposes the campaign checkpoint machinery to external

@@ -11,7 +11,6 @@ import (
 	"interferometry/internal/jobqueue/backoff"
 	"interferometry/internal/obs"
 	"interferometry/internal/pmc"
-	"interferometry/internal/toolchain"
 )
 
 // TestLayoutRunnerMatchesRunCampaign drives every layout through the
@@ -33,11 +32,11 @@ func TestLayoutRunnerMatchesRunCampaign(t *testing.T) {
 	}
 	obs := make([]core.Observation, 8)
 	for n, i := range []int{5, 0, 7, 2, 1, 6, 3, 4} {
-		exe, err := r.BuildLayout(i)
+		exe, err := r.Build(core.Unit{Layout: i})
 		if err != nil {
 			t.Fatalf("build %d: %v", i, err)
 		}
-		o, err := r.MeasureLayout(n%3, i, exe)
+		o, err := r.MeasureBuilt(n%3, core.Unit{Layout: i}, exe)
 		if err != nil {
 			t.Fatalf("measure %d: %v", i, err)
 		}
@@ -69,11 +68,11 @@ func TestLayoutRunnerRepeatedExecutionIdentical(t *testing.T) {
 	}
 	var prev core.Observation
 	for n := 0; n < 3; n++ {
-		exe, err := r.BuildLayout(1)
+		exe, err := r.Build(core.Unit{Layout: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := r.MeasureLayout(n%2, 1, exe)
+		o, err := r.MeasureBuilt(n%2, core.Unit{Layout: 1}, exe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,13 +91,18 @@ func TestLayoutRunnerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.BuildLayout(2); err == nil {
-		t.Error("out-of-range layout accepted by BuildLayout")
+	if _, err := r.Build(core.Unit{Layout: 2}); err == nil {
+		t.Error("out-of-range layout accepted by Build")
 	}
-	if _, err := r.MeasureLayout(1, 0, nil); err == nil {
-		t.Error("out-of-range worker slot accepted by MeasureLayout")
+	if _, err := r.MeasureBuilt(1, core.Unit{Layout: 0}, nil); err == nil {
+		t.Error("out-of-range worker slot accepted by MeasureBuilt")
 	}
-	fo := r.FailedObservation(1, 3)
+	if err := r.Measure(0, []core.Unit{{Layout: 0}, {Layout: 2}}, 1, func(int, core.Observation, error) {
+		t.Error("Measure ran a chunk holding an out-of-range layout")
+	}); err == nil {
+		t.Error("out-of-range layout accepted by Measure")
+	}
+	fo := r.FailedObservation(core.Unit{Layout: 1}, 3)
 	if fo.Status != core.StatusFailed || fo.Attempts != 3 || fo.LayoutSeed == 0 || fo.Cycles != 0 {
 		t.Errorf("FailedObservation = %+v", fo)
 	}
@@ -121,7 +125,7 @@ func TestLayoutRunnerSeamsCarryFaults(t *testing.T) {
 	}
 	var exeErr error
 	err = core.Guard(func() error {
-		_, exeErr = r.BuildLayout(0)
+		_, exeErr = r.Build(core.Unit{Layout: 0})
 		return exeErr
 	})
 	var pe *core.PanicError
@@ -129,7 +133,7 @@ func TestLayoutRunnerSeamsCarryFaults(t *testing.T) {
 		t.Fatalf("guarded injected panic returned %v, want *PanicError", err)
 	}
 	// MaxFaults exhausted: the retry goes clean.
-	if _, err := r.BuildLayout(0); err != nil {
+	if _, err := r.Build(core.Unit{Layout: 0}); err != nil {
 		t.Fatalf("retry after injected panic: %v", err)
 	}
 	if err := core.Guard(func() error { return nil }); err != nil {
@@ -242,12 +246,12 @@ func TestCampaignBackoffSpacesRetries(t *testing.T) {
 	}
 }
 
-// TestPrimeBatchEnginesAndDeclines: a primed group of four is measured
-// by one batched walk and by no scalar replay, bit-identical to an
-// unprimed runner; a group of one replays on the scalar engine without
-// a decline; and a FidelityPaperNaive group declines the walk, counted
-// by reason, and replays every layout on the scalar engine.
-func TestPrimeBatchEnginesAndDeclines(t *testing.T) {
+// TestMeasureEnginesAndDeclines: a chunk of four is measured by one
+// batched walk and by no scalar replay, bit-identical to each unit
+// measured alone; a chunk of one replays on the scalar engine without a
+// decline; and a FidelityPaperNaive chunk declines the walk, counted by
+// reason, and replays every layout on the scalar engine.
+func TestMeasureEnginesAndDeclines(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		fidelity      pmc.Fidelity
@@ -260,6 +264,19 @@ func TestPrimeBatchEnginesAndDeclines(t *testing.T) {
 		{"naive fidelity", pmc.FidelityPaperNaive, 2, 0, 2, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			measure := func(r *core.LayoutRunner, units []core.Unit) []core.Observation {
+				t.Helper()
+				out := make([]core.Observation, len(units))
+				if err := r.Measure(0, units, 1, func(k int, o core.Observation, err error) {
+					if err != nil {
+						t.Fatalf("layout %d: %v", units[k].Layout, err)
+					}
+					out[k] = o
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
 			o := &obs.Observer{Metrics: obs.NewMetrics()}
 			cfg := smallCampaign(tc.group)
 			cfg.Fidelity = tc.fidelity
@@ -272,33 +289,17 @@ func TestPrimeBatchEnginesAndDeclines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idxs := make([]int, tc.group)
-			exes := make([]*toolchain.Executable, tc.group)
-			for i := range idxs {
-				idxs[i] = i
-				if exes[i], err = r.BuildLayout(i); err != nil {
-					t.Fatal(err)
-				}
+			units := make([]core.Unit, tc.group)
+			for i := range units {
+				units[i] = core.Unit{Layout: i}
 			}
-			primeErr := r.PrimeBatch(0, idxs, exes)
-			if (tc.fidelityDecl > 0) != (primeErr != nil) {
-				t.Errorf("prime error %v", primeErr)
-			}
-			for i, exe := range exes {
-				got, err := r.MeasureLayout(0, i, exe)
-				if err != nil {
-					t.Fatal(err)
+			got := measure(r, units)
+			for i, u := range units {
+				if want := measure(plain, []core.Unit{u})[0]; got[i] != want {
+					t.Errorf("layout %d: in the chunk %+v, alone %+v", i, got[i], want)
 				}
-				exe2, err := plain.BuildLayout(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := plain.MeasureLayout(0, i, exe2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Errorf("layout %d: primed %+v, unprimed %+v", i, got, want)
+				if got[i].Attempts != 1 {
+					t.Errorf("layout %d: Attempts %d, want 1", i, got[i].Attempts)
 				}
 			}
 			counter := func(name string) uint64 { return o.Counter(name, "").Value() }

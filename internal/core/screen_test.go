@@ -28,8 +28,9 @@ func TestMeasurementValid(t *testing.T) {
 	}
 }
 
-// screenFixture runs a clean campaign and hands back everything
-// screenOutliers needs to be re-driven against a tampered copy.
+// screenFixture runs a clean campaign and hands back the config and
+// dataset a screen is re-driven against (through screenRunner) once a
+// test has tampered with the dataset.
 func screenFixture(t *testing.T, layouts int) (CampaignConfig, *Dataset) {
 	t.Helper()
 	cfg := CampaignConfig{
@@ -51,6 +52,22 @@ func screenFixture(t *testing.T, layouts int) (CampaignConfig, *Dataset) {
 	return cfg, ds
 }
 
+// screenRunner builds a runner with slots worker slots on the fixture's
+// trace. A non-nil seam replaces every slot's measure seam.
+func screenRunner(t *testing.T, cfg CampaignConfig, ds *Dataset, slots int, seam measureSeam) *LayoutRunner {
+	t.Helper()
+	r, err := NewLayoutRunner(cfg, slots, ds.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seam != nil {
+		for w := range r.meas {
+			r.meas[w] = seam
+		}
+	}
+	return r
+}
+
 // TestScreenDegradesUnrepairableCorruption: an invalid measurement whose
 // re-measurement is also invalid must leave the screen as StatusFailed
 // with a recorded failure — never as data, and never as a NaN panic in
@@ -60,8 +77,7 @@ func TestScreenDegradesUnrepairableCorruption(t *testing.T) {
 	const victim = 3
 	ds.Obs[victim].Measurement = pmc.Measurement{Cycles: 999}
 
-	build, _, _, _ := newSeams(&cfg, 1)
-	screenOutliers(&cfg, nil, ds, []measureSeam{corruptSeam{}}, build, ds.Trace, nil)
+	screenOutliers(screenRunner(t, cfg, ds, 1, corruptSeam{}), ds, nil)
 
 	got := ds.Obs[victim]
 	if got.Status != StatusFailed {
@@ -93,8 +109,7 @@ func TestScreenRepairsCorruptionByRemeasuring(t *testing.T) {
 	want := ds.Obs[victim].Measurement
 	ds.Obs[victim].Measurement = pmc.Measurement{Cycles: 999}
 
-	build, _, measurers, _ := newSeams(&cfg, 1)
-	screenOutliers(&cfg, nil, ds, measurers, build, ds.Trace, nil)
+	screenOutliers(screenRunner(t, cfg, ds, 1, nil), ds, nil)
 
 	got := ds.Obs[victim]
 	if got.Status != StatusRetried {
@@ -115,8 +130,7 @@ func TestScreenKeepsValidObservations(t *testing.T) {
 	cfg, ds := screenFixture(t, 8)
 	before := append([]Observation(nil), ds.Obs...)
 
-	build, _, _, _ := newSeams(&cfg, 1)
-	screenOutliers(&cfg, nil, ds, []measureSeam{corruptSeam{}}, build, ds.Trace, nil)
+	screenOutliers(screenRunner(t, cfg, ds, 1, corruptSeam{}), ds, nil)
 
 	for i := range ds.Obs {
 		if ds.Obs[i] != before[i] {
@@ -137,8 +151,7 @@ func TestScreenMedianExcludesInvalid(t *testing.T) {
 	const victim = 0
 	ds.Obs[victim].Measurement = pmc.Measurement{Cycles: math.MaxUint64}
 
-	build, _, measurers, _ := newSeams(&cfg, 1)
-	screenOutliers(&cfg, nil, ds, measurers, build, ds.Trace, nil)
+	screenOutliers(screenRunner(t, cfg, ds, 1, nil), ds, nil)
 
 	retried := 0
 	for i := range ds.Obs {
@@ -162,10 +175,10 @@ func (panicSeam) Measure(machine.RunSpec) (pmc.Measurement, error) {
 	panic("measure seam exploded")
 }
 
-// TestScreenPoolSizedFromSeams: the screen runs one worker per seam it
-// is handed, whatever cfg.Workers says. With one seam and several
-// flagged layouts a pool sized from cfg.Workers indexes past the seams;
-// with four seams every flagged layout is still repaired exactly once.
+// TestScreenPoolSizedFromSeams: the screen runs one worker per runner
+// slot, whatever cfg.Workers says. With one slot and several flagged
+// layouts a pool sized from cfg.Workers indexes past the seams; with
+// four slots every flagged layout is still repaired exactly once.
 func TestScreenPoolSizedFromSeams(t *testing.T) {
 	for _, seams := range []int{1, 4} {
 		cfg, ds := screenFixture(t, 8)
@@ -175,8 +188,7 @@ func TestScreenPoolSizedFromSeams(t *testing.T) {
 		for _, v := range victims {
 			ds.Obs[v].Measurement = pmc.Measurement{Cycles: 999}
 		}
-		build, _, measurers, _ := newSeams(&cfg, seams)
-		screenOutliers(&cfg, nil, ds, measurers, build, ds.Trace, nil)
+		screenOutliers(screenRunner(t, cfg, ds, seams, nil), ds, nil)
 		for _, v := range victims {
 			if got := ds.Obs[v]; got.Status != StatusRetried || got.Measurement != want[v].Measurement {
 				t.Errorf("%d seams: layout %d not repaired: status %v", seams, v, got.Status)
@@ -198,10 +210,8 @@ func TestScreenCountsRecoveredPanics(t *testing.T) {
 	ds.Obs[victim].Measurement = pmc.Measurement{Cycles: 999}
 	m := obs.NewMetrics()
 	cfg.Obs = &obs.Observer{Metrics: m}
-	co := newCampaignObs(&cfg)
 
-	build, _, _, _ := newSeams(&cfg, 1)
-	screenOutliers(&cfg, co, ds, []measureSeam{panicSeam{}, panicSeam{}}, build, ds.Trace, nil)
+	screenOutliers(screenRunner(t, cfg, ds, 2, panicSeam{}), ds, nil)
 
 	if got := ds.Obs[victim].Status; got != StatusFailed {
 		t.Fatalf("corrupt layout whose re-measurement panicked has status %v, want StatusFailed", got)

@@ -295,142 +295,39 @@ func (s *Search) Genomes(gen int, prev *GenerationResult) ([]toolchain.Genome, e
 }
 
 // Evaluate measures one generation's population in-process: chunked
-// across the runner's workers, each chunk built, batch-primed and
-// measured through the exact per-layout pipeline, with the campaign's
-// retry budget per genome. Failures never abort the generation — an
-// individual that exhausts its attempts becomes a StatusFailed
-// observation and loses selection. The only errors are cancellation
-// and a released runner.
+// across the runner's workers, each chunk through LayoutRunner.Measure
+// with the campaign's retry budget per genome. Failures never abort the
+// generation — an individual that exhausts its attempts becomes a
+// StatusFailed observation and loses selection. The only errors are
+// cancellation and a released runner.
 func (s *Search) Evaluate(ctx context.Context, genomes []toolchain.Genome) ([]Observation, error) {
 	if ctx == nil {
 		ctx = s.cfg.Campaign.context()
 	}
-	if err := s.runner.acquire(); err != nil {
+	r := s.runner
+	if err := r.acquire(0); err != nil {
 		return nil, err
 	}
-	defer s.runner.mu.RUnlock()
-	n := len(genomes)
-	workers := s.runner.Workers()
-	out := make([]Observation, n)
-	chunk := s.cfg.Campaign.batchSize(workers)
-	_, err := superviseChunksT(ctx, workers, n, chunk, n, newSupTel(s.cfg.Campaign.Obs), func(w, lo, hi int, _ func(int, error), _ func() bool) {
-		s.evaluateChunk(w, lo, hi, genomes, out)
+	defer r.mu.RUnlock()
+	units := make([]Unit, len(genomes))
+	for i := range genomes {
+		units[i] = Unit{Genome: &genomes[i]}
+	}
+	out := make([]Observation, len(units))
+	attempts := r.cfg.maxAttempts()
+	_, err := superviseChunksT(ctx, r.workers, len(units), r.cfg.batchSize(r.workers), 0, newSupTel(r.cfg.Obs), func(w, lo, hi int, _ func(int, error), _ func() bool) {
+		chunk := units[lo:hi]
+		r.measure(w, chunk, attempts, func(k int, o Observation, err error) {
+			if err != nil {
+				o = r.FailedObservation(chunk[k], attempts)
+			}
+			out[lo+k] = o
+		})
 	})
 	if err != nil && ctx.Err() != nil {
 		return nil, fmt.Errorf("core: search evaluation canceled: %w", context.Cause(ctx))
 	}
 	return out, err
-}
-
-// evaluateChunk drives genomes [lo, hi) on worker w: one guarded build
-// attempt each, one batched trace walk over the built ones, then the
-// per-genome measure with the sequential retry tail. Mirrors
-// measureChunk's phases; failures degrade to StatusFailed observations
-// instead of sweeping failures because a search individual that cannot
-// be measured simply loses selection.
-func (s *Search) evaluateChunk(w, lo, hi int, genomes []toolchain.Genome, out []Observation) {
-	r := s.runner
-	cfg := &r.cfg
-	n := hi - lo
-	exes := make([]*toolchain.Executable, n)
-	errs := make([]error, n)
-
-	// Phase A: attempt one's build for every genome in the chunk.
-	for j := 0; j < n; j++ {
-		g := genomes[lo+j]
-		if r.co != nil {
-			r.co.attempts.Inc()
-		}
-		var exe *toolchain.Executable
-		err := runGuarded(func(_, _ int) error {
-			var berr error
-			exe, berr = buildGenome(cfg, r.co, r.gb, g, w)
-			return berr
-		}, w, lo+j)
-		if err != nil {
-			exe = nil
-		}
-		exes[j] = exe
-		errs[j] = err
-	}
-
-	// Phase B: one trace walk for the built genomes. The same exe
-	// pointers flow into MeasureGenome below, which the det cache
-	// matches on.
-	var builtG []toolchain.Genome
-	var builtE []*toolchain.Executable
-	for j := 0; j < n; j++ {
-		if exes[j] != nil {
-			builtG = append(builtG, genomes[lo+j])
-			builtE = append(builtE, exes[j])
-		}
-	}
-	_ = r.primeGenomes(w, builtG, builtE) // declines are counted; phase C then replays on the scalar engine
-
-	// Phase C: the per-genome pipeline with the sequential retry tail.
-	for j := 0; j < n; j++ {
-		g := genomes[lo+j]
-		var o Observation
-		err := errs[j]
-		if err == nil {
-			err = runGuarded(func(_, _ int) error {
-				var merr error
-				o, merr = measureGenomeBuilt(cfg, r.co, r.meas[w], r.trace, exes[j], g.Fingerprint(), w)
-				return merr
-			}, w, lo+j)
-		}
-		if err == nil {
-			o.Attempts = 1
-			out[lo+j] = o
-			continue
-		}
-		o, err = s.retryGenome(g, w, err)
-		if err != nil {
-			out[lo+j] = r.FailedGenomeObservation(g, cfg.maxAttempts())
-			continue
-		}
-		out[lo+j] = o
-	}
-}
-
-// retryGenome is the genome retry tail: attempt one already failed, so
-// run attempts 2..maxAttempts with the campaign's backoff keyed by the
-// fingerprint. Panics count as attempt failures — a search individual
-// is never worth killing the generation over.
-func (s *Search) retryGenome(g toolchain.Genome, w int, firstErr error) (Observation, error) {
-	r := s.runner
-	cfg := &r.cfg
-	fp := g.Fingerprint()
-	attempts := cfg.maxAttempts()
-	lastErr := firstErr
-	for a := 1; a < attempts; a++ {
-		if r.co != nil {
-			r.co.o.Prog().Retry()
-		}
-		if serr := cfg.Backoff.Sleep(cfg.context(), a, cfg.BaseSeed, fp); serr != nil {
-			return Observation{}, fmt.Errorf("core: genome %016x: retry backoff interrupted: %w", fp, serr)
-		}
-		var o Observation
-		err := runGuarded(func(_, _ int) error {
-			if r.co != nil {
-				r.co.attempts.Inc()
-			}
-			exe, berr := buildGenome(cfg, r.co, r.gb, g, w)
-			if berr != nil {
-				return berr
-			}
-			var merr error
-			o, merr = measureGenomeBuilt(cfg, r.co, r.meas[w], r.trace, exe, fp, w)
-			return merr
-		}, w, a)
-		if err == nil {
-			o.Attempts = a + 1
-			o.Status = StatusRetried
-			return o, nil
-		}
-		lastErr = err
-	}
-	return Observation{}, fmt.Errorf("core: genome %016x failed after %d attempts: %w", fp, attempts, lastErr)
 }
 
 // Settle turns one generation's raw observations into a settled
@@ -488,37 +385,26 @@ func (s *Search) Settle(gen int, genomes []toolchain.Genome, observations []Obse
 // error is a released runner.
 func (s *Search) screenGeneration(inds []Individual) error {
 	r := s.runner
-	if err := r.acquire(); err != nil {
+	if err := r.acquire(0); err != nil {
 		return err
 	}
 	defer r.mu.RUnlock()
-	cfg := &r.cfg
 	for i := range inds {
 		in := &inds[i]
 		if in.Obs.Status == StatusFailed || measurementValid(in.Obs.Measurement) {
 			continue
 		}
 		prev := in.Obs
-		var o Observation
-		err := runGuarded(func(_, _ int) error {
-			if r.co != nil {
-				r.co.attempts.Inc()
+		u := Unit{Genome: &in.Genome}
+		r.measure(0, []Unit{u}, 1, func(_ int, o Observation, err error) {
+			if err == nil && measurementValid(o.Measurement) {
+				o.Status = StatusRetried
+				o.Attempts += prev.Attempts
+				in.Obs = o
+				return
 			}
-			exe, berr := buildGenome(cfg, r.co, r.gb, in.Genome, 0)
-			if berr != nil {
-				return berr
-			}
-			var merr error
-			o, merr = measureGenomeBuilt(cfg, r.co, r.meas[0], r.trace, exe, in.Genome.Fingerprint(), 0)
-			return merr
-		}, 0, i)
-		if err == nil && measurementValid(o.Measurement) {
-			o.Status = StatusRetried
-			o.Attempts = prev.Attempts + 1
-			in.Obs = o
-			continue
-		}
-		in.Obs = r.FailedGenomeObservation(in.Genome, prev.Attempts+1)
+			in.Obs = r.FailedObservation(u, prev.Attempts+1)
+		})
 	}
 	return nil
 }

@@ -86,6 +86,43 @@ func TestCampaignSurvivesWorkerPanic(t *testing.T) {
 	}
 }
 
+// TestCampaignRetriesAcrossPanic: a recovered panic costs one attempt,
+// like any other failure. With one injected build panic per layout and
+// a retry to spare, every layout comes back retried and bit-identical
+// to the clean run, at chunk width 1 and at the automatic width.
+func TestCampaignRetriesAcrossPanic(t *testing.T) {
+	clean, err := core.RunCampaign(smallCampaign(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		batch int
+	}{{"scalar", 1}, {"auto", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallCampaign(6)
+			cfg.Workers = 2
+			cfg.BatchSize = tc.batch
+			cfg.MaxAttempts = 2
+			cfg.Faults = faultinject.New(5, faultinject.Config{
+				Build: faultinject.Rates{Panic: 1, MaxFaults: 1},
+			})
+			ds, err := core.RunCampaign(cfg)
+			if err != nil {
+				t.Fatalf("campaign did not retry across the injected panics: %v", err)
+			}
+			for i, o := range ds.Obs {
+				if o.Status != core.StatusRetried || o.Attempts != 2 {
+					t.Errorf("layout %d: status %v after %d attempts, want retried after 2", i, o.Status, o.Attempts)
+				}
+				if o.Measurement != clean.Obs[i].Measurement || o.LayoutSeed != clean.Obs[i].LayoutSeed || o.HeapSeed != clean.Obs[i].HeapSeed {
+					t.Errorf("layout %d differs from the clean run", i)
+				}
+			}
+		})
+	}
+}
+
 // TestCampaignDegradesWithinBudget: permanent failures within the failure
 // budget mark their layouts StatusFailed; every consumer then works on
 // the effective sample, and the surviving observations are bit-identical
