@@ -1,9 +1,10 @@
 // Command campaignd serves the resilient campaign job service: campaigns
 // submitted as JSON are decomposed into per-layout tasks on a bounded
-// priority queue and measured under worker leases, per-seam circuit
-// breakers and seeded-backoff retries. Determinism makes the resilience
-// free of caveats — whatever faults or restarts disturb the schedule, a
-// finished campaign's dataset is byte-identical to a clean run.
+// priority queue and measured in lease groups, one shared trace walk per
+// campaign's part of a group, under leases and seeded-backoff retries.
+// Determinism makes the resilience free of caveats — whatever faults or
+// restarts disturb the schedule, a finished campaign's dataset is
+// byte-identical to a clean run.
 //
 // Serve mode:
 //
@@ -11,7 +12,8 @@
 //
 // Endpoints: POST /campaigns, GET /campaigns/{id}[/result|/measurements],
 // /healthz, /readyz, /queuez, /metrics. SIGTERM drains gracefully: stop
-// admission, finish leased tasks, flush checkpoints, exit.
+// admission, finish the lease groups the task loops hold, flush
+// checkpoints, exit.
 //
 // Scale-out: a server started with -workers 0 is a pure coordinator;
 // any number of worker processes on other machines pull its leased
@@ -63,7 +65,6 @@ import (
 	"interferometry/internal/campaignd"
 	"interferometry/internal/experiments"
 	"interferometry/internal/faultinject"
-	"interferometry/internal/jobqueue"
 	"interferometry/internal/jobqueue/backoff"
 	"interferometry/internal/obs"
 	"interferometry/internal/obsflag"
@@ -74,7 +75,7 @@ func main() {
 	var (
 		addr           = flag.String("addr", "localhost:8347", "listen address")
 		scaleName      = flag.String("scale", "small", "default campaign scale: small, medium or paper")
-		workers        = flag.Int("workers", 2, "task worker pool size (serve: 0 = coordinator only; worker: concurrent tasks)")
+		workers        = flag.Int("workers", 2, "task loops (serve: 0 = coordinator only; worker: concurrent lease groups)")
 		workerMode     = flag.Bool("worker", false, "run as a remote worker pulling tasks from -coordinator")
 		coordinator    = flag.String("coordinator", "", "coordinator base URL for -worker mode, e.g. http://host:8347")
 		cacheDir       = flag.String("artifact-cache", "", "directory for the content-addressed layout artifact cache (empty = off)")
@@ -96,10 +97,6 @@ func main() {
 		backoffBase   = flag.Duration("backoff-base", 50*time.Millisecond, "first retry delay")
 		backoffCap    = flag.Duration("backoff-cap", 2*time.Second, "max retry delay")
 		backoffJitter = flag.Float64("backoff-jitter", 0.5, "seeded jitter fraction of each delay [0,1]")
-
-		breakerTrip = flag.Int("breaker-trip", 5, "consecutive seam failures that open the breaker")
-		breakerOpen = flag.Duration("breaker-open", 5*time.Second, "how long an open breaker rejects before probing")
-		breakerSlow = flag.Duration("breaker-slow", 0, "seam calls at least this slow count as failures (0 = off)")
 
 		chaos       = flag.Bool("chaos", false, "run the deterministic chaos soak instead of serving")
 		chaosBench  = flag.String("chaos-benchmark", "429.mcf", "benchmark the soak measures")
@@ -231,12 +228,7 @@ func main() {
 		AuditRate:             *auditRate,
 		QuarantineThreshold:   *quarThreshold,
 		Backoff:               backoff.Policy{Base: *backoffBase, Cap: *backoffCap, Jitter: *backoffJitter},
-		Breaker: jobqueue.BreakerConfig{
-			TripAfter:     *breakerTrip,
-			OpenFor:       *breakerOpen,
-			SlowThreshold: *breakerSlow,
-		},
-		Obs: observer,
+		Obs:                   observer,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -1,12 +1,12 @@
 // Package campaignd is the long-running campaign job service: it accepts
 // campaign specs over HTTP, fans each one out into per-layout tasks on a
-// bounded priority queue, and drives the tasks through the core build and
-// measure seams under worker leases, per-seam circuit breakers and
-// seeded-backoff retries.
+// bounded priority queue, and measures the tasks in lease groups through
+// core.LayoutRunner.Measure — on the coordinator's own task loops or on
+// remote workers — under leases and seeded-backoff retries.
 //
 // The service adds scheduling, not meaning: every measurement is a pure
-// function of the spec's seed tuple, so whatever the queue, the breakers
-// or the fault injector do to the schedule — retries, lease expiries,
+// function of the spec's seed tuple, so whatever the queue, the lease
+// groups or the fault injector do to the schedule — retries, lease expiries,
 // duplicate executions, drains and resumes — the finished dataset is
 // byte-identical to a clean single-process core.RunCampaign of the same
 // spec. The chaos soak (Soak) proves exactly that against the live
@@ -54,10 +54,10 @@ type Config struct {
 	// Scale supplies per-spec defaults (layouts, budget, fidelity).
 	// The zero Scale means experiments.Small.
 	Scale experiments.Scale
-	// Workers is the task worker pool size. Zero or negative means 1.
+	// Workers is the number of local task loops. Zero or negative means 1.
 	Workers int
 	// NoLocalWorkers runs the server as a pure coordinator: Start
-	// launches no local task workers, and every layout is executed by
+	// launches no local task loops, and every layout is executed by
 	// remote campaignd worker processes pulling tasks from the
 	// /worker/* endpoints (DESIGN.md §10). Workers is then unused, and
 	// each campaign's runner holds only the audit slot.
@@ -68,9 +68,9 @@ type Config struct {
 	// Lease is how long a task stays owned without a heartbeat before it
 	// is reaped and requeued. Zero means 30s.
 	Lease time.Duration
-	// HeartbeatEvery is the worker heartbeat interval. Zero means a
-	// third of the lease; negative disables heartbeats (tests use this
-	// to force lease expiry under a live worker).
+	// HeartbeatEvery is the local loops' heartbeat interval. Zero means
+	// a third of the lease; negative disables heartbeats (tests use this
+	// to force lease expiry under a live loop).
 	HeartbeatEvery time.Duration
 	// MaxAttempts bounds executions per layout. Zero means 3.
 	MaxAttempts int
@@ -78,15 +78,12 @@ type Config struct {
 	// (campaign seed, layout), so a replayed campaign backs off by
 	// identical amounts. The zero policy retries immediately.
 	Backoff backoff.Policy
-	// Breaker configures both per-seam circuit breakers. Its Now and
-	// OnTransition fields are ignored (the server wires its own).
-	Breaker jobqueue.BreakerConfig
 	// CheckpointRoot, when set, checkpoints every campaign under
 	// <root>/<campaign-id>/ and resumes from an existing checkpoint on
 	// resubmission. Empty disables checkpointing.
 	CheckpointRoot string
 	// WALDir, when set, makes admissions durable: every acknowledged
-	// submission, task state transition and finalization is fsynced to
+	// submission, settled search generation and finalization is fsynced to
 	// <dir>/campaignd.wal before the client sees it, and a restarted
 	// server replays the log, reconciles it with the checkpoint
 	// directories and resumes unfinished campaigns automatically. Empty
@@ -225,8 +222,6 @@ type Server struct {
 	cfg       Config
 	queue     *jobqueue.Queue[task]
 	remote    *jobqueue.Registry[task]
-	build     *jobqueue.Breaker
-	measure   *jobqueue.Breaker
 	wal       *wal.Log
 	shed      *obs.Counter
 	writeErrs *obs.Counter
@@ -275,16 +270,11 @@ type Server struct {
 // WALFile is the write-ahead log's name inside Config.WALDir.
 const WALFile = "campaignd.wal"
 
-// New builds a server; Start launches its workers. With Config.WALDir
+// New builds a server; Start launches its task loops. With Config.WALDir
 // set, New replays the log and re-admits every campaign that was
 // acknowledged but not finished — their tasks are queued (resuming from
 // checkpoints where those exist) before the first request is served.
 func New(cfg Config) (*Server, error) {
-	brCfg := cfg.Breaker
-	brCfg.Now = cfg.Now
-	buildCfg, measureCfg := brCfg, brCfg
-	buildCfg.OnTransition = jobqueue.ObserveBreaker(cfg.Obs, "campaignd", "build")
-	measureCfg.OnTransition = jobqueue.ObserveBreaker(cfg.Obs, "campaignd", "measure")
 	ctx, stop := context.WithCancelCause(context.Background())
 	s := &Server{
 		cfg: cfg,
@@ -299,8 +289,6 @@ func New(cfg Config) (*Server, error) {
 			TenantMetrics: tenantMetricsHook(cfg.Obs),
 		}),
 		remote:     jobqueue.NewRegistry[task](),
-		build:      jobqueue.NewBreaker(buildCfg),
-		measure:    jobqueue.NewBreaker(measureCfg),
 		shed:       obsCounter(cfg.Obs, "campaignd_shed_total", "submissions rejected by admission control (429)"),
 		writeErrs:  obsCounter(cfg.Obs, "campaignd_http_write_errors_total", "HTTP response bodies that failed to encode or send"),
 		walErrs:    obsCounter(cfg.Obs, "campaignd_wal_append_errors_total", "WAL appends that failed (state stays replayable from the last good record)"),
@@ -369,7 +357,7 @@ func (s *Server) shedTenant(tenant string) {
 }
 
 // resume re-admits one live WAL campaign at startup. The submit record
-// is already in the log, so the admission is not re-journaled; task and
+// is already in the log, so the admission is not re-journaled; gen and
 // final records append as the resumed work progresses.
 func (s *Server) resume(st *wal.CampaignState) error {
 	var spec JobSpec
@@ -419,13 +407,13 @@ func (s *Server) WorkerHealth() map[string]jobqueue.WorkerHealth {
 	return s.remote.Workers()
 }
 
-// Start launches the worker pool (a no-op for a pure coordinator).
+// Start launches the local task loops (a no-op for a pure coordinator).
 func (s *Server) Start() {
 	for w := 0; w < s.slots.local; w++ {
 		s.wg.Add(1)
 		go func(slot int) {
 			defer s.wg.Done()
-			s.worker(slot)
+			s.loop(slot)
 		}(w)
 	}
 }
@@ -606,20 +594,15 @@ func (s *Server) runningCampaignsLocked(tenant string) int {
 	return n
 }
 
-// wireJournal points the campaign's terminal-state hooks at the WAL.
+// wireJournal points the campaign's terminal-state hook at the WAL.
 // Append failures are counted, not fatal: the log stays replayable from
-// its last good record, and determinism makes re-running a lost task
+// its last good record, and determinism makes re-running lost work
 // free.
 func (s *Server) wireJournal(c *campaign) {
 	if s.wal == nil {
 		return
 	}
 	id := c.id
-	c.onTask = func(layout int, state string) {
-		if err := s.wal.Task(id, layout, state); err != nil {
-			s.walErrs.Inc()
-		}
-	}
 	c.onFinal = func(state string) { s.walFinal(id, state) }
 }
 
@@ -648,9 +631,9 @@ func (s *Server) lookup(id string) (*campaign, bool) {
 
 // Drain performs the graceful shutdown sequence: stop admission, drop
 // queued tasks (the checkpoint has everything completed; a resubmission
-// resumes the rest), let workers finish the tasks they hold, flush every
-// checkpoint, then release Done. Idempotent and safe from any goroutine,
-// including a signal handler's.
+// resumes the rest), let the local loops finish the groups they hold,
+// flush every checkpoint, then release Done. Idempotent and safe from
+// any goroutine, including a signal handler's.
 func (s *Server) Drain() {
 	s.drainOnce.Do(func() {
 		s.mu.Lock()
@@ -680,7 +663,7 @@ func (s *Server) Drain() {
 			}
 		}
 		s.queue.Close() // Pops return ErrClosed; leased tasks stay valid
-		s.wg.Wait()     // workers finish in-flight tasks and exit
+		s.wg.Wait()     // local loops finish their groups and exit
 		s.driverWG.Wait()
 
 		s.mu.Lock()
@@ -709,9 +692,10 @@ func (s *Server) Drain() {
 // pass, no WAL finalization, no graceful anything — the in-process
 // analog of kill -9, which the chaos soak's coordinator-kill rounds use
 // to prove a restart on the same WAL dir resumes to byte-identical
-// results. The WAL is closed first, so in-flight task settlements
-// cannot journal state the "dead" coordinator would not have persisted;
-// workers then stop at their next context check.
+// results. The WAL is closed first, so in-flight settlements cannot
+// journal state the "dead" coordinator would not have persisted; a local
+// loop finishes the group it holds, and settle drops it, uncharged, with
+// its campaign's context gone.
 func (s *Server) Kill() {
 	s.drainOnce.Do(func() {
 		s.mu.Lock()
@@ -758,120 +742,118 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// worker is one pool goroutine: lease a task, run it through the seams,
-// report the outcome to its campaign. The slot index doubles as the
-// measurement harness slot, so concurrent measures never share state.
-func (s *Server) worker(slot int) {
+// loop is one local task loop, the remote worker's pipeline in process:
+// lease a group (pop, then gather), measure it, settle it. The slot
+// index doubles as the runner's measurement slot, so concurrent groups
+// never share harness state.
+func (s *Server) loop(slot int) {
 	for {
-		lease, err := s.queue.Pop(s.baseCtx)
+		first, err := s.pop(s.baseCtx)
 		if err != nil {
 			return // closed or stopped
 		}
-		s.runTask(slot, lease)
+		s.executeGroup(slot, s.gather(first))
 	}
 }
 
-// runTask executes one leased task, a layout or a search individual,
-// through the runner's two seams, each behind its breaker. Every exit
-// path settles the lease: Complete when the task is finished for good
-// (success, permanent failure, dead campaign), Requeue when it should
-// run again (seam failure with attempts left, breaker denial).
-func (s *Server) runTask(slot int, lease *jobqueue.Lease[task]) {
+// pop leases the next task of a live campaign. A dead campaign's tasks
+// (deadline passed, aborted, finished) settle in place, unexecuted, so
+// its queue drains without running — for the local loops and the
+// remote lease endpoint alike.
+func (s *Server) pop(ctx context.Context) (*jobqueue.Lease[task], error) {
+	for {
+		lease, err := s.queue.Pop(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if lease.Payload().camp.ctx.Err() == nil {
+			return lease, nil
+		}
+		s.settle(lease, core.Observation{}, nil) // closed: dropped uncharged
+	}
+}
+
+// readyOnly is an already-done context: a Pop on it returns a task only
+// if one is ready now.
+var readyOnly = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
+// gather tops a leased task up to a lease group with the tasks that are
+// ready now, by a remote worker's rule: it stops once the last task's
+// campaign holds its share, or the group holds core.AutoBatchLanes
+// tasks.
+func (s *Server) gather(first *jobqueue.Lease[task]) []*jobqueue.Lease[task] {
+	group := []*jobqueue.Lease[task]{first}
+	parts := map[*campaign]int{first.Payload().camp: 1}
+	for last := first.Payload().camp; parts[last] < share(last.spec, s.cfg.scale(), s.slots.local) && len(group) < core.AutoBatchLanes; {
+		lease, err := s.pop(readyOnly)
+		if err != nil {
+			break
+		}
+		group = append(group, lease)
+		last = lease.Payload().camp
+		parts[last]++
+	}
+	return group
+}
+
+// executeGroup measures a lease group, all of it heartbeated for the
+// duration, the way a remote worker does: each campaign's part, in lease
+// order, goes through one Measure call with a single attempt (the queue
+// owns retries). Outcomes settle once Measure has returned, never inside
+// its callback: that runs under the runner's read lock, and a completion
+// that finalizes the campaign releases the runner. An error from Measure
+// itself means nothing ran — the campaign closed and released its
+// runner — and settle drops the part uncharged.
+func (s *Server) executeGroup(slot int, group []*jobqueue.Lease[task]) {
+	defer every(s.baseCtx, s.cfg.heartbeatEvery(), func(context.Context) {
+		for _, lease := range group {
+			lease.Heartbeat() // a lost lease's settlement finds out
+		}
+	})()
+	for _, part := range splitByCampaign(group, func(l *jobqueue.Lease[task]) *campaign { return l.Payload().camp }) {
+		units := make([]core.Unit, len(part))
+		for k, lease := range part {
+			units[k] = lease.Payload().unit()
+		}
+		outs := make([]core.Observation, len(part))
+		errs := make([]error, len(part))
+		if err := part[0].Payload().camp.runner.Measure(slot, units, 1, func(k int, o core.Observation, err error) {
+			outs[k], errs[k] = o, err
+		}); err != nil {
+			for k := range errs {
+				errs[k] = err
+			}
+		}
+		for k, lease := range part {
+			s.settle(lease, outs[k], errs[k])
+		}
+	}
+}
+
+// settle applies one execution's outcome to its lease, for the local
+// loops and remote completions alike. A closed campaign's task is
+// dropped uncharged; a failure charges one attempt (taskFailed); a
+// result is recorded and its lease completed. ErrLeaseLost on Complete
+// means the execution overran its lease and the task was requeued: the
+// result still counted (complete is idempotent and a duplicate execution
+// derives identical bytes), and the re-execution settles the residue.
+func (s *Server) settle(lease *jobqueue.Lease[task], o core.Observation, err error) {
 	t := lease.Payload()
 	c := t.camp
-
-	// Deadline propagation: the campaign context (request deadline,
-	// drain, failure-budget abort) is checked before every stage; a dead
-	// campaign's tasks drain without executing.
-	if err := c.ctx.Err(); err != nil {
+	switch {
+	case c.ctx.Err() != nil:
 		c.abort(context.Cause(c.ctx))
 		lease.Complete()
-		return
-	}
-
-	stopBeat := s.heartbeat(lease)
-	defer stopBeat()
-
-	// Build seam, behind its breaker.
-	if s.build.Allow() != nil {
-		s.deny(lease, s.build)
-		return
-	}
-	var exe *toolchain.Executable
-	start := s.now()
-	err := core.Guard(func() error {
-		var berr error
-		exe, berr = c.runner.Build(t.unit())
-		return berr
-	})
-	if settleReleased(lease, s.build, err) {
-		return
-	}
-	s.build.Record(s.now().Sub(start), err)
-	if err != nil {
-		s.taskFailed(lease, c, t, fmt.Errorf("build: %w", err))
-		return
-	}
-
-	if err := c.ctx.Err(); err != nil {
-		c.abort(context.Cause(c.ctx))
+	case err != nil:
+		s.taskFailed(lease, c, t, err)
+	default:
+		c.completeTask(t, o)
 		lease.Complete()
-		return
 	}
-
-	// Measure seam, behind its breaker.
-	if s.measure.Allow() != nil {
-		s.deny(lease, s.measure)
-		return
-	}
-	var o core.Observation
-	start = s.now()
-	err = core.Guard(func() error {
-		var merr error
-		o, merr = c.runner.MeasureBuilt(slot, t.unit(), exe)
-		return merr
-	})
-	if settleReleased(lease, s.measure, err) {
-		return
-	}
-	s.measure.Record(s.now().Sub(start), err)
-	if err != nil {
-		s.taskFailed(lease, c, t, fmt.Errorf("measure: %w", err))
-		return
-	}
-
-	c.completeTask(t, o)
-	// ErrLeaseLost here means we overran the lease and the task was
-	// requeued: the result above still counted (complete is idempotent
-	// and a duplicate execution derives identical bytes), and the
-	// re-execution will find the layout done and settle the residue.
-	lease.Complete()
-}
-
-// settleReleased completes a task whose seam call, admitted by b, found
-// the campaign's runner released: the campaign closed while the task
-// ran. Nothing was measured and nothing failed, so the task's attempts
-// are not charged and b gets its admission back with no verdict — a
-// half-open breaker would otherwise hold the probe slot for good and
-// deny every campaign's tasks.
-func settleReleased(lease *jobqueue.Lease[task], b *jobqueue.Breaker, err error) bool {
-	if !errors.Is(err, core.ErrRunnerReleased) {
-		return false
-	}
-	b.Abandon()
-	lease.Complete()
-	return true
-}
-
-// deny parks a breaker-denied task until the breaker's window may admit
-// a probe. No execution happened, so no retry attempt is consumed; the
-// jitter spreads reprobes of distinct tasks.
-func (s *Server) deny(lease *jobqueue.Lease[task], b *jobqueue.Breaker) {
-	delay := b.RetryIn()
-	if delay <= 0 {
-		delay = 10 * time.Millisecond
-	}
-	lease.Requeue(s.now().Add(delay))
 }
 
 // taskFailed settles a failed execution: requeue with seeded backoff
@@ -895,36 +877,4 @@ func (s *Server) taskFailed(lease *jobqueue.Lease[task], c *campaign, t task, er
 		c.failLayout(t.layout, n, err)
 	}
 	lease.Complete()
-}
-
-// heartbeat keeps the lease alive while the seams run; the returned stop
-// must be called when the task settles. A lost lease just stops the
-// beat — the run finishes and its settlement discovers ErrLeaseLost.
-func (s *Server) heartbeat(lease *jobqueue.Lease[task]) (stop func()) {
-	every := s.cfg.heartbeatEvery()
-	if every <= 0 {
-		return func() {}
-	}
-	stopCh := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ticker := time.NewTicker(every)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-ticker.C:
-				if lease.Heartbeat() != nil {
-					return
-				}
-			}
-		}
-	}()
-	return func() {
-		close(stopCh)
-		wg.Wait()
-	}
 }

@@ -340,9 +340,12 @@ func TestDeadlinePropagates(t *testing.T) {
 // SIGTERM lands while layouts are still queued; the drain finishes
 // leased work and flushes the checkpoint; a second service instance over
 // the same checkpoint root resumes and finishes; the final dataset is
-// byte-identical to an uninterrupted single-process run.
+// byte-identical to an uninterrupted single-process run. The drain
+// finishes whole lease groups, and a lone loop's share is half a
+// campaign (at most 32), so the campaign must be big enough to leave
+// layouts behind: 80 layouts run as groups of 32, 32 and 16.
 func TestGracefulDrainOnSIGTERM(t *testing.T) {
-	spec := testSpec(10)
+	spec := testSpec(80)
 	want := datasetCSV(t, cleanDataset(t, spec))
 	root := t.TempDir()
 
@@ -505,7 +508,7 @@ func TestEndpoints(t *testing.T) {
 	if code, _ := get("/readyz"); code != 200 {
 		t.Errorf("/readyz = %d before drain", code)
 	}
-	if code, body := get("/queuez"); code != 200 || !bytes.Contains([]byte(body), []byte(`"breaker_build": "closed"`)) {
+	if code, body := get("/queuez"); code != 200 || !bytes.Contains([]byte(body), []byte(`"capacity": 256`)) {
 		t.Errorf("/queuez = %d %q", code, body)
 	}
 	if code, body := get("/metrics"); code != 200 || !bytes.Contains([]byte(body), []byte("campaignd_queue_depth")) {

@@ -15,7 +15,6 @@ import (
 	"interferometry/internal/core"
 	"interferometry/internal/experiments"
 	"interferometry/internal/faultinject"
-	"interferometry/internal/jobqueue"
 	"interferometry/internal/jobqueue/backoff"
 	"interferometry/internal/results"
 )
@@ -103,9 +102,9 @@ func (c SoakConfig) scale() experiments.Scale {
 // Soak is the deterministic chaos harness behind campaignd -chaos: it
 // computes the spec's reference dataset with a clean single-process
 // core.RunCampaign, then repeatedly runs the whole service — real HTTP
-// listener, queue, breakers, retries — under an injected fault schedule
-// of error bursts, panics and latency spikes, and fails unless every
-// round's measurement export is byte-identical to the reference.
+// listener, queue, lease groups, retries — under an injected fault
+// schedule of error bursts, panics and latency spikes, and fails unless
+// every round's measurement export is byte-identical to the reference.
 func Soak(cfg SoakConfig) error {
 	if cfg.Rates.Corrupt > 0 {
 		return fmt.Errorf("campaignd: soak cannot use corrupt faults: a silently wrong measurement is invisible to the service (screen it with the MAD outlier pass instead)")
@@ -225,11 +224,6 @@ func soakRound(cfg SoakConfig, round int, ref, refReport, refProvenance []byte, 
 		MaxAttempts:   maxAttempts,
 		AuditRate:     auditRate,
 		Backoff:       backoff.Policy{Base: time.Millisecond, Cap: 20 * time.Millisecond, Jitter: 0.5},
-		Breaker: jobqueue.BreakerConfig{
-			TripAfter: 3,
-			OpenFor:   20 * time.Millisecond,
-			Probes:    2,
-		},
 	}
 	if sharded {
 		// The seams live in the workers, so the injector goes there.

@@ -11,9 +11,9 @@ import (
 )
 
 // TestChaosSoak runs the real harness: every round spins up a full
-// service (HTTP listener, queue, breakers), batters it with error
-// bursts, panics and latency spikes, and requires the measurement export
-// to stay byte-identical to a clean single-process run.
+// service (HTTP listener, queue, local lease groups), batters it with
+// error bursts, panics and latency spikes, and requires the measurement
+// export to stay byte-identical to a clean single-process run.
 func TestChaosSoak(t *testing.T) {
 	var out bytes.Buffer
 	err := campaignd.Soak(campaignd.SoakConfig{

@@ -55,7 +55,7 @@ func NewHTTPServer(h http.Handler) *http.Server {
 //	                                 JSON; 202 + Retry-After while running
 //	GET  /healthz                    liveness (always 200 while the process serves)
 //	GET  /readyz                     admission readiness (503 once draining)
-//	GET  /queuez                     queue, lease, breaker and per-tenant introspection
+//	GET  /queuez                     queue, lease and per-tenant introspection
 //	GET  /metrics                    Prometheus metrics export
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -324,8 +324,6 @@ type queuezResponse struct {
 	Capacity     int                              `json:"capacity"`
 	Campaigns    int                              `json:"campaigns"`
 	Draining     bool                             `json:"draining"`
-	Build        string                           `json:"breaker_build"`
-	Measure      string                           `json:"breaker_measure"`
 	WALLive      int                              `json:"wal_live_campaigns,omitempty"`
 	Tenants      map[string]tenantz               `json:"tenants,omitempty"`
 	Workers      map[string]jobqueue.WorkerHealth `json:"workers,omitempty"`
@@ -351,8 +349,6 @@ func (s *Server) handleQueuez(w http.ResponseWriter, r *http.Request) {
 		Capacity:     s.queue.Capacity(),
 		Campaigns:    n,
 		Draining:     s.Draining(),
-		Build:        s.build.State().String(),
-		Measure:      s.measure.State().String(),
 		Tenants:      tenants,
 	}
 	if workers := s.remote.Workers(); len(workers) > 0 {

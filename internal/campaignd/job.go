@@ -200,11 +200,9 @@ type campaign struct {
 	stopTimer context.CancelFunc // releases the deadline timer, if any
 	created   time.Time
 
-	// Journal hooks, wired by the server at admission when a WAL is
-	// open (nil otherwise). onTask records one layout reaching a
-	// terminal state, onFinal the campaign finishing; both are invoked
-	// with c.mu held, before tasks can observe the new state.
-	onTask  func(layout int, state string)
+	// onFinal journals the campaign finishing, wired by the server at
+	// admission when a WAL is open (nil otherwise). It is invoked with
+	// c.mu held, before tasks can observe the new state.
 	onFinal func(state string)
 
 	// search carries the generational state of a layout-search
@@ -326,9 +324,6 @@ func (c *campaign) complete(i int, o core.Observation) {
 	if c.sink != nil {
 		c.sink.Put(i, o)
 	}
-	if c.onTask != nil {
-		c.onTask(i, "completed")
-	}
 	if c.remaining == 0 {
 		c.finalizeLocked()
 	}
@@ -346,8 +341,8 @@ func (c *campaign) completeTask(t task, o core.Observation) {
 }
 
 // recordFailure counts one failed execution of layout i and reports the
-// total so far. Breaker denials never reach here: they requeue without
-// executing, so they cost no attempt.
+// total so far. Lease expiries, quarantine releases and closed
+// campaigns never reach here: nothing failed, so they cost no attempt.
 func (c *campaign) recordFailure(i int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -377,9 +372,6 @@ func (c *campaign) failLayout(i, attempts int, err error) {
 	})
 	c.failed++
 	c.remaining--
-	if c.onTask != nil {
-		c.onTask(i, "failed")
-	}
 	if c.failed > c.spec.FailureBudget {
 		c.failLocked(fmt.Errorf("campaignd: layout %d failed after %d attempts (budget %d): %w",
 			i, attempts, c.spec.FailureBudget, err))
@@ -447,8 +439,8 @@ func (c *campaign) finalizeLocked() {
 // degrade a done campaign to failed — a checkpoint that lies is worse
 // than none. A closed campaign keeps only what its endpoints and late
 // worker calls still read: observations, the dataset, and the runner's
-// seed derivation and attestation key. Tasks that reach a seam after
-// the release settle through settleReleased.
+// seed derivation and attestation key. A group that reaches Measure
+// after the release finds ErrRunnerReleased, and settle drops it.
 func (c *campaign) closeLocked() {
 	if c.sink != nil {
 		if err := c.sink.Close(); err != nil && c.state == StateDone {

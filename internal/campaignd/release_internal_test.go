@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"interferometry/internal/core"
-	"interferometry/internal/jobqueue"
 )
 
 // releaseFixture is a coordinator that runs no tasks itself and audits
@@ -130,8 +129,10 @@ func TestClosedCampaignReleasesRunner(t *testing.T) {
 	if ds.Trace != nil || len(ds.Obs) != spec.Layouts {
 		t.Errorf("done dataset keeps its trace (%v) or lost rows (%d)", ds.Trace != nil, len(ds.Obs))
 	}
-	if _, err := c.runner.Build(core.Unit{Layout: 0}); !errors.Is(err, core.ErrRunnerReleased) {
-		t.Errorf("seam of a done campaign: err %v, want ErrRunnerReleased", err)
+	if err := c.runner.Measure(0, []core.Unit{{Layout: 0}}, 1, func(int, core.Observation, error) {
+		t.Error("a done campaign's runner measured a unit")
+	}); !errors.Is(err, core.ErrRunnerReleased) {
+		t.Errorf("Measure on a done campaign: err %v, want ErrRunnerReleased", err)
 	}
 	if c.runner.AttestationKey() != key || c.runner.Seed(core.Unit{Layout: 1}) != seed {
 		t.Error("release changed the attestation key or the seed derivation")
@@ -167,12 +168,13 @@ func TestClosedCampaignReleasesRunner(t *testing.T) {
 	}
 }
 
-// TestReleaseRacesSeamCalls closes a campaign while a worker slot and
-// the audit slot hammer its runner. Every call either completes or
-// fails with ErrRunnerReleased; run under -race this pins that Release
-// and in-flight seam calls share no unsynchronized state. The server
-// has one local slot but is never started, so the test itself plays
-// that slot's task loop (a pure coordinator has only the audit slot).
+// TestReleaseRacesSeamCalls closes a campaign while a task loop's slot
+// and the audit slot hammer its runner's Measure. Every call either
+// completes or fails with ErrRunnerReleased; run under -race this pins
+// that Release and in-flight walks share no unsynchronized state. The
+// server has one local slot but is never started, so the test itself
+// plays that slot's task loop (a pure coordinator has only the audit
+// slot).
 func TestReleaseRacesSeamCalls(t *testing.T) {
 	srv, err := New(Config{Workers: 1, AuditRate: 1})
 	if err != nil {
@@ -192,11 +194,12 @@ func TestReleaseRacesSeamCalls(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; ; i++ {
-			u := core.Unit{Layout: i % 4}
-			exe, err := c.runner.Build(u)
-			if err == nil {
-				_, err = c.runner.MeasureBuilt(0, u, exe)
-			}
+			units := []core.Unit{{Layout: i % 4}, {Layout: (i + 1) % 4}}
+			err := c.runner.Measure(0, units, 1, func(_ int, _ core.Observation, uerr error) {
+				if uerr != nil {
+					t.Errorf("unit failed under a live runner: %v", uerr)
+				}
+			})
 			if i == 0 {
 				running.Done()
 			}
@@ -230,65 +233,28 @@ func TestReleaseRacesSeamCalls(t *testing.T) {
 	}
 }
 
-// stepClock is a manual clock for the breakers and the queue.
-type stepClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *stepClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *stepClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-// TestReleasedSeamCallReturnsBreakerProbe: the build breaker is
-// half-open after a sick spell, with one probe slot, when a campaign
-// closes between a local task's context check and its build call. The
-// task takes the probe and finds the runner released. It must hand the
-// probe back: the breakers are server-wide, so a probe slot held for
-// good would deny every later campaign's tasks. Layout and search tasks
-// share the settle path; both are driven.
-func TestReleasedSeamCallReturnsBreakerProbe(t *testing.T) {
+// TestClosedCampaignGroupSettlesUncharged: a local loop leases a group,
+// and the campaign closes before the group runs. Measure finds the
+// runner released, and settle drops the group: no attempt is charged,
+// nothing is recorded, no lease stays out. A later campaign then runs on
+// the local loops to the end. Layout and search tasks share the settle
+// path; both are driven.
+func TestClosedCampaignGroupSettlesUncharged(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec JobSpec
 	}{
-		{"layout", JobSpec{Benchmark: "429.mcf", Layouts: 2, Budget: 60_000}},
-		{"search", JobSpec{Benchmark: "429.mcf", Budget: 60_000, Kind: KindSearch, Search: &SearchSpec{Population: 3, Generations: 1}}},
+		{"layout", JobSpec{Benchmark: "429.mcf", Layouts: 4, Budget: 60_000}},
+		{"search", JobSpec{Benchmark: "429.mcf", Budget: 60_000, Kind: KindSearch, Search: &SearchSpec{Population: 4, Generations: 1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clk := &stepClock{t: time.Unix(1_700_000_000, 0)}
-			srv, err := New(Config{
-				Workers: 1,
-				Breaker: jobqueue.BreakerConfig{TripAfter: 1, OpenFor: time.Minute},
-				Now:     clk.Now,
-			})
+			srv, err := New(Config{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(srv.Drain)
 
-			// The build seam was sick: trip its breaker and let the open
-			// window pass.
-			if err := srv.build.Allow(); err != nil {
-				t.Fatal(err)
-			}
-			srv.build.Record(0, errors.New("build seam down"))
-			clk.Advance(time.Minute)
-			if st := srv.build.State(); st != jobqueue.HalfOpen {
-				t.Fatalf("build breaker %v, want half-open", st)
-			}
-
-			// Before Start the test is the only worker. Releasing the
-			// runner but not the context puts the close exactly between
-			// the task's context check and its seam call.
+			// Before Start the test is the only task loop.
 			st, err := srv.Submit(tc.spec)
 			if err != nil {
 				t.Fatal(err)
@@ -299,15 +265,31 @@ func TestReleasedSeamCallReturnsBreakerProbe(t *testing.T) {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			lease, err := srv.queue.Pop(ctx)
+			first, err := srv.pop(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.runner.Release()
-			srv.runTask(0, lease)
+			group := srv.gather(first)
+			if len(group) != 2 {
+				t.Fatalf("leased a group of %d, want a lone loop's share of 2", len(group))
+			}
 			c.abort(errors.New("operator cancel"))
+			srv.executeGroup(0, group)
 
-			// A later campaign runs on the local workers to the end.
+			c.mu.Lock()
+			charged := len(c.attempts)
+			c.mu.Unlock()
+			if charged != 0 {
+				t.Errorf("closed campaign's group charged attempts: %v", c.attempts)
+			}
+			if got := c.snapshot(); got.State != StateFailed || got.Completed != 0 || got.Failed != 0 {
+				t.Errorf("closed campaign's group recorded results: %+v", got)
+			}
+			if n := srv.queue.Leased(); n != 0 {
+				t.Errorf("%d leases still out after the group settled", n)
+			}
+
+			// A later campaign runs on the local loops to the end.
 			srv.Start()
 			later := tc.spec
 			later.BaseSeed = 99
@@ -321,13 +303,10 @@ func TestReleasedSeamCallReturnsBreakerProbe(t *testing.T) {
 			select {
 			case <-c.finished:
 			case <-time.After(10 * time.Second):
-				t.Fatalf("later campaign stuck: build breaker %v", srv.build.State())
+				t.Fatal("later campaign stuck")
 			}
 			if got := c.snapshot(); got.State != StateDone {
 				t.Fatalf("later campaign %s (%s), want done", got.State, got.Error)
-			}
-			if st := srv.build.State(); st != jobqueue.Closed {
-				t.Errorf("build breaker %v after the later campaign's probes, want closed", st)
 			}
 		})
 	}

@@ -22,14 +22,10 @@ import (
 // through their own core.LayoutRunner, and stream the observation back.
 // The coordinator stays the single authority over lease lifetime,
 // attempt counting and result merging: a worker only ever reports what
-// one execution produced, and every merge goes through the same
-// campaign.complete / taskFailed paths the local worker pool uses —
-// which is what keeps the finished dataset byte-identical whatever the
-// worker count, completion order or mid-campaign worker deaths.
-//
-// The per-seam circuit breakers intentionally guard only the local
-// pool's seams: a remote worker's failures are isolated to its process,
-// and tripping shared breakers on one bad worker would starve the rest.
+// one execution produced, and every merge goes through settle, as the
+// local task loops' do — which is what keeps the finished dataset
+// byte-identical whatever the worker count, completion order or
+// mid-campaign worker deaths.
 
 // Long-poll bounds for /worker/lease.
 const (
@@ -104,9 +100,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// handleLease long-polls the queue for a task, drains tasks of dead
-// campaigns in place (exactly like the local worker loop), and hands
-// the first live one to the caller under a registered lease ID.
+// handleLease long-polls the queue for a task of a live campaign (pop
+// settles dead campaigns' tasks in place, as it does for the local
+// loops) and hands it to the caller under a registered lease ID.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -135,48 +131,40 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	// long-poll window closes.
 	ctx, cancel := context.WithTimeout(r.Context(), wait)
 	defer cancel()
-	for {
-		lease, err := s.queue.Pop(ctx)
-		if errors.Is(err, jobqueue.ErrClosed) {
-			s.writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: ErrDraining.Error()})
-			return
-		}
-		if err != nil { // long poll elapsed (or caller went away)
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		// Re-check after the blocking pop: a condemnation that landed
-		// mid-poll must not hand this worker new work. The task goes
-		// straight back, uncharged.
-		if s.remote.Quarantined(req.Worker) {
-			lease.Release()
-			s.refusals.Inc()
-			s.writeJSON(w, http.StatusForbidden, errorResponse{Error: "worker quarantined"})
-			return
-		}
-		t := lease.Payload()
-		c := t.camp
-		if cerr := c.ctx.Err(); cerr != nil {
-			c.abort(context.Cause(c.ctx))
-			lease.Complete()
-			continue
-		}
-		resp := leaseResponse{
-			LeaseID:    s.remote.Register(lease, req.Worker),
-			CampaignID: c.id,
-			Layout:     t.layout,
-			Attempt:    lease.Attempt(),
-			Spec:       c.spec,
-			Scale:      s.cfg.scale(),
-			LeaseMS:    s.cfg.lease().Milliseconds(),
-		}
-		if t.genome != nil {
-			resp.Generation = t.gen
-			resp.Genome = toolchain.EncodeGenome(*t.genome)
-		}
-		s.writeJSON(w, http.StatusOK, resp)
+	lease, err := s.pop(ctx)
+	if errors.Is(err, jobqueue.ErrClosed) {
+		s.writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: ErrDraining.Error()})
 		return
 	}
+	if err != nil { // long poll elapsed (or caller went away)
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	// Re-check after the blocking pop: a condemnation that landed
+	// mid-poll must not hand this worker new work. The task goes
+	// straight back, uncharged.
+	if s.remote.Quarantined(req.Worker) {
+		lease.Release()
+		s.refusals.Inc()
+		s.writeJSON(w, http.StatusForbidden, errorResponse{Error: "worker quarantined"})
+		return
+	}
+	t := lease.Payload()
+	c := t.camp
+	resp := leaseResponse{
+		LeaseID:    s.remote.Register(lease, req.Worker),
+		CampaignID: c.id,
+		Layout:     t.layout,
+		Attempt:    lease.Attempt(),
+		Spec:       c.spec,
+		Scale:      s.cfg.scale(),
+		LeaseMS:    s.cfg.lease().Milliseconds(),
+	}
+	if t.genome != nil {
+		resp.Generation = t.gen
+		resp.Genome = toolchain.EncodeGenome(*t.genome)
+	}
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleHeartbeat extends a remote lease; 410 tells the worker its task
@@ -194,10 +182,10 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleComplete settles a remote execution through the same paths the
-// local pool uses. Duplicate or late completions (expired lease) return
-// 410 and the result is discarded — by determinism the task's next
-// owner derives identical bytes, so nothing is lost.
+// handleComplete settles a remote execution through settle, as the
+// local loops settle theirs. Duplicate or late completions (expired
+// lease) return 410 and the result is discarded — by determinism the
+// task's next owner derives identical bytes, so nothing is lost.
 //
 // Observations are verified before they merge (DESIGN.md §14): the
 // attestation must re-derive from the coordinator's own spec and the
@@ -219,58 +207,63 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusGone, errorResponse{Error: jobqueue.ErrLeaseLost.Error()})
 		return
 	}
-	t := lease.Payload()
-	c := t.camp
-	if cerr := c.ctx.Err(); cerr != nil {
-		c.abort(context.Cause(c.ctx))
-		lease.Complete()
-		s.writeJSON(w, http.StatusOK, ack{OK: true})
-		return
-	}
+	var o core.Observation
+	var err error
 	switch {
+	case lease.Payload().camp.ctx.Err() != nil:
+		// The campaign closed: settle discards the result unverified.
 	case req.Error != "":
 		// An honest failure report is health-neutral: injected faults
 		// and real build/measure errors must not quarantine a truthful
 		// worker. It costs the attempt it claimed to be.
-		s.taskFailed(lease, c, t, errors.New(req.Error))
+		err = errors.New(req.Error)
 	case req.Observation == nil:
-		s.taskFailed(lease, c, t, errors.New("worker reported neither observation nor error"))
+		err = errors.New("worker reported neither observation nor error")
 	default:
-		if err := verifyResult(c, t, req.Observation); err != nil {
-			s.rejectResult(w, lease, worker, err)
+		if !s.trusted(w, lease, worker, req.Observation) {
 			return
 		}
-		if s.auditPick(c, t, lease.Attempt()) {
-			match, aerr := s.audit(c, t, req.Observation)
-			switch {
-			case errors.Is(aerr, core.ErrRunnerReleased):
-				// The campaign closed while the audit ran: like any
-				// completion for a closed campaign, the result is
-				// discarded.
-				lease.Complete()
-				s.writeJSON(w, http.StatusOK, ack{OK: true})
-				return
-			case aerr != nil:
-				// The audit infrastructure failed, not the worker; the
-				// verified result is accepted unaudited.
-				s.auditErrs.Inc()
-			case !match:
-				s.auditFails.Inc()
-				s.remote.FailAudit(worker)
-				s.condemnWorker(worker)
-				// ErrLeaseLost here means a racing reap already
-				// requeued the task — exactly once either way.
-				lease.Release()
-				s.writeJSON(w, http.StatusUnprocessableEntity,
-					errorResponse{Error: "audit mismatch: re-execution disowned the reported observation"})
-				return
-			}
-		}
-		s.remote.Accept(worker)
-		c.completeTask(t, req.Observation.Observation())
-		lease.Complete()
+		o = req.Observation.Observation()
 	}
+	s.settle(lease, o, err)
 	s.writeJSON(w, http.StatusOK, ack{OK: true})
+}
+
+// trusted verifies a reported observation and, when it is picked,
+// spot-audits it. A rejected result has been answered (422) and its
+// lease released; an accepted one counts for its worker. A result whose
+// campaign closed while the audit ran is neither: settle discards it
+// like any completion for a closed campaign.
+func (s *Server) trusted(w http.ResponseWriter, lease *jobqueue.Lease[task], worker string, o *core.ObsWire) bool {
+	t := lease.Payload()
+	c := t.camp
+	if err := verifyResult(c, t, o); err != nil {
+		s.rejectResult(w, lease, worker, err)
+		return false
+	}
+	if s.auditPick(c, t, lease.Attempt()) {
+		match, aerr := s.audit(c, t, o)
+		switch {
+		case errors.Is(aerr, core.ErrRunnerReleased):
+			return true // closed: settle discards it, the worker uncredited
+		case aerr != nil:
+			// The audit infrastructure failed, not the worker; the
+			// verified result is accepted unaudited.
+			s.auditErrs.Inc()
+		case !match:
+			s.auditFails.Inc()
+			s.remote.FailAudit(worker)
+			s.condemnWorker(worker)
+			// ErrLeaseLost here means a racing reap already
+			// requeued the task — exactly once either way.
+			lease.Release()
+			s.writeJSON(w, http.StatusUnprocessableEntity,
+				errorResponse{Error: "audit mismatch: re-execution disowned the reported observation"})
+			return false
+		}
+	}
+	s.remote.Accept(worker)
+	return true
 }
 
 // verifyResult runs the cheap structural checks on a reported

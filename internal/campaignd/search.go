@@ -21,7 +21,7 @@ import (
 // atomic barrier batch (internal/jobqueue.PushBarrierTenant), and waits
 // for every individual to settle before breeding the next — generation
 // N+1 is never admitted before N has fully left the queue. Individuals
-// execute through the same lease/breaker/retry machinery as layout
+// execute through the same lease-group/retry machinery as layout
 // tasks, locally or on remote workers, so the trajectory is a pure
 // function of the spec and byte-identical to core.RunSearch whatever
 // the worker count, batching or failure schedule.

@@ -102,7 +102,7 @@ func fetchSearch(t *testing.T, client *campaignd.Client, id string) (provenance,
 }
 
 // TestSearchServiceMatchesSingleProcess: a search campaign run through
-// the service's local worker pool produces the exact generation CSVs
+// the service's local task loops produces the exact generation CSVs
 // and report JSON of a single-process core.RunSearch of the same spec.
 func TestSearchServiceMatchesSingleProcess(t *testing.T) {
 	spec := searchSpec()

@@ -176,8 +176,9 @@ func TestLeaseGroupSpansCampaigns(t *testing.T) {
 
 // TestCoordinatorCampaignsObserved: a coordinator's own task loops
 // measure through runners observed by the service's observer, so its
-// /metrics shows which engine ran, as a remote worker's does. Local
-// tasks measure one layout each, on the scalar engine.
+// /metrics shows which engine ran, as a remote worker's does. Two local
+// loops lease the 4-layout campaign as two groups of two (each loop's
+// share), each one batched walk of two lanes, with no scalar replay.
 func TestCoordinatorCampaignsObserved(t *testing.T) {
 	spec := testSpec(4)
 	o := &obs.Observer{Metrics: obs.NewMetrics()}
@@ -190,8 +191,8 @@ func TestCoordinatorCampaignsObserved(t *testing.T) {
 	if st = waitDone(t, client, st.ID); st.State != campaignd.StateDone {
 		t.Fatalf("campaign ended %s: %s", st.State, st.Error)
 	}
-	if s, b := engineLayouts(o, "scalar"), engineLayouts(o, "batch"); s != 4 || b != 0 {
-		t.Errorf("local tasks: %d scalar replays and %d batched lanes, want 4 and 0", s, b)
+	if s, b := engineLayouts(o, "scalar"), engineLayouts(o, "batch"); s != 0 || b != 4 {
+		t.Errorf("local groups: %d scalar replays and %d batched lanes, want 0 and 4", s, b)
 	}
 	got, err := client.Result(ctx, st.ID)
 	if err != nil {

@@ -177,7 +177,7 @@ func (w *Worker) loop(ctx context.Context, runners *workerRunners, slot int) {
 func (w *Worker) gather(ctx context.Context, first leaseResponse) []leaseResponse {
 	group := []leaseResponse{first}
 	parts := map[string]int{first.CampaignID: 1}
-	for last := first; parts[last.CampaignID] < w.share(last) && len(group) < core.AutoBatchLanes; {
+	for last := first; parts[last.CampaignID] < share(last.Spec, last.Scale, w.parallel()) && len(group) < core.AutoBatchLanes; {
 		var lr leaseResponse
 		status, _, err := w.post(ctx, "/worker/lease", leaseRequest{WaitMS: 1, Worker: w.workerID()}, &lr)
 		if err != nil || status != http.StatusOK {
@@ -192,12 +192,60 @@ func (w *Worker) gather(ctx context.Context, first leaseResponse) []leaseRespons
 
 // share is how many of a campaign's tasks one lease group may hold: a
 // loop's fair share of the tasks the campaign queues at once, the way
-// core sizes an in-process worker's batch (core.AutoBatch). The worker
-// cannot see the rest of the fleet, so it counts at least two loops: a
-// lone loop still leaves half of every campaign for whichever worker
-// polls next, and measures it alongside.
-func (w *Worker) share(lr leaseResponse) int {
-	return core.AutoBatch(lr.Spec.waveTasks(lr.Scale), max(w.parallel(), 2))
+// core sizes an in-process worker's batch (core.AutoBatch), for a process
+// running loops task loops. No process sees the rest of the fleet, so it
+// counts at least two loops: a lone loop still leaves half of every
+// campaign for whichever loop or worker polls next, and measures it
+// alongside.
+func share(spec JobSpec, scale experiments.Scale, loops int) int {
+	return core.AutoBatch(spec.waveTasks(scale), max(loops, 2))
+}
+
+// splitByCampaign splits a lease group into its campaigns' parts, each
+// in lease order, the parts in order of their first task.
+func splitByCampaign[L any, K comparable](group []L, campaign func(L) K) [][]L {
+	var parts [][]L
+	index := make(map[K]int)
+	for _, l := range group {
+		k := campaign(l)
+		i, ok := index[k]
+		if !ok {
+			i = len(parts)
+			index[k] = i
+			parts = append(parts, nil)
+		}
+		parts[i] = append(parts[i], l)
+	}
+	return parts
+}
+
+// every calls beat once per period, from one goroutine, until ctx ends
+// or the returned stop is called; stop waits out a beat in flight. A
+// non-positive period never beats. beat gets a context that ends with
+// the ticker.
+func every(ctx context.Context, period time.Duration, beat func(context.Context)) (stop func()) {
+	if period <= 0 {
+		return func() {}
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ticker := time.NewTicker(period)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-ticker.C:
+				beat(ctx)
+			}
+		}
+	}()
+	return func() {
+		cancel()
+		<-done
+	}
 }
 
 // lease long-polls the coordinator for one task.
@@ -218,21 +266,9 @@ func (w *Worker) lease(ctx context.Context) (leaseResponse, int, error) {
 // report are abandoned — the lease expires and the task's next owner
 // derives the identical result.
 func (w *Worker) executeGroup(ctx context.Context, runners *workerRunners, slot int, group []leaseResponse) {
-	for i := range group {
-		defer w.heartbeat(ctx, group[i])()
-	}
-	for len(group) > 0 {
-		head := group[0].CampaignID
-		var part, rest []leaseResponse
-		for _, lr := range group {
-			if lr.CampaignID == head {
-				part = append(part, lr)
-			} else {
-				rest = append(rest, lr)
-			}
-		}
+	defer w.heartbeat(ctx, group)()
+	for _, part := range splitByCampaign(group, func(lr leaseResponse) string { return lr.CampaignID }) {
 		w.executeBatch(ctx, runners, slot, part)
-		group = rest
 	}
 }
 
@@ -341,36 +377,22 @@ func (w *Worker) complete(ctx context.Context, req completeRequest) {
 	}
 }
 
-// heartbeat keeps the lease alive at a third of the coordinator's lease
-// duration while the seams run. A lost lease (410) just stops the beat;
-// the completion discovers the loss.
-func (w *Worker) heartbeat(ctx context.Context, lr leaseResponse) (stop func()) {
-	every := time.Duration(lr.LeaseMS) * time.Millisecond / 3
-	if every <= 0 {
-		return func() {}
-	}
-	hbCtx, cancel := context.WithCancel(ctx)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(every)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-hbCtx.Done():
-				return
-			case <-ticker.C:
-				status, _, err := w.post(hbCtx, "/worker/heartbeat", leaseRef{LeaseID: lr.LeaseID}, nil)
-				if err == nil && status != http.StatusNoContent {
-					return
-				}
+// heartbeat keeps a group's leases alive at a third of the
+// coordinator's lease duration while the group runs, one heartbeat
+// request per live lease per beat. A lost lease (410) is not beaten
+// again; its completion discovers the loss.
+func (w *Worker) heartbeat(ctx context.Context, group []leaseResponse) (stop func()) {
+	live := append([]leaseResponse(nil), group...)
+	return every(ctx, time.Duration(group[0].LeaseMS)*time.Millisecond/3, func(ctx context.Context) {
+		kept := live[:0]
+		for _, lr := range live {
+			status, _, err := w.post(ctx, "/worker/heartbeat", leaseRef{LeaseID: lr.LeaseID}, nil)
+			if err != nil || status == http.StatusNoContent {
+				kept = append(kept, lr)
 			}
 		}
-	}()
-	return func() {
-		cancel()
-		<-done
-	}
+		live = kept
+	})
 }
 
 // post sends one protocol request and decodes a JSON response into out

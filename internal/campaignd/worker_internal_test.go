@@ -6,19 +6,20 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
 
 	"interferometry/internal/experiments"
 )
 
 // TestWorkerShare: a loop's share of a campaign is its fair share of
-// the tasks the campaign queues at once, split over the worker's loops
+// the tasks the campaign queues at once, split over the process's loops
 // but never fewer than two, and capped at 32.
 func TestWorkerShare(t *testing.T) {
 	search := JobSpec{Benchmark: "429.mcf", Layouts: 4, Kind: KindSearch, Search: &SearchSpec{Population: 5, Generations: 2}}
 	for _, c := range []struct {
-		parallel int
-		spec     JobSpec
-		want     int
+		loops int
+		spec  JobSpec
+		want  int
 	}{
 		{1, JobSpec{Layouts: 1}, 1},
 		{1, JobSpec{Layouts: 16}, 8},
@@ -28,9 +29,8 @@ func TestWorkerShare(t *testing.T) {
 		{1, JobSpec{}, (experiments.Small.Layouts + 1) / 2},
 		{1, search, 3},
 	} {
-		w := &Worker{Parallel: c.parallel}
-		if got := w.share(leaseResponse{Spec: c.spec, Scale: experiments.Small}); got != c.want {
-			t.Errorf("Parallel %d, spec %+v: share %d, want %d", c.parallel, c.spec, got, c.want)
+		if got := share(c.spec, experiments.Small, c.loops); got != c.want {
+			t.Errorf("%d loops, spec %+v: share %d, want %d", c.loops, c.spec, got, c.want)
 		}
 	}
 }
@@ -71,6 +71,52 @@ func TestGatherTakesCampaignShares(t *testing.T) {
 		for _, lr := range w.gather(ctx, first) {
 			for k, id := range ids {
 				if lr.CampaignID == id {
+					got[k]++
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, parts) {
+			t.Errorf("group %d holds %v tasks of each campaign, want %v", g, got, parts)
+		}
+	}
+}
+
+// TestLocalLoopsTakeCampaignShares: a coordinator's own task loop
+// leases its groups by the remote worker's rule (pop, then gather), so
+// on TestGatherTakesCampaignShares's campaigns a lone local loop leases
+// the same groups a lone remote loop does.
+func TestLocalLoopsTakeCampaignShares(t *testing.T) {
+	srv, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Kill)
+	var camps []*campaign
+	for k, layouts := range []int{16, 5, 4} {
+		st, err := srv.Submit(JobSpec{Benchmark: "429.mcf", Layouts: layouts, Budget: 60_000, BaseSeed: uint64(k + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, ok := srv.lookup(st.ID)
+		if !ok {
+			t.Fatalf("campaign %s not found", st.ID)
+		}
+		camps = append(camps, c)
+	}
+
+	// Before Start the test is the only task loop.
+	want := [][]int{{8, 0, 0}, {8, 0, 0}, {0, 3, 0}, {0, 2, 2}, {0, 0, 2}}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for g, parts := range want {
+		first, err := srv.pop(ctx)
+		if err != nil {
+			t.Fatalf("group %d: %v", g, err)
+		}
+		got := make([]int, len(camps))
+		for _, lease := range srv.gather(first) {
+			for k, c := range camps {
+				if lease.Payload().camp == c {
 					got[k]++
 				}
 			}

@@ -396,14 +396,13 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 
 	// Checkpoint: load completed observations on resume, then persist
 	// every newly completed one.
-	var ckpt *checkpointWriter
+	var ckpt *CheckpointSink
 	done := make([]bool, cfg.Layouts)
 	if cfg.Checkpoint.Dir != "" {
-		var loaded map[int]Observation
-		ckpt, loaded, err = openCheckpoint(&cfg)
-		if err != nil {
+		if ckpt, err = OpenCheckpointSink(cfg); err != nil {
 			return nil, err
 		}
+		loaded := ckpt.Restored()
 		for i, o := range loaded {
 			ds.Obs[i] = o
 			done[i] = true
@@ -419,7 +418,7 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 		ds.Obs[i] = o
 		mu.Unlock()
 		if ckpt != nil {
-			ckpt.put(i, o)
+			ckpt.Put(i, o)
 		}
 		if co != nil {
 			co.layoutsDone.Inc()
@@ -456,7 +455,7 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 		ds.Obs[f.Index] = o
 		ds.Failures = append(ds.Failures, LayoutFailure{Index: f.Index, LayoutSeed: o.LayoutSeed, Err: f.Err.Error()})
 		if err == nil && ckpt != nil {
-			ckpt.put(f.Index, o)
+			ckpt.Put(f.Index, o)
 		}
 		if co != nil {
 			co.layoutsFailed.Inc()
@@ -478,7 +477,7 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 		co.o.Prog().Finish()
 	}
 	if ckpt != nil {
-		if err := ckpt.close(); err != nil {
+		if err := ckpt.Close(); err != nil {
 			return nil, err
 		}
 	}
@@ -514,7 +513,7 @@ func measurementValid(m pmc.Measurement) bool {
 //
 // The pool has one worker per runner slot, capped by the number of
 // flagged layouts, and re-measures one layout per call.
-func screenOutliers(r *LayoutRunner, ds *Dataset, ckpt *checkpointWriter) {
+func screenOutliers(r *LayoutRunner, ds *Dataset, ckpt *CheckpointSink) {
 	cfg, co := &r.cfg, r.co
 	idx := ds.usableIdx()
 	var valid, flagged []int
@@ -563,7 +562,7 @@ func screenOutliers(r *LayoutRunner, ds *Dataset, ckpt *checkpointWriter) {
 				o.Attempts += prev.Attempts
 				ds.Obs[i] = o
 				if ckpt != nil {
-					ckpt.put(i, o)
+					ckpt.Put(i, o)
 				}
 				if co != nil {
 					co.outliersRepaired.Inc()
@@ -588,7 +587,7 @@ func screenOutliers(r *LayoutRunner, ds *Dataset, ckpt *checkpointWriter) {
 		ds.Obs[i] = failed
 		ds.Failures = append(ds.Failures, LayoutFailure{Index: i, LayoutSeed: failed.LayoutSeed, Err: cause.Error()})
 		if ckpt != nil {
-			ckpt.put(i, failed)
+			ckpt.Put(i, failed)
 		}
 		if co != nil {
 			co.layoutsFailed.Inc()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -108,147 +109,172 @@ func (r ckptRecord) observation() Observation {
 	return o
 }
 
-// checkpointWriter persists campaign progress. Workers call put
-// concurrently; every put rewrites the whole file and atomically renames
-// it into place. Campaigns are hundreds of layouts, so the rewrite is a
-// few kilobytes — durability is worth far more here than write
-// throughput.
-type checkpointWriter struct {
-	path   string
-	header ckptHeader
+// CheckpointSink persists campaign progress to the campaign directory:
+// RunCampaign's Checkpoint config opens one, and external schedulers
+// open their own, with the same directory layout, header validation and
+// atomic-rename durability, so a campaign interrupted under campaignd
+// resumes under cmd/interferometry and vice versa. Every Put rewrites
+// the whole file and atomically renames it into place. Campaigns are
+// hundreds of layouts, so the rewrite is a few kilobytes — durability is
+// worth far more here than write throughput.
+type CheckpointSink struct {
+	path     string
+	header   ckptHeader
+	restored map[int]Observation
 
 	mu   sync.Mutex
 	recs map[int]ckptRecord
-	err  error // first write failure, surfaced at campaign end
+	err  error // first write failure, surfaced at Close
 }
 
-// openCheckpoint prepares the campaign directory and, when resuming,
-// loads previously completed observations keyed by campaign-local index.
-// Failed records are not treated as done: a resume retries them.
-func openCheckpoint(cfg *CampaignConfig) (*checkpointWriter, map[int]Observation, error) {
+// OpenCheckpointSink prepares cfg.Checkpoint.Dir and, when
+// cfg.Checkpoint.Resume is set, loads previously completed observations
+// keyed by campaign-local index. Failed records are not restored: a
+// resume retries them.
+func OpenCheckpointSink(cfg CampaignConfig) (*CheckpointSink, error) {
 	dir := cfg.Checkpoint.Dir
+	if dir == "" {
+		return nil, errors.New("core: checkpoint sink needs a directory")
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("core: checkpoint dir: %w", err)
+		return nil, fmt.Errorf("core: checkpoint dir: %w", err)
 	}
-	w := &checkpointWriter{
-		path:   filepath.Join(dir, CheckpointFile),
-		header: campaignHeader(cfg),
-		recs:   make(map[int]ckptRecord),
+	s := &CheckpointSink{
+		path:     filepath.Join(dir, CheckpointFile),
+		header:   campaignHeader(&cfg),
+		restored: make(map[int]Observation),
+		recs:     make(map[int]ckptRecord),
 	}
-	loaded := make(map[int]Observation)
 	if cfg.Checkpoint.Resume {
-		recs, err := readCheckpoint(w.path, w.header)
+		recs, err := readJSONL[ckptHeader, ckptRecord](s.path, "checkpoint", s.header)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, rec := range recs {
 			if rec.Index < 0 || rec.Index >= cfg.Layouts {
-				return nil, nil, fmt.Errorf("core: checkpoint record index %d outside campaign [0,%d)", rec.Index, cfg.Layouts)
+				return nil, fmt.Errorf("core: checkpoint record index %d outside campaign [0,%d)", rec.Index, cfg.Layouts)
 			}
 			if rec.LayoutSeed != cfg.layoutSeed(rec.Index) {
-				return nil, nil, fmt.Errorf("core: checkpoint record %d has layout seed %#x, campaign derives %#x — checkpoint belongs to a different campaign", rec.Index, rec.LayoutSeed, cfg.layoutSeed(rec.Index))
+				return nil, fmt.Errorf("core: checkpoint record %d has layout seed %#x, campaign derives %#x — checkpoint belongs to a different campaign", rec.Index, rec.LayoutSeed, cfg.layoutSeed(rec.Index))
 			}
-			w.recs[rec.Index] = rec
+			s.recs[rec.Index] = rec
 			if ObsStatus(rec.Status) != StatusFailed {
-				loaded[rec.Index] = rec.observation()
+				s.restored[rec.Index] = rec.observation()
 			}
 		}
 	}
 	// Establish (or truncate) the on-disk checkpoint immediately so a
 	// campaign that dies before its first observation still leaves a
 	// well-formed file.
-	if err := w.flushLocked(); err != nil {
-		return nil, nil, err
+	if err := s.flushLocked(); err != nil {
+		return nil, err
 	}
-	return w, loaded, nil
+	return s, nil
 }
 
-// readCheckpoint parses a checkpoint file and validates its header
-// against want. A missing file is not an error: resuming a campaign that
-// never started is just a fresh start.
-func readCheckpoint(path string, want ckptHeader) ([]ckptRecord, error) {
+// Restored returns the observations loaded on resume, keyed by
+// campaign-local layout index.
+func (s *CheckpointSink) Restored() map[int]Observation {
+	return s.restored
+}
+
+// Put persists one observation, replacing any earlier record for index
+// i. Safe for concurrent use; write failures surface at Close.
+func (s *CheckpointSink) Put(i int, o Observation) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.recs[i] = recordOf(i, o)
+	if err := s.flushLocked(); err != nil && s.err == nil {
+		s.err = err
+	}
+}
+
+// flushLocked writes the header and the records, sorted by index.
+// Callers hold s.mu.
+func (s *CheckpointSink) flushLocked() error {
+	idxs := make([]int, 0, len(s.recs))
+	for i := range s.recs {
+		idxs = append(idxs, i)
+	}
+	sort.Ints(idxs)
+	recs := make([]ckptRecord, len(idxs))
+	for k, i := range idxs {
+		recs[k] = s.recs[i]
+	}
+	return writeJSONL(s.path, "checkpoint", s.header, recs)
+}
+
+// Close surfaces the first deferred write error.
+func (s *CheckpointSink) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
+
+// readJSONL parses a checkpoint file — a header line, then one record
+// per line — and validates its header against want; what names the file
+// in errors. A missing or empty file holds no records: resuming a
+// campaign that never started is just a fresh start.
+func readJSONL[H comparable, R any](path, what string, want H) ([]R, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: open checkpoint: %w", err)
+		return nil, fmt.Errorf("core: open %s: %w", what, err)
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("core: read checkpoint: %w", err)
+			return nil, fmt.Errorf("core: read %s: %w", what, err)
 		}
-		return nil, nil // empty file: nothing done yet
+		return nil, nil
 	}
-	var hdr ckptHeader
+	var hdr H
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("core: checkpoint header: %w", err)
+		return nil, fmt.Errorf("core: %s header: %w", what, err)
 	}
 	if hdr != want {
-		return nil, fmt.Errorf("core: checkpoint header %+v does not match campaign %+v", hdr, want)
+		return nil, fmt.Errorf("core: %s header %+v does not match %+v", what, hdr, want)
 	}
-	var recs []ckptRecord
+	var recs []R
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var rec ckptRecord
+		var rec R
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("core: checkpoint record: %w", err)
+			return nil, fmt.Errorf("core: %s record: %w", what, err)
 		}
 		recs = append(recs, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("core: read checkpoint: %w", err)
+		return nil, fmt.Errorf("core: read %s: %w", what, err)
 	}
 	return recs, nil
 }
 
-// put records one completed observation and flushes the checkpoint.
-func (w *checkpointWriter) put(i int, o Observation) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.recs[i] = recordOf(i, o)
-	if err := w.flushLocked(); err != nil && w.err == nil {
-		w.err = err
-	}
-}
-
-// flushLocked writes header + records (sorted by index) to a temp file
-// and renames it over the checkpoint. Callers hold w.mu.
-func (w *checkpointWriter) flushLocked() error {
-	idxs := make([]int, 0, len(w.recs))
-	for i := range w.recs {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
+// writeJSONL replaces a checkpoint file with the header and records, one
+// JSON line each. atomicio fsyncs the temp file before the rename and
+// the directory after it: without those a crash right after the rename
+// can lose the checkpoint entry on some filesystems even though the
+// rename itself "succeeded".
+func writeJSONL[H, R any](path, what string, header H, recs []R) error {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(w.header); err != nil {
-		return fmt.Errorf("core: checkpoint encode: %w", err)
+	if err := enc.Encode(header); err != nil {
+		return fmt.Errorf("core: %s encode: %w", what, err)
 	}
-	for _, i := range idxs {
-		if err := enc.Encode(w.recs[i]); err != nil {
-			return fmt.Errorf("core: checkpoint encode: %w", err)
+	for i := range recs {
+		if err := enc.Encode(recs[i]); err != nil {
+			return fmt.Errorf("core: %s encode: %w", what, err)
 		}
 	}
-	// atomicio fsyncs the temp file before the rename and the directory
-	// after it: without those a crash right after the rename can lose
-	// the checkpoint entry on some filesystems even though the rename
-	// itself "succeeded".
-	if err := atomicio.WriteFile(w.path, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("core: checkpoint write: %w", err)
+	if err := atomicio.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return fmt.Errorf("core: %s write: %w", what, err)
 	}
 	return nil
-}
-
-// close surfaces the first deferred write error.
-func (w *checkpointWriter) close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
 }

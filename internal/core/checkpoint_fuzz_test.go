@@ -28,8 +28,9 @@ func fuzzCheckpointBytes(recs ...ckptRecord) []byte {
 }
 
 // FuzzCheckpointRoundTrip pins the checkpoint file format: parsing
-// arbitrary bytes never panics, and anything readCheckpoint accepts
-// survives a rewrite through checkpointWriter.flushLocked and a
+// arbitrary bytes through the shared reader (readJSONL) never panics,
+// and anything it accepts survives a rewrite through the campaign
+// sink's writer (CheckpointSink.flushLocked, over writeJSONL) and a
 // re-read with every record intact.
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	full := fuzzCheckpointBytes(
@@ -61,13 +62,13 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 				want = hdr
 			}
 		}
-		recs, err := readCheckpoint(path, want)
+		recs, err := readJSONL[ckptHeader, ckptRecord](path, "checkpoint", want)
 		if err != nil {
 			return // rejected input: rejection must be graceful, nothing more
 		}
 
 		// Rewrite through the campaign's own writer and read it back.
-		w := &checkpointWriter{
+		w := &CheckpointSink{
 			path:   filepath.Join(dir, "rewritten.jsonl"),
 			header: want,
 			recs:   make(map[int]ckptRecord, len(recs)),
@@ -81,7 +82,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("rewrite failed: %v", err)
 		}
-		again, err := readCheckpoint(w.path, want)
+		again, err := readJSONL[ckptHeader, ckptRecord](w.path, "checkpoint", want)
 		if err != nil {
 			t.Fatalf("rewritten checkpoint rejected: %v", err)
 		}

@@ -14,9 +14,9 @@ import (
 )
 
 // LayoutRunner is the campaign's per-layout pipeline, and the only one:
-// RunCampaign and Search.Evaluate supervise it in-process, campaignd's
-// workers and spot audits drive it one lease group at a time, and the
-// coordinator's local tasks call its two seams. The shared work (the
+// RunCampaign and Search.Evaluate supervise it in-process, and
+// campaignd's task loops (the coordinator's own and remote workers') and
+// spot audits drive it one lease group at a time. The shared work (the
 // trace, the one compile every layout reorders) is prepared once in
 // NewLayoutRunner; after that any unit can be built and measured
 // independently on any worker slot, in any order, any number of times,
@@ -25,16 +25,14 @@ import (
 // scheduler state.
 //
 // Measure is the pipeline: build, one shared trace walk, measure,
-// retry. The build and measure seams are also exposed one attempt at a
-// time (Build, MeasureBuilt) so a scheduler can wrap each in its own
-// circuit breaker and attribute failures to the seam that caused them.
-// Fault injection, when configured, is already inside both seams.
+// retry. Fault injection, when configured, is already inside its build
+// and measure seams.
 type LayoutRunner struct {
 	cfg     CampaignConfig
 	co      *campaignObs
 	workers int
 
-	// mu guards the engines below against Release: every seam call
+	// mu guards the engines below against Release: every Measure call
 	// holds it shared (acquire), Release exclusively. A nil trace means
 	// released.
 	mu    sync.RWMutex
@@ -144,12 +142,12 @@ func (r *LayoutRunner) Layouts() int { return r.cfg.Layouts }
 // Workers returns the number of worker slots.
 func (r *LayoutRunner) Workers() int { return r.workers }
 
-// ErrRunnerReleased is the error of a seam call on a released runner.
+// ErrRunnerReleased is the error of a Measure call on a released runner.
 var ErrRunnerReleased = errors.New("core: layout runner released")
 
 // Release drops the runner's engines once its campaign is finished: the
 // trace, the build seams, and the per-slot harnesses with their
-// machines and det caches. It waits for seam calls in flight; later
+// machines and det caches. It waits for Measure calls in flight; later
 // ones fail with ErrRunnerReleased. What a finished campaign still
 // answers is kept: Seed, AttestationKey, Workers and FailedObservation.
 func (r *LayoutRunner) Release() {
@@ -158,7 +156,7 @@ func (r *LayoutRunner) Release() {
 	r.trace, r.build, r.gb, r.meas, r.dets = nil, nil, nil, nil, nil
 }
 
-// acquire pins the engines for one seam call on worker slot w. On
+// acquire pins the engines for one Measure call on worker slot w. On
 // success the caller holds r.mu shared and must RUnlock it.
 func (r *LayoutRunner) acquire(w int) error {
 	r.mu.RLock()
@@ -288,35 +286,6 @@ func (r *LayoutRunner) measure(w int, units []Unit, attempts int, done func(k in
 	}
 }
 
-// Build runs one attempt through the build seam for u: reorder+link
-// plus the executable integrity check. Panics from the seam (injected
-// or real) propagate; callers run under Guard.
-func (r *LayoutRunner) Build(u Unit) (*toolchain.Executable, error) {
-	if err := r.checkUnit(u); err != nil {
-		return nil, err
-	}
-	if err := r.acquire(0); err != nil {
-		return nil, err
-	}
-	defer r.mu.RUnlock()
-	return r.buildUnit(0, u, r.keys(u))
-}
-
-// MeasureBuilt runs one attempt through the measure seam on worker slot
-// w (two concurrent calls must use distinct slots) for an executable
-// Build returned for u: the counter harness plus the plausibility
-// check. The observation's Attempts is left to the caller.
-func (r *LayoutRunner) MeasureBuilt(w int, u Unit, exe *toolchain.Executable) (Observation, error) {
-	if err := r.checkUnit(u); err != nil {
-		return Observation{}, err
-	}
-	if err := r.acquire(w); err != nil {
-		return Observation{}, err
-	}
-	defer r.mu.RUnlock()
-	return r.measureUnit(w, u, r.keys(u), exe)
-}
-
 // buildUnit is one attempt through the build seam, traced on slot w's
 // lane: reorder+link plus the executable integrity check that catches
 // silent corruption before it can be measured. A genome links by
@@ -422,45 +391,4 @@ func (r *LayoutRunner) Dataset(observations []Observation, failures []LayoutFail
 	ds.Failures = append([]LayoutFailure(nil), failures...)
 	sort.Slice(ds.Failures, func(a, b int) bool { return ds.Failures[a].Index < ds.Failures[b].Index })
 	return ds, nil
-}
-
-// CheckpointSink exposes the campaign checkpoint machinery to external
-// schedulers: the same directory layout, header validation and
-// atomic-rename durability as RunCampaign's Checkpoint config, so a
-// campaign interrupted under campaignd resumes under cmd/interferometry
-// and vice versa.
-type CheckpointSink struct {
-	w        *checkpointWriter
-	restored map[int]Observation
-}
-
-// OpenCheckpointSink prepares cfg.Checkpoint.Dir and, when
-// cfg.Checkpoint.Resume is set, loads previously completed observations
-// (failed records are not restored: a resume retries them).
-func OpenCheckpointSink(cfg CampaignConfig) (*CheckpointSink, error) {
-	if cfg.Checkpoint.Dir == "" {
-		return nil, errors.New("core: checkpoint sink needs a directory")
-	}
-	w, loaded, err := openCheckpoint(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &CheckpointSink{w: w, restored: loaded}, nil
-}
-
-// Restored returns the observations loaded on resume, keyed by
-// campaign-local layout index.
-func (s *CheckpointSink) Restored() map[int]Observation {
-	return s.restored
-}
-
-// Put persists one completed observation. Safe for concurrent use;
-// write failures surface at Close.
-func (s *CheckpointSink) Put(i int, o Observation) {
-	s.w.put(i, o)
-}
-
-// Close surfaces the first deferred write error.
-func (s *CheckpointSink) Close() error {
-	return s.w.close()
 }

@@ -14,8 +14,9 @@ import (
 )
 
 // TestLayoutRunnerMatchesRunCampaign drives every layout through the
-// exported runner — out of order, on varying worker slots — and checks
-// the assembled dataset is interchangeable with RunCampaign's.
+// exported runner — out of order, in chunks of one and two, on varying
+// worker slots — and checks the assembled dataset is interchangeable
+// with RunCampaign's.
 func TestLayoutRunnerMatchesRunCampaign(t *testing.T) {
 	cfg := smallCampaign(8)
 	want, err := core.RunCampaign(cfg)
@@ -31,16 +32,19 @@ func TestLayoutRunnerMatchesRunCampaign(t *testing.T) {
 		t.Fatalf("Layouts()=%d Workers()=%d", r.Layouts(), r.Workers())
 	}
 	obs := make([]core.Observation, 8)
-	for n, i := range []int{5, 0, 7, 2, 1, 6, 3, 4} {
-		exe, err := r.Build(core.Unit{Layout: i})
-		if err != nil {
-			t.Fatalf("build %d: %v", i, err)
+	for n, chunk := range [][]int{{5}, {0, 7}, {2}, {1, 6}, {3, 4}} {
+		units := make([]core.Unit, len(chunk))
+		for k, i := range chunk {
+			units[k] = core.Unit{Layout: i}
 		}
-		o, err := r.MeasureBuilt(n%3, core.Unit{Layout: i}, exe)
-		if err != nil {
-			t.Fatalf("measure %d: %v", i, err)
+		if err := r.Measure(n%3, units, 1, func(k int, o core.Observation, err error) {
+			if err != nil {
+				t.Fatalf("layout %d: %v", chunk[k], err)
+			}
+			obs[chunk[k]] = o
+		}); err != nil {
+			t.Fatal(err)
 		}
-		obs[i] = core.CompletedObservation(o, 1)
 	}
 	ds, err := r.Dataset(obs, nil)
 	if err != nil {
@@ -68,18 +72,17 @@ func TestLayoutRunnerRepeatedExecutionIdentical(t *testing.T) {
 	}
 	var prev core.Observation
 	for n := 0; n < 3; n++ {
-		exe, err := r.Build(core.Unit{Layout: 1})
-		if err != nil {
+		if err := r.Measure(n%2, []core.Unit{{Layout: 1}}, 1, func(_ int, o core.Observation, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n > 0 && o != prev {
+				t.Fatalf("execution %d of layout 1 differs: %+v vs %+v", n, o, prev)
+			}
+			prev = o
+		}); err != nil {
 			t.Fatal(err)
 		}
-		o, err := r.MeasureBuilt(n%2, core.Unit{Layout: 1}, exe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n > 0 && o != prev {
-			t.Fatalf("execution %d of layout 1 differs: %+v vs %+v", n, o, prev)
-		}
-		prev = o
 	}
 }
 
@@ -91,11 +94,10 @@ func TestLayoutRunnerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Build(core.Unit{Layout: 2}); err == nil {
-		t.Error("out-of-range layout accepted by Build")
-	}
-	if _, err := r.MeasureBuilt(1, core.Unit{Layout: 0}, nil); err == nil {
-		t.Error("out-of-range worker slot accepted by MeasureBuilt")
+	if err := r.Measure(1, []core.Unit{{Layout: 0}}, 1, func(int, core.Observation, error) {
+		t.Error("Measure ran on an out-of-range worker slot")
+	}); err == nil {
+		t.Error("out-of-range worker slot accepted by Measure")
 	}
 	if err := r.Measure(0, []core.Unit{{Layout: 0}, {Layout: 2}}, 1, func(int, core.Observation, error) {
 		t.Error("Measure ran a chunk holding an out-of-range layout")
@@ -112,8 +114,8 @@ func TestLayoutRunnerValidation(t *testing.T) {
 }
 
 // TestLayoutRunnerSeamsCarryFaults: the runner's seams include the
-// configured injector, and Guard converts an injected panic into a
-// retriable error exactly like the in-process supervisor.
+// configured injector, and Measure recovers an injected panic into the
+// unit's error, a *PanicError, exactly like the in-process supervisor.
 func TestLayoutRunnerSeamsCarryFaults(t *testing.T) {
 	cfg := smallCampaign(2)
 	cfg.Faults = faultinject.New(11, faultinject.Config{
@@ -123,17 +125,20 @@ func TestLayoutRunnerSeamsCarryFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var exeErr error
-	err = core.Guard(func() error {
-		_, exeErr = r.Build(core.Unit{Layout: 0})
-		return exeErr
-	})
+	measure := func() (err error) {
+		if merr := r.Measure(0, []core.Unit{{Layout: 0}}, 1, func(_ int, _ core.Observation, uerr error) {
+			err = uerr
+		}); merr != nil {
+			t.Fatal(merr)
+		}
+		return err
+	}
 	var pe *core.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("guarded injected panic returned %v, want *PanicError", err)
+	if err := measure(); !errors.As(err, &pe) {
+		t.Fatalf("injected panic returned %v, want *PanicError", err)
 	}
 	// MaxFaults exhausted: the retry goes clean.
-	if _, err := r.Build(core.Unit{Layout: 0}); err != nil {
+	if err := measure(); err != nil {
 		t.Fatalf("retry after injected panic: %v", err)
 	}
 	if err := core.Guard(func() error { return nil }); err != nil {

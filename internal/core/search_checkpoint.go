@@ -1,16 +1,12 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 
-	"interferometry/internal/atomicio"
 	"interferometry/internal/toolchain"
 )
 
@@ -111,9 +107,10 @@ func (rec genRecord) generation(pop int) (GenerationResult, error) {
 }
 
 // SearchCheckpointSink persists settled generations. Like the campaign
-// checkpoint, every Put rewrites the whole file and atomically renames
-// it into place; a search is tens of generations of a few kilobytes
-// each, so durability wins over write throughput.
+// checkpoint (and through the same writer, writeJSONL), every Put
+// rewrites the whole file and atomically renames it into place; a search
+// is tens of generations of a few kilobytes each, so durability wins
+// over write throughput.
 type SearchCheckpointSink struct {
 	path   string
 	header searchHeader
@@ -140,7 +137,7 @@ func OpenSearchCheckpointSink(s *Search) (*SearchCheckpointSink, error) {
 		header: searchHeaderOf(s),
 	}
 	if s.cfg.Campaign.Checkpoint.Resume {
-		recs, err := readSearchCheckpoint(sink.path, sink.header)
+		recs, err := readJSONL[searchHeader, genRecord](sink.path, "search checkpoint", sink.header)
 		if err != nil {
 			return nil, err
 		}
@@ -157,54 +154,10 @@ func OpenSearchCheckpointSink(s *Search) (*SearchCheckpointSink, error) {
 			sink.restored = append(sink.restored, res)
 		}
 	}
-	if err := sink.flushLocked(); err != nil {
+	if err := writeJSONL(sink.path, "search checkpoint", sink.header, sink.recs); err != nil {
 		return nil, err
 	}
 	return sink, nil
-}
-
-// readSearchCheckpoint parses a generation log and validates its
-// header. A missing file is a fresh start.
-func readSearchCheckpoint(path string, want searchHeader) ([]genRecord, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: open search checkpoint: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("core: read search checkpoint: %w", err)
-		}
-		return nil, nil
-	}
-	var hdr searchHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("core: search checkpoint header: %w", err)
-	}
-	if hdr != want {
-		return nil, fmt.Errorf("core: search checkpoint header %+v does not match search %+v", hdr, want)
-	}
-	var recs []genRecord
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var rec genRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("core: search checkpoint record: %w", err)
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("core: read search checkpoint: %w", err)
-	}
-	return recs, nil
 }
 
 // Restored returns the settled generation prefix loaded on resume, in
@@ -224,26 +177,7 @@ func (s *SearchCheckpointSink) Put(res GenerationResult) error {
 		return fmt.Errorf("core: search checkpoint expects generation %d, got %d", len(s.recs), res.Gen)
 	}
 	s.recs = append(s.recs, genRecordOf(res))
-	return s.flushLocked()
-}
-
-// flushLocked writes header + generation records to a temp file and
-// renames it over the checkpoint. Callers hold s.mu.
-func (s *SearchCheckpointSink) flushLocked() error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(s.header); err != nil {
-		return fmt.Errorf("core: search checkpoint encode: %w", err)
-	}
-	for i := range s.recs {
-		if err := enc.Encode(s.recs[i]); err != nil {
-			return fmt.Errorf("core: search checkpoint encode: %w", err)
-		}
-	}
-	if err := atomicio.WriteFile(s.path, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("core: search checkpoint write: %w", err)
-	}
-	return nil
+	return writeJSONL(s.path, "search checkpoint", s.header, s.recs)
 }
 
 // Close is the durability bookend; all writes are already flushed.

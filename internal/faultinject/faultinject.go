@@ -71,12 +71,15 @@ const (
 	// toolchain.CheckExecutable), a measurement gets its cycle count
 	// scaled ×1024 (caught by the campaign's MAD outlier screen).
 	KindCorrupt
-	// KindSlow delays the call by Rates.SlowDelay, then lets it through.
+	// KindSlow delays the call by Rates.SlowDelay, then lets it through:
+	// a fixed stretch that holds work in flight for deadline,
+	// lease-expiry and drain tests.
 	KindSlow
 	// KindSpike delays the call by a seeded exponential draw calibrated
 	// so its 99th percentile is Rates.SpikeP99, then lets it through —
-	// the tail-latency fault that circuit breakers with slow-call
-	// thresholds exist to catch.
+	// the tail-latency fault, which stretches one task's build or
+	// measurement, and with it the lease group holding it, against
+	// heartbeats, lease expiry and deadlines.
 	KindSpike
 	numKinds
 )
@@ -113,8 +116,8 @@ type Rates struct {
 	SlowDelay time.Duration
 	// SpikeP99 calibrates KindSpike: delays are drawn from a seeded
 	// exponential distribution whose 99th percentile is SpikeP99, so
-	// most spikes are mild and a deterministic few are the tail events
-	// that trip a breaker's slow-call threshold. Zero means 10ms.
+	// most spikes are mild and a deterministic few are tail events.
+	// Zero means 10ms.
 	SpikeP99 time.Duration
 	// MaxFaults bounds how many calls for the same (site, key) may fault
 	// before the injector lets every later call through, so a caller with

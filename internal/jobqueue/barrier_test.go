@@ -86,7 +86,7 @@ func TestBarrierLeaseExpiryDoesNotSettle(t *testing.T) {
 	}
 }
 
-// A requeue (failed execution, breaker denial) keeps the task pending:
+// A requeue (a failed execution) keeps the task pending:
 // the barrier settles only when the retry completes, and the retry
 // carries the incremented attempt.
 func TestBarrierRequeueDoesNotSettle(t *testing.T) {

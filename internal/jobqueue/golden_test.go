@@ -15,12 +15,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestQueueMetricsGolden drives a scripted queue + breaker scenario on a
-// fake clock and pins the whole Prometheus export. Because every
-// duration comes from the fake clock, even the wait histogram is
-// deterministic, so the service's metric names, help strings and
-// semantics (depth and leases back to zero after the drain, expiry and
-// shed counts, breaker transition counters) are all golden-checked.
+// TestQueueMetricsGolden drives a scripted queue scenario on a fake
+// clock and pins the whole Prometheus export. Because every duration
+// comes from the fake clock, even the wait histogram is deterministic,
+// so the service's metric names, help strings and semantics (depth and
+// leases back to zero after the drain, expiry and shed counts) are all
+// golden-checked.
 func TestQueueMetricsGolden(t *testing.T) {
 	clk := newFakeClock()
 	o := &obs.Observer{Metrics: obs.NewMetrics()}
@@ -115,16 +115,6 @@ func TestQueueMetricsGolden(t *testing.T) {
 	if err := lt.Complete(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Breaker: trip on a burst, recover through a half-open probe.
-	b := jobqueue.NewBreaker(jobqueue.BreakerConfig{
-		TripAfter: 2, OpenFor: time.Second, Now: clk.Now,
-		OnTransition: jobqueue.ObserveBreaker(o, "campaignd", "measure"),
-	})
-	call(t, b, 0, errBoom)
-	call(t, b, 0, errBoom)
-	clk.Advance(time.Second)
-	call(t, b, 0, nil)
 
 	var buf bytes.Buffer
 	if err := o.WriteMetricsPrometheus(&buf); err != nil {

@@ -1,10 +1,10 @@
 // Package jobqueue provides the queueing primitives behind campaignd: a
 // bounded, multi-tenant priority queue with worker leases and
-// heartbeats, and a closed/open/half-open circuit breaker. Both are
-// deliberately generic — they know nothing about layouts or campaigns —
-// and both take an injectable clock, so every timing-dependent behavior
-// (lease expiry, breaker reopen, delayed requeue) is testable without
-// sleeping.
+// heartbeats, generation barriers over it, and a registry of remote
+// leases that scores worker health. They are deliberately generic — they
+// know nothing about layouts or campaigns — and the queue takes an
+// injectable clock, so every timing-dependent behavior (lease expiry,
+// delayed requeue) is testable without sleeping.
 //
 // Determinism is preserved across failures by construction: a task's
 // payload never changes once pushed, so a lease that expires (worker

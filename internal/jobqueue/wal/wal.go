@@ -1,6 +1,6 @@
 // Package wal is the durability layer under campaignd: an append-only
-// JSONL write-ahead log of campaign submissions, per-layout task state
-// transitions and campaign finalizations. Every append is fsynced
+// JSONL write-ahead log of campaign submissions, settled search
+// generations and campaign finalizations. Every append is fsynced
 // before it is acknowledged, so a coordinator killed at any instant can
 // replay the log on restart and resume exactly the work that was
 // admitted and not yet finished.
@@ -8,11 +8,12 @@
 // The log is deliberately small-vocabulary — three record kinds — and
 // the replayed state is reconciled against per-campaign checkpoint
 // directories by campaignd, not here: the WAL records *intent* (this
-// campaign was admitted, this layout finished once), the checkpoint
-// records *results*. Because every measurement is a pure function of
-// the spec's seed tuple, replaying a task whose checkpoint record was
-// lost re-derives byte-identical results, so the WAL never needs to
-// store observations.
+// campaign was admitted, this generation settled, this campaign
+// finished), the checkpoint records *results*. Because every
+// measurement is a pure function of the spec's seed tuple, re-running
+// a task whose checkpoint record was lost re-derives byte-identical
+// results, so the WAL never needs to store observations or per-task
+// progress.
 //
 // Crash tolerance: a crash mid-append leaves at most one torn line at
 // the tail. Open detects it, drops it, truncates the file back to the
@@ -35,25 +36,19 @@ import (
 	"interferometry/internal/obs"
 )
 
-// Record ops. A submit admits a campaign, a task marks one layout's
-// terminal state, a gen marks one search generation settled (the state
-// field carries its population hash), a final closes the campaign.
+// Record ops. A submit admits a campaign, a gen marks one search
+// generation settled (the state field carries its population hash), a
+// final closes the campaign. Replay skips any other op, such as the
+// per-layout "task" records older logs hold.
 const (
 	OpSubmit = "submit"
-	OpTask   = "task"
 	OpGen    = "gen"
 	OpFinal  = "final"
 )
 
-// Task states recorded by OpTask.
-const (
-	TaskCompleted = "completed"
-	TaskFailed    = "failed"
-)
-
 // Record is one log line. Which fields are meaningful depends on Op:
-// submit carries tenant/priority/spec, task carries layout/state, final
-// carries state.
+// submit carries tenant/priority/spec, gen carries layout (the
+// generation) and state (its population hash), final carries state.
 type Record struct {
 	Op       string          `json:"op"`
 	Campaign string          `json:"campaign"`
@@ -65,15 +60,12 @@ type Record struct {
 }
 
 // CampaignState is the replayed view of one campaign: what was admitted
-// and how far it got. Tasks maps layout index to its last recorded
-// terminal state (TaskCompleted or TaskFailed); Final is empty while
-// the campaign is live.
+// and how far it got. Final is empty while the campaign is live.
 type CampaignState struct {
 	ID       string
 	Tenant   string
 	Priority int
 	Spec     json.RawMessage
-	Tasks    map[int]string
 	// Gens maps a search campaign's settled generation index to the
 	// population hash journaled for it. Resume cross-checks these
 	// against the generation checkpoint: the hash was fsynced only
@@ -208,17 +200,17 @@ func truncateForErr(line []byte) []byte {
 	return line
 }
 
-// apply folds one record into the replayed state. Unknown-campaign task
+// apply folds one record into the replayed state. Unknown-campaign gen
 // and final records are dropped: they can only follow a compaction bug
 // or hand-edited log, and refusing the whole log over them would lose
-// the rest of the recovery.
+// the rest of the recovery. Unknown ops are skipped.
 func (l *Log) apply(rec Record) {
 	switch rec.Op {
 	case OpSubmit:
 		if s, ok := l.state[rec.Campaign]; ok {
 			// Resubmission of a known campaign: reopen it with the fresh
-			// spec. Earlier task records stay — the campaign is the same
-			// deterministic function, so prior terminal states hold.
+			// spec. Earlier gen records stay — the campaign is the same
+			// deterministic function, so settled generations hold.
 			s.Tenant, s.Priority, s.Spec, s.Final = rec.Tenant, rec.Priority, rec.Spec, ""
 			return
 		}
@@ -227,13 +219,8 @@ func (l *Log) apply(rec Record) {
 			Tenant:   rec.Tenant,
 			Priority: rec.Priority,
 			Spec:     rec.Spec,
-			Tasks:    make(map[int]string),
 		}
 		l.order = append(l.order, rec.Campaign)
-	case OpTask:
-		if s, ok := l.state[rec.Campaign]; ok {
-			s.Tasks[rec.Layout] = rec.State
-		}
 	case OpGen:
 		if s, ok := l.state[rec.Campaign]; ok {
 			if s.Gens == nil {
@@ -275,11 +262,6 @@ func (l *Log) Submit(id, tenant string, priority int, spec json.RawMessage) erro
 	return l.Append(Record{Op: OpSubmit, Campaign: id, Tenant: tenant, Priority: priority, Spec: spec})
 }
 
-// Task records one layout reaching a terminal state.
-func (l *Log) Task(id string, layout int, state string) error {
-	return l.Append(Record{Op: OpTask, Campaign: id, Layout: layout, State: state})
-}
-
 // Gen records one search generation settled with the given population
 // hash. Callers must flush the generation checkpoint first, so the
 // journal never claims a generation the checkpoint does not hold.
@@ -294,9 +276,9 @@ func (l *Log) Final(id, state string) error {
 }
 
 // Compact rewrites the log as a minimal snapshot of its live campaigns
-// — one submit plus one task record per terminal layout, finalized
-// campaigns dropped — through an atomic, fsynced rename, then reopens
-// the appender on the fresh file.
+// — one submit plus their gen records, finalized campaigns dropped —
+// through an atomic, fsynced rename, then reopens the appender on the
+// fresh file.
 func (l *Log) Compact() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -315,16 +297,6 @@ func (l *Log) Compact() error {
 		live = append(live, id)
 		if err := enc.Encode(Record{Op: OpSubmit, Campaign: id, Tenant: s.Tenant, Priority: s.Priority, Spec: s.Spec}); err != nil {
 			return fmt.Errorf("wal: compact encode: %w", err)
-		}
-		layouts := make([]int, 0, len(s.Tasks))
-		for i := range s.Tasks {
-			layouts = append(layouts, i)
-		}
-		sort.Ints(layouts)
-		for _, i := range layouts {
-			if err := enc.Encode(Record{Op: OpTask, Campaign: id, Layout: i, State: s.Tasks[i]}); err != nil {
-				return fmt.Errorf("wal: compact encode: %w", err)
-			}
 		}
 		gens := make([]int, 0, len(s.Gens))
 		for g := range s.Gens {

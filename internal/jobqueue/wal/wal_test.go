@@ -30,10 +30,10 @@ func TestRoundTrip(t *testing.T) {
 	if err := l.Submit("c1", "acme", 0, spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Task("c1", 0, wal.TaskCompleted); err != nil {
+	if err := l.Gen("c1", 0, "h0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Task("c1", 2, wal.TaskFailed); err != nil {
+	if err := l.Gen("c1", 2, "h2"); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Submit("c2", "umbrella", 1, spec); err != nil {
@@ -60,8 +60,8 @@ func TestRoundTrip(t *testing.T) {
 	if !c1.Live() || c1.Tenant != "acme" || string(c1.Spec) != string(spec) {
 		t.Fatalf("c1 state %+v", c1)
 	}
-	if c1.Tasks[0] != wal.TaskCompleted || c1.Tasks[2] != wal.TaskFailed || len(c1.Tasks) != 2 {
-		t.Fatalf("c1 tasks %v", c1.Tasks)
+	if c1.Gens[0] != "h0" || c1.Gens[2] != "h2" || len(c1.Gens) != 2 {
+		t.Fatalf("c1 gens %v", c1.Gens)
 	}
 	if c2.Live() || c2.Final != "done" || c2.Priority != 1 {
 		t.Fatalf("c2 state %+v", c2)
@@ -77,7 +77,7 @@ func TestTornTailIsDroppedAndRepaired(t *testing.T) {
 	if err := l.Submit("c1", "", 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Task("c1", 0, wal.TaskCompleted); err != nil {
+	if err := l.Gen("c1", 0, "h0"); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -88,14 +88,14 @@ func TestTornTailIsDroppedAndRepaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"task","campaign":"c1","lay`); err != nil {
+	if _, err := f.WriteString(`{"op":"gen","campaign":"c1","lay`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
 	o := &obs.Observer{Metrics: obs.NewMetrics()}
 	l2, states := openLog(t, path, o)
-	if len(states) != 1 || states[0].Tasks[0] != wal.TaskCompleted || len(states[0].Tasks) != 1 {
+	if len(states) != 1 || states[0].Gens[0] != "h0" || len(states[0].Gens) != 1 {
 		t.Fatalf("replay after torn tail: %+v", states)
 	}
 	if v := o.Counter("campaignd_wal_torn_tails_total", "").Value(); v != 1 {
@@ -105,15 +105,15 @@ func TestTornTailIsDroppedAndRepaired(t *testing.T) {
 		t.Fatalf("replayed counter %d, want 2", v)
 	}
 	// The next append lands on its own line, not glued to the torn one.
-	if err := l2.Task("c1", 1, wal.TaskFailed); err != nil {
+	if err := l2.Gen("c1", 1, "h1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	_, states = openLog(t, path, nil)
-	if len(states[0].Tasks) != 2 || states[0].Tasks[1] != wal.TaskFailed {
-		t.Fatalf("post-repair replay tasks %v", states[0].Tasks)
+	if len(states[0].Gens) != 2 || states[0].Gens[1] != "h1" {
+		t.Fatalf("post-repair replay gens %v", states[0].Gens)
 	}
 }
 
@@ -139,15 +139,15 @@ func TestUnterminatedTailIsKept(t *testing.T) {
 	if len(states) != 1 || states[0].ID != "c1" {
 		t.Fatalf("unterminated-tail replay: %+v", states)
 	}
-	if err := l2.Task("c1", 0, wal.TaskCompleted); err != nil {
+	if err := l2.Gen("c1", 0, "h0"); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	_, states = openLog(t, path, nil)
-	if states[0].Tasks[0] != wal.TaskCompleted {
-		t.Fatalf("append after unterminated repair: %v", states[0].Tasks)
+	if states[0].Gens[0] != "h0" {
+		t.Fatalf("append after unterminated repair: %v", states[0].Gens)
 	}
 }
 
@@ -166,7 +166,8 @@ func TestMidFileCorruptionRefusesToOpen(t *testing.T) {
 }
 
 // TestCompactDropsFinalizedCampaigns: compaction keeps only live
-// campaigns (with their task states) and the log stays appendable.
+// campaigns (with their generation records) and the log stays
+// appendable.
 func TestCompactDropsFinalizedCampaigns(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaignd.wal")
 	o := &obs.Observer{Metrics: obs.NewMetrics()}
@@ -174,7 +175,7 @@ func TestCompactDropsFinalizedCampaigns(t *testing.T) {
 	if err := l.Submit("done", "", 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Task("done", 0, wal.TaskCompleted); err != nil {
+	if err := l.Gen("done", 0, "h0"); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Final("done", "done"); err != nil {
@@ -183,7 +184,7 @@ func TestCompactDropsFinalizedCampaigns(t *testing.T) {
 	if err := l.Submit("live", "acme", 2, json.RawMessage(`{"layouts":2}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Task("live", 1, wal.TaskCompleted); err != nil {
+	if err := l.Gen("live", 1, "h1"); err != nil {
 		t.Fatal(err)
 	}
 	if g := o.Gauge("campaignd_wal_live_campaigns", "").Value(); g != 1 {
@@ -204,7 +205,7 @@ func TestCompactDropsFinalizedCampaigns(t *testing.T) {
 		t.Fatalf("compacted log still mentions finalized campaign:\n%s", data)
 	}
 	// Still appendable after compaction.
-	if err := l.Task("live", 0, wal.TaskFailed); err != nil {
+	if err := l.Gen("live", 0, "h0"); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -218,21 +219,22 @@ func TestCompactDropsFinalizedCampaigns(t *testing.T) {
 	if s.ID != "live" || s.Tenant != "acme" || s.Priority != 2 || !s.Live() {
 		t.Fatalf("compacted state %+v", s)
 	}
-	if s.Tasks[0] != wal.TaskFailed || s.Tasks[1] != wal.TaskCompleted {
-		t.Fatalf("compacted tasks %v", s.Tasks)
+	if s.Gens[0] != "h0" || s.Gens[1] != "h1" {
+		t.Fatalf("compacted gens %v", s.Gens)
 	}
 }
 
 // TestResubmitReopensFinalizedCampaign: a submit for a finalized id
-// makes it live again with the new spec but keeps earlier task states —
-// the campaign is the same deterministic function, so they still hold.
+// makes it live again with the new spec but keeps earlier generation
+// records — the campaign is the same deterministic function, so they
+// still hold.
 func TestResubmitReopensFinalizedCampaign(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaignd.wal")
 	l, _ := openLog(t, path, nil)
 	if err := l.Submit("c1", "a", 0, json.RawMessage(`{"layouts":2}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Task("c1", 0, wal.TaskCompleted); err != nil {
+	if err := l.Gen("c1", 0, "h0"); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Final("c1", "done"); err != nil {
@@ -252,7 +254,46 @@ func TestResubmitReopensFinalizedCampaign(t *testing.T) {
 	if !s.Live() || s.Priority != 1 || string(s.Spec) != `{"layouts":4}` {
 		t.Fatalf("reopened state %+v", s)
 	}
-	if s.Tasks[0] != wal.TaskCompleted {
-		t.Fatalf("reopened tasks %v, want layout 0 kept", s.Tasks)
+	if s.Gens[0] != "h0" {
+		t.Fatalf("reopened gens %v, want generation 0 kept", s.Gens)
+	}
+}
+
+// TestOldTaskRecordsReplayAndCompactAway: logs written before per-layout
+// "task" records were dropped still open. Replay skips those records, the
+// campaign they belong to stays live, and compaction drops them.
+func TestOldTaskRecordsReplayAndCompactAway(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaignd.wal")
+	content := `{"op":"submit","campaign":"c1","tenant":"acme","spec":{"layouts":3},"layout":0}` + "\n" +
+		`{"op":"task","campaign":"c1","layout":0,"state":"completed"}` + "\n" +
+		`{"op":"task","campaign":"c1","layout":2,"state":"failed"}` + "\n" +
+		`{"op":"gen","campaign":"c1","layout":0,"state":"h0"}` + "\n"
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := &obs.Observer{Metrics: obs.NewMetrics()}
+	l, states := openLog(t, path, o)
+	if len(states) != 1 || states[0].ID != "c1" || !states[0].Live() || states[0].Gens[0] != "h0" {
+		t.Fatalf("replay of a log with task records: %+v", states)
+	}
+	if g := o.Gauge("campaignd_wal_live_campaigns", "").Value(); g != 1 {
+		t.Fatalf("live gauge %v, want 1", g)
+	}
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"op":"task"`) {
+		t.Fatalf("compacted log keeps task records:\n%s", data)
+	}
+	_, states = openLog(t, path, nil)
+	if len(states) != 1 || !states[0].Live() || states[0].Tenant != "acme" || states[0].Gens[0] != "h0" {
+		t.Fatalf("replay after compaction: %+v", states)
 	}
 }
