@@ -694,8 +694,8 @@ func (s *Server) Drain() {
 // to prove a restart on the same WAL dir resumes to byte-identical
 // results. The WAL is closed first, so in-flight settlements cannot
 // journal state the "dead" coordinator would not have persisted; a local
-// loop finishes the group it holds, and settle drops it, uncharged, with
-// its campaign's context gone.
+// loop's Measure stops at its next step, its campaign's context gone,
+// and settle drops the group uncharged.
 func (s *Server) Kill() {
 	s.drainOnce.Do(func() {
 		s.mu.Lock()
@@ -781,47 +781,45 @@ var readyOnly = func() context.Context {
 	return ctx
 }()
 
-// gather tops a leased task up to a lease group with the tasks that are
-// ready now, by a remote worker's rule: it stops once the last task's
-// campaign holds its share, or the group holds core.AutoBatchLanes
-// tasks.
+// gather tops a leased task up to a lease group (gatherGroup) with the
+// tasks that are ready now.
 func (s *Server) gather(first *jobqueue.Lease[task]) []*jobqueue.Lease[task] {
-	group := []*jobqueue.Lease[task]{first}
-	parts := map[*campaign]int{first.Payload().camp: 1}
-	for last := first.Payload().camp; parts[last] < share(last.spec, s.cfg.scale(), s.slots.local) && len(group) < core.AutoBatchLanes; {
+	return gatherGroup(first, leaseCampaign, func(l *jobqueue.Lease[task]) int {
+		return share(leaseCampaign(l).spec, s.cfg.scale(), s.slots.local)
+	}, func() (*jobqueue.Lease[task], bool) {
 		lease, err := s.pop(readyOnly)
-		if err != nil {
-			break
-		}
-		group = append(group, lease)
-		last = lease.Payload().camp
-		parts[last]++
-	}
-	return group
+		return lease, err == nil
+	})
 }
+
+// leaseCampaign is the campaign a lease's task belongs to.
+func leaseCampaign(l *jobqueue.Lease[task]) *campaign { return l.Payload().camp }
 
 // executeGroup measures a lease group, all of it heartbeated for the
 // duration, the way a remote worker does: each campaign's part, in lease
 // order, goes through one Measure call with a single attempt (the queue
-// owns retries). Outcomes settle once Measure has returned, never inside
-// its callback: that runs under the runner's read lock, and a completion
-// that finalizes the campaign releases the runner. An error from Measure
-// itself means nothing ran — the campaign closed and released its
-// runner — and settle drops the part uncharged.
+// owns retries). Measure stops on the campaign's context, so a deadline
+// or abort lands within one build, walk or measurement, and the part
+// settles uncharged. Outcomes settle once Measure has returned, never
+// inside its callback: that runs under the runner's read lock, and a
+// completion that finalizes the campaign releases the runner. An error
+// from Measure itself means nothing ran — the campaign closed and
+// released its runner — and settle drops the part uncharged.
 func (s *Server) executeGroup(slot int, group []*jobqueue.Lease[task]) {
 	defer every(s.baseCtx, s.cfg.heartbeatEvery(), func(context.Context) {
 		for _, lease := range group {
 			lease.Heartbeat() // a lost lease's settlement finds out
 		}
 	})()
-	for _, part := range splitByCampaign(group, func(l *jobqueue.Lease[task]) *campaign { return l.Payload().camp }) {
+	for _, part := range splitByCampaign(group, leaseCampaign) {
+		c := leaseCampaign(part[0])
 		units := make([]core.Unit, len(part))
 		for k, lease := range part {
 			units[k] = lease.Payload().unit()
 		}
 		outs := make([]core.Observation, len(part))
 		errs := make([]error, len(part))
-		if err := part[0].Payload().camp.runner.Measure(slot, units, 1, func(k int, o core.Observation, err error) {
+		if err := c.runner.Measure(slot, units, 1, func(k int, o core.Observation, err error) {
 			outs[k], errs[k] = o, err
 		}); err != nil {
 			for k := range errs {

@@ -336,6 +336,45 @@ func TestDeadlinePropagates(t *testing.T) {
 	}
 }
 
+// TestDeadlineStopsHeldGroup: a deadline stops the group a local loop
+// already holds within a build, not after the whole group. One loop's
+// group is half a 16-layout campaign, 8 builds of 20 ms each, and at
+// most three of them start inside a 50 ms deadline; the group then
+// settles uncharged and the campaign fails on the deadline.
+func TestDeadlineStopsHeldGroup(t *testing.T) {
+	faults := faultinject.New(5, faultinject.Config{
+		Build: faultinject.Rates{Slow: 1, SlowDelay: 20 * time.Millisecond, MaxFaults: 1 << 20},
+	})
+	srv, client := startService(t, campaignd.Config{Workers: 1, Faults: faults})
+	ctx := context.Background()
+	// A first campaign interprets the shared trace, so the deadline
+	// below is spent on builds, not on setup.
+	warm, err := client.Submit(ctx, testSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, client, warm.ID); st.State != campaignd.StateDone {
+		t.Fatalf("warm-up campaign ended %s: %s", st.State, st.Error)
+	}
+	before := faults.Counts(faultinject.SiteBuild)[faultinject.KindSlow]
+
+	spec := testSpec(16)
+	spec.BaseSeed = 2
+	spec.DeadlineMS = 50
+	st, err := client.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = waitDone(t, client, st.ID); st.State != campaignd.StateFailed || !strings.Contains(st.Error, "deadline") {
+		t.Fatalf("campaign ended %s (%q), want failed on its deadline", st.State, st.Error)
+	}
+	srv.Drain()
+	<-srv.Done()
+	if builds := faults.Counts(faultinject.SiteBuild)[faultinject.KindSlow] - before; builds > 4 {
+		t.Errorf("%d builds ran after a 50 ms deadline that leaves room for 3: the held group did not stop", builds)
+	}
+}
+
 // TestGracefulDrainOnSIGTERM is the kill-mid-campaign test: a real
 // SIGTERM lands while layouts are still queued; the drain finishes
 // leased work and flushes the checkpoint; a second service instance over

@@ -265,6 +265,9 @@ func (s *Server) newCampaign(spec JobSpec) (*campaign, []int, error) {
 	if spec.DeadlineMS > 0 {
 		ctx, stopTimer = context.WithDeadline(ctx, now.Add(time.Duration(spec.DeadlineMS)*time.Millisecond))
 	}
+	// The runner's Measure stops on the campaign's context, so a deadline
+	// or abort lands within one step of a group a local loop holds.
+	cfg.Context = ctx
 	runner, err := s.shared.runner(cfg, s.slots.runners())
 	if err != nil {
 		cancel(err)
@@ -439,8 +442,10 @@ func (c *campaign) finalizeLocked() {
 // degrade a done campaign to failed — a checkpoint that lies is worse
 // than none. A closed campaign keeps only what its endpoints and late
 // worker calls still read: observations, the dataset, and the runner's
-// seed derivation and attestation key. A group that reaches Measure
-// after the release finds ErrRunnerReleased, and settle drops it.
+// seed derivation and attestation key. The context is canceled before
+// the release, so a group in Measure stops at its next step, and the
+// release waits out at most that step; a group that reaches Measure
+// after the release finds ErrRunnerReleased. settle drops both.
 func (c *campaign) closeLocked() {
 	if c.sink != nil {
 		if err := c.sink.Close(); err != nil && c.state == StateDone {

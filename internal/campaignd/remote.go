@@ -244,7 +244,7 @@ func (s *Server) trusted(w http.ResponseWriter, lease *jobqueue.Lease[task], wor
 	if s.auditPick(c, t, lease.Attempt()) {
 		match, aerr := s.audit(c, t, o)
 		switch {
-		case errors.Is(aerr, core.ErrRunnerReleased):
+		case errors.Is(aerr, core.ErrRunnerReleased), aerr != nil && c.ctx.Err() != nil:
 			return true // closed: settle discards it, the worker uncredited
 		case aerr != nil:
 			// The audit infrastructure failed, not the worker; the

@@ -81,25 +81,32 @@ func (s *Server) newSearchCampaign(spec JobSpec) (*campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.NewSearch(cfg, s.slots.runners(), trace)
-	if err != nil {
-		return nil, err
-	}
-	run := &searchRun{eng: eng}
-	if cfg.Campaign.Checkpoint.Dir != "" {
-		run.sink, err = core.OpenSearchCheckpointSink(eng)
-		if err != nil {
-			return nil, fmt.Errorf("campaignd: search checkpoint for %s: %w", id, err)
-		}
-		run.restored = run.sink.Restored()
-		run.gens = append([]core.GenerationResult(nil), run.restored...)
-	}
-
 	ctx, cancel := context.WithCancelCause(s.baseCtx)
 	stopTimer := context.CancelFunc(func() {})
 	if spec.DeadlineMS > 0 {
 		ctx, stopTimer = context.WithDeadline(ctx, now.Add(time.Duration(spec.DeadlineMS)*time.Millisecond))
 	}
+	// As for a layout campaign (newCampaign), Measure stops on it.
+	cfg.Campaign.Context = ctx
+	fail := func(err error) (*campaign, error) {
+		cancel(err)
+		stopTimer()
+		return nil, err
+	}
+	eng, err := core.NewSearch(cfg, s.slots.runners(), trace)
+	if err != nil {
+		return fail(err)
+	}
+	run := &searchRun{eng: eng}
+	if cfg.Campaign.Checkpoint.Dir != "" {
+		run.sink, err = core.OpenSearchCheckpointSink(eng)
+		if err != nil {
+			return fail(fmt.Errorf("campaignd: search checkpoint for %s: %w", id, err))
+		}
+		run.restored = run.sink.Restored()
+		run.gens = append([]core.GenerationResult(nil), run.restored...)
+	}
+
 	pop := eng.Population()
 	c := &campaign{
 		id:        id,

@@ -169,23 +169,39 @@ func (w *Worker) loop(ctx context.Context, runners *workerRunners, slot int) {
 	}
 }
 
-// gather tops a freshly leased task up to a lease group with whatever
-// the coordinator can hand over immediately — the extra leases use a
-// minimal wait so an idle queue never delays the task in hand. It stops
-// once the last task's campaign holds its share of the group, or the
-// group holds core.AutoBatchLanes tasks.
+// gather tops a freshly leased task up to a lease group (gatherGroup)
+// with whatever the coordinator can hand over immediately — the extra
+// leases use a minimal wait so an idle queue never delays the task in
+// hand.
 func (w *Worker) gather(ctx context.Context, first leaseResponse) []leaseResponse {
-	group := []leaseResponse{first}
-	parts := map[string]int{first.CampaignID: 1}
-	for last := first; parts[last.CampaignID] < share(last.Spec, last.Scale, w.parallel()) && len(group) < core.AutoBatchLanes; {
+	return gatherGroup(first, leaseCampaignID, func(lr leaseResponse) int {
+		return share(lr.Spec, lr.Scale, w.parallel())
+	}, func() (leaseResponse, bool) {
 		var lr leaseResponse
 		status, _, err := w.post(ctx, "/worker/lease", leaseRequest{WaitMS: 1, Worker: w.workerID()}, &lr)
-		if err != nil || status != http.StatusOK {
+		return lr, err == nil && status == http.StatusOK
+	})
+}
+
+// leaseCampaignID is the campaign a leased task belongs to.
+func leaseCampaignID(lr leaseResponse) string { return lr.CampaignID }
+
+// gatherGroup is the one rule that sizes a lease group, for the local
+// loops and remote workers alike: starting from first, it adds the
+// leases next yields until next has none, the last lease's campaign
+// holds its share of the group, or the group holds core.AutoBatchLanes
+// leases.
+func gatherGroup[L any, K comparable](first L, campaign func(L) K, share func(L) int, next func() (L, bool)) []L {
+	group := []L{first}
+	parts := map[K]int{campaign(first): 1}
+	for last := first; parts[campaign(last)] < share(last) && len(group) < core.AutoBatchLanes; {
+		l, ok := next()
+		if !ok {
 			break
 		}
-		group = append(group, lr)
-		parts[lr.CampaignID]++
-		last = lr
+		group = append(group, l)
+		parts[campaign(l)]++
+		last = l
 	}
 	return group
 }
@@ -222,7 +238,8 @@ func splitByCampaign[L any, K comparable](group []L, campaign func(L) K) [][]L {
 // every calls beat once per period, from one goroutine, until ctx ends
 // or the returned stop is called; stop waits out a beat in flight. A
 // non-positive period never beats. beat gets a context that ends with
-// the ticker.
+// the ticker or one period after the beat began, so a beat stuck on one
+// request gives up in time for the next.
 func every(ctx context.Context, period time.Duration, beat func(context.Context)) (stop func()) {
 	if period <= 0 {
 		return func() {}
@@ -238,7 +255,9 @@ func every(ctx context.Context, period time.Duration, beat func(context.Context)
 			case <-ctx.Done():
 				return
 			case <-ticker.C:
-				beat(ctx)
+				bctx, cancel := context.WithTimeout(ctx, period)
+				beat(bctx)
+				cancel()
 			}
 		}
 	}()
@@ -267,7 +286,7 @@ func (w *Worker) lease(ctx context.Context) (leaseResponse, int, error) {
 // derives the identical result.
 func (w *Worker) executeGroup(ctx context.Context, runners *workerRunners, slot int, group []leaseResponse) {
 	defer w.heartbeat(ctx, group)()
-	for _, part := range splitByCampaign(group, func(lr leaseResponse) string { return lr.CampaignID }) {
+	for _, part := range splitByCampaign(group, leaseCampaignID) {
 		w.executeBatch(ctx, runners, slot, part)
 	}
 }
@@ -380,7 +399,10 @@ func (w *Worker) complete(ctx context.Context, req completeRequest) {
 // heartbeat keeps a group's leases alive at a third of the
 // coordinator's lease duration while the group runs, one heartbeat
 // request per live lease per beat. A lost lease (410) is not beaten
-// again; its completion discovers the loss.
+// again; its completion discovers the loss. A request stuck past the
+// beat's period (every) fails with the rest of that beat's requests,
+// their leases kept for the next beat, so one stuck request costs the
+// leases after it one beat, not their lease (three beats).
 func (w *Worker) heartbeat(ctx context.Context, group []leaseResponse) (stop func()) {
 	live := append([]leaseResponse(nil), group...)
 	return every(ctx, time.Duration(group[0].LeaseMS)*time.Millisecond/3, func(ctx context.Context) {

@@ -2,9 +2,11 @@ package campaignd
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -123,6 +125,38 @@ func TestLocalLoopsTakeCampaignShares(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, parts) {
 			t.Errorf("group %d holds %v tasks of each campaign, want %v", g, got, parts)
+		}
+	}
+}
+
+// TestHeartbeatOutlastsStuckRequest: a heartbeat request that never
+// answers gives up when its beat's period ends, so the leases after it
+// in the group keep being beaten instead of expiring behind it.
+func TestHeartbeatOutlastsStuckRequest(t *testing.T) {
+	var stuck atomic.Bool
+	var beatsB atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		var ref leaseRef
+		if err := json.NewDecoder(r.Body).Decode(&ref); err != nil {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if ref.LeaseID == "a" && stuck.CompareAndSwap(false, true) {
+			<-r.Context().Done() // the first request for a never answers
+			return
+		}
+		if ref.LeaseID == "b" {
+			beatsB.Add(1)
+		}
+		rw.WriteHeader(http.StatusNoContent)
+	}))
+	defer hs.Close()
+	w := &Worker{Coordinator: hs.URL}
+	stop := w.heartbeat(context.Background(), []leaseResponse{{LeaseID: "a", LeaseMS: 30}, {LeaseID: "b", LeaseMS: 30}})
+	defer stop()
+	for deadline := time.Now().Add(10 * time.Second); beatsB.Load() < 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("lease b beaten %d times in 10 s behind a stuck request", beatsB.Load())
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -205,6 +206,12 @@ func (r *LayoutRunner) checkUnit(u Unit) error {
 // bit-identical to the scalar replay, so the chunk never changes an
 // observation. An error from Measure itself means no unit ran: an
 // out-of-range unit or slot, or a released runner.
+//
+// The campaign's Context stops the chunk between steps: once it is
+// done, nothing more is built, walked or measured, and each unit left
+// reports "core: <unit> not measured: <cause>" (a retry's backoff ends
+// too). A canceled campaign so waits out at most one build, walk or
+// measurement.
 func (r *LayoutRunner) Measure(w int, units []Unit, attempts int, done func(k int, o Observation, err error)) error {
 	for _, u := range units {
 		if err := r.checkUnit(u); err != nil {
@@ -215,13 +222,19 @@ func (r *LayoutRunner) Measure(w int, units []Unit, attempts int, done func(k in
 		return err
 	}
 	defer r.mu.RUnlock()
-	r.measure(w, units, attempts, done)
+	r.measure(r.cfg.context(), w, units, attempts, done)
 	return nil
 }
 
-// measure is Measure for a caller holding the engines.
-func (r *LayoutRunner) measure(w int, units []Unit, attempts int, done func(k int, o Observation, err error)) {
+// measure is Measure for a caller holding the engines, stopped by ctx.
+func (r *LayoutRunner) measure(ctx context.Context, w int, units []Unit, attempts int, done func(k int, o Observation, err error)) {
 	attempts = max(attempts, 1)
+	stopped := func(u Unit) error {
+		if ctx.Err() == nil {
+			return nil
+		}
+		return fmt.Errorf("core: %v not measured: %w", u, context.Cause(ctx))
+	}
 	keys := make([]unitKeys, len(units))
 	exes := make([]*toolchain.Executable, len(units))
 	errs := make([]error, len(units))
@@ -229,6 +242,9 @@ func (r *LayoutRunner) measure(w int, units []Unit, attempts int, done func(k in
 	var heapSeeds []uint64
 	for k, u := range units {
 		keys[k] = r.keys(u)
+		if errs[k] = stopped(u); errs[k] != nil {
+			continue
+		}
 		errs[k] = Guard(func() (err error) {
 			exes[k], err = r.buildUnit(w, u, keys[k])
 			return err
@@ -238,11 +254,17 @@ func (r *LayoutRunner) measure(w int, units []Unit, attempts int, done func(k in
 			heapSeeds = append(heapSeeds, keys[k].heap)
 		}
 	}
-	// A declined walk is counted; the units then replay on the scalar
-	// engine.
-	_ = r.walkTrace(w, built, heapSeeds)
+	if ctx.Err() == nil {
+		// A declined walk is counted; the units then replay on the
+		// scalar engine.
+		_ = r.walkTrace(w, built, heapSeeds)
+	}
 
 	for k, u := range units {
+		if err := stopped(u); err != nil {
+			done(k, Observation{}, err)
+			continue
+		}
 		st := r.co.layoutStage(keys[k].span, w)
 		var o Observation
 		err := errs[k]
@@ -269,7 +291,7 @@ func (r *LayoutRunner) measure(w int, units []Unit, attempts int, done func(k in
 			}
 			// The jitter keys off the unit's seed, so a resumed or
 			// replayed campaign backs off by identical amounts.
-			if serr := r.cfg.Backoff.Sleep(r.cfg.context(), a, r.cfg.BaseSeed, keys[k].seed); serr != nil {
+			if serr := r.cfg.Backoff.Sleep(ctx, a, r.cfg.BaseSeed, keys[k].seed); serr != nil {
 				err = fmt.Errorf("core: %v: retry backoff interrupted: %w", u, serr)
 				break
 			}

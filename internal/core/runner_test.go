@@ -113,6 +113,52 @@ func TestLayoutRunnerValidation(t *testing.T) {
 	}
 }
 
+// TestMeasureStopsOnContext: once the campaign's context is done,
+// Measure builds and measures nothing more, and every unit left reports
+// the cause.
+func TestMeasureStopsOnContext(t *testing.T) {
+	stop := errors.New("operator stop")
+	units := []core.Unit{{Layout: 0}, {Layout: 1}, {Layout: 2}}
+	measure := func(ctx context.Context, onDone func(k int, err error)) (stopped, builds int) {
+		cfg := smallCampaign(3)
+		cfg.Context = ctx
+		// Every build is a counted, near-instant slow fault.
+		faults := faultinject.New(1, faultinject.Config{
+			Build: faultinject.Rates{Slow: 1, SlowDelay: time.Microsecond, MaxFaults: 1 << 20},
+		})
+		cfg.Faults = faults
+		r, err := core.NewLayoutRunner(cfg, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Measure(0, units, 2, func(k int, _ core.Observation, err error) {
+			if errors.Is(err, stop) {
+				stopped++
+			}
+			onDone(k, err)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return stopped, faults.Counts(faultinject.SiteBuild)[faultinject.KindSlow]
+	}
+
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(stop)
+	if stopped, builds := measure(ctx, func(int, error) {}); stopped != 3 || builds != 0 {
+		t.Errorf("canceled campaign: %d of 3 units report the cause, %d builds ran", stopped, builds)
+	}
+
+	ctx, cancel = context.WithCancelCause(context.Background())
+	stopped, _ := measure(ctx, func(k int, err error) {
+		if k == 0 && err == nil {
+			cancel(stop) // the rest of the chunk is built but never measured
+		}
+	})
+	if stopped != 2 {
+		t.Errorf("campaign canceled after the chunk's first unit: %d of 2 units report the cause", stopped)
+	}
+}
+
 // TestLayoutRunnerSeamsCarryFaults: the runner's seams include the
 // configured injector, and Measure recovers an injected panic into the
 // unit's error, a *PanicError, exactly like the in-process supervisor.

@@ -317,7 +317,7 @@ func (s *Search) Evaluate(ctx context.Context, genomes []toolchain.Genome) ([]Ob
 	attempts := r.cfg.maxAttempts()
 	_, err := superviseChunksT(ctx, r.workers, len(units), r.cfg.batchSize(r.workers), 0, newSupTel(r.cfg.Obs), func(w, lo, hi int, _ func(int, error), _ func() bool) {
 		chunk := units[lo:hi]
-		r.measure(w, chunk, attempts, func(k int, o Observation, err error) {
+		r.measure(ctx, w, chunk, attempts, func(k int, o Observation, err error) {
 			if err != nil {
 				o = r.FailedObservation(chunk[k], attempts)
 			}
@@ -381,8 +381,10 @@ func (s *Search) Settle(gen int, genomes []toolchain.Genome, observations []Obse
 // already invalid. Invalid unfailed measurements are re-measured once
 // on slot 0; a re-measurement that comes back valid replaces the
 // observation (StatusRetried, attempts accumulated), anything else is
-// degraded to StatusFailed. Failed individuals are left alone. The only
-// error is a released runner.
+// degraded to StatusFailed. Failed individuals are left alone. A
+// re-measurement is never canceled: its outcome settles a generation
+// that is then checkpointed, so a stopped one would degrade its
+// individual for good. The only error is a released runner.
 func (s *Search) screenGeneration(inds []Individual) error {
 	r := s.runner
 	if err := r.acquire(0); err != nil {
@@ -396,7 +398,7 @@ func (s *Search) screenGeneration(inds []Individual) error {
 		}
 		prev := in.Obs
 		u := Unit{Genome: &in.Genome}
-		r.measure(0, []Unit{u}, 1, func(_ int, o Observation, err error) {
+		r.measure(context.WithoutCancel(r.cfg.context()), 0, []Unit{u}, 1, func(_ int, o Observation, err error) {
 			if err == nil && measurementValid(o.Measurement) {
 				o.Status = StatusRetried
 				o.Attempts += prev.Attempts
