@@ -3,8 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
-	"sync"
+	"sync/atomic"
 
 	"interferometry/internal/machine"
 	"interferometry/internal/pmc"
@@ -145,7 +146,7 @@ func (r *LayoutRunner) walkTrace(w int, exes []*toolchain.Executable, heapSeeds 
 			co.declined(declineWalkPanic)
 			return
 		}
-		batchPool.Put(b)
+		putBatch(b)
 	}()
 	for j, exe := range exes {
 		dc.specs = append(dc.specs, machine.RunSpec{
@@ -176,21 +177,65 @@ func (r *LayoutRunner) walkTrace(w int, exes []*toolchain.Executable, heapSeeds 
 // recycled engine is indistinguishable from a fresh one; only engines
 // matching the campaign's exact machine config and lane need are reused.
 // A pooled engine keeps its program-keyed block tables, so the next walk
-// of the same program reuses them; sync.Pool drops idle entries within
-// two garbage collections, which bounds what a pooled engine pins.
-var batchPool = sync.Pool{}
+// of the same program reuses them. The pool is one list for every
+// processor and holds one idle engine per processor the process starts
+// with, so a walk never misses an idle engine and builds another, and a
+// process walking on k slots holds k engines from run to run. Like a
+// sync.Pool it gives them up after a garbage collection cycle without a
+// walk (batchAging), so a process that stops walking does not keep them.
+var batchPool = make(chan *machine.Batch, runtime.GOMAXPROCS(0))
+
+// batchLends counts getBatch calls for batchAging.
+var batchLends atomic.Uint64
 
 // getBatch returns a pooled or fresh engine for the config, or an error
 // when the configuration cannot be batched.
 func getBatch(mcfg machine.Config, lanes int) (*machine.Batch, error) {
-	if v := batchPool.Get(); v != nil {
-		b := v.(*machine.Batch)
+	batchLends.Add(1)
+	select {
+	case b := <-batchPool:
 		if b.Config() == mcfg && b.MaxLanes() >= lanes {
 			return b, nil
 		}
-		// Wrong geometry: drop it rather than chaining Gets.
+		// Wrong geometry: drop it rather than draining the pool.
+	default:
 	}
 	return machine.NewBatch(mcfg, lanes)
+}
+
+// putBatch returns an engine to the pool, or drops it when the pool is
+// full.
+func putBatch(b *machine.Batch) {
+	select {
+	case batchPool <- b:
+	default:
+	}
+}
+
+// batchAging empties the pool after a garbage collection cycle in which
+// no engine was lent. It is the finalizer of an object nothing else
+// references and re-arms itself, so it runs once per cycle. (The pool
+// field also keeps the object out of the tiny allocator, whose shared
+// blocks can hold a finalizer back.)
+type batchAging struct {
+	pool  chan *machine.Batch
+	lends uint64
+}
+
+func init() { runtime.SetFinalizer(&batchAging{pool: batchPool}, (*batchAging).collected) }
+
+func (a *batchAging) collected() {
+	if n := batchLends.Load(); n != a.lends {
+		a.lends = n
+	} else {
+		for len(a.pool) > 0 {
+			select {
+			case <-a.pool:
+			default:
+			}
+		}
+	}
+	runtime.SetFinalizer(a, (*batchAging).collected)
 }
 
 // batchable reports whether the batch engine accepts the campaign's
@@ -204,6 +249,6 @@ func batchable(cfg *CampaignConfig, co *campaignObs, lanes int) bool {
 		co.declined(declineGeometry)
 		return false
 	}
-	batchPool.Put(b)
+	putBatch(b)
 	return true
 }
