@@ -27,25 +27,10 @@
 // and extended campaigns skip redundant layout builds; it helps both
 // serve and worker modes.
 //
-// Chaos soak mode proves the byte-identity claim against the live
-// service under injected error bursts, panics and latency spikes
-// (-chaos-shard-workers N runs the rounds in sharded mode):
-//
-//	campaignd -chaos -chaos-benchmark 429.mcf -chaos-rounds 3
-//
-// -chaos-search soaks an evolutionary layout-search campaign the same
-// way, comparing generation exports (and the summary report) against a
-// clean single-process search; -chaos-coordinator-kill N additionally
-// hard-kills and restarts the coordinator mid-trajectory.
-//
-// -chaos-byzantine K makes K of the sharded workers liars that corrupt
-// every result they report (flipped counters, stale seeds, replays,
-// bad or forged fingerprints). Attestation checks and spot-audit
-// re-execution must reject every lie, quarantine the liars, and still
-// finish the campaign byte-identical to the clean run:
-//
-//	campaignd -chaos -chaos-shard-workers 4 -chaos-byzantine 2 \
-//	    -chaos-error 0 -chaos-panic 0 -chaos-spike 0
+// The byte-identity claim under injected faults, lying workers and
+// coordinator kills is held by the chaos soak, a test table in
+// internal/campaignd (go test -run '^TestChaosSoak$' -v
+// ./internal/campaignd).
 package main
 
 import (
@@ -64,7 +49,6 @@ import (
 	"interferometry/internal/artifactcache"
 	"interferometry/internal/campaignd"
 	"interferometry/internal/experiments"
-	"interferometry/internal/faultinject"
 	"interferometry/internal/jobqueue/backoff"
 	"interferometry/internal/obs"
 	"interferometry/internal/obsflag"
@@ -97,22 +81,6 @@ func main() {
 		backoffBase   = flag.Duration("backoff-base", 50*time.Millisecond, "first retry delay")
 		backoffCap    = flag.Duration("backoff-cap", 2*time.Second, "max retry delay")
 		backoffJitter = flag.Float64("backoff-jitter", 0.5, "seeded jitter fraction of each delay [0,1]")
-
-		chaos       = flag.Bool("chaos", false, "run the deterministic chaos soak instead of serving")
-		chaosBench  = flag.String("chaos-benchmark", "429.mcf", "benchmark the soak measures")
-		chaosLay    = flag.Int("chaos-layouts", 8, "layouts per soak campaign")
-		chaosSearch = flag.Bool("chaos-search", false, "soak a layout-search campaign instead of a sampling sweep")
-		chaosPop    = flag.Int("chaos-search-population", 5, "search soak: individuals per generation")
-		chaosGens   = flag.Int("chaos-search-generations", 3, "search soak: generations per campaign")
-		chaosRounds = flag.Int("chaos-rounds", 3, "faulted service rounds")
-		chaosSeed   = flag.Uint64("chaos-seed", 0xc4a05, "root seed of the per-round fault schedules")
-		chaosShard  = flag.Int("chaos-shard-workers", 0, "run soak rounds sharded across this many workers (0 = single process)")
-		chaosKills  = flag.Int("chaos-coordinator-kill", 0, "hard-kill and restart a WAL-backed coordinator this many times per soak round (0 = off)")
-		chaosByz    = flag.Int("chaos-byzantine", 0, "sharded soak rounds make this many workers liars: corrupted results must all be rejected or audit-disowned (0 = off)")
-		chaosError  = flag.Float64("chaos-error", 0.2, "per-call injected error rate")
-		chaosPanic  = flag.Float64("chaos-panic", 0.1, "per-call injected panic rate")
-		chaosSpike  = flag.Float64("chaos-spike", 0.2, "per-call latency-spike rate")
-		chaosP99    = flag.Duration("chaos-spike-p99", 10*time.Millisecond, "latency-spike p99")
 	)
 	obsFlags := obsflag.Register(flag.CommandLine)
 	flag.Parse()
@@ -121,35 +89,6 @@ func main() {
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown scale %q (want small, medium or paper)\n", *scaleName)
 		os.Exit(2)
-	}
-
-	if *chaos {
-		spec := campaignd.JobSpec{Benchmark: *chaosBench, Layouts: *chaosLay}
-		if *chaosSearch {
-			spec.Kind = campaignd.KindSearch
-			spec.Search = &campaignd.SearchSpec{Population: *chaosPop, Generations: *chaosGens}
-		}
-		err := campaignd.Soak(campaignd.SoakConfig{
-			Spec:             spec,
-			Scale:            scale,
-			Rounds:           *chaosRounds,
-			Seed:             *chaosSeed,
-			Workers:          *workers,
-			ShardWorkers:     *chaosShard,
-			ByzantineWorkers: *chaosByz,
-			AuditRate:        *auditRate,
-			CoordinatorKills: *chaosKills,
-			Rates: faultinject.Rates{
-				Error: *chaosError, Panic: *chaosPanic,
-				Spike: *chaosSpike, SpikeP99: *chaosP99,
-			},
-			Out: os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos soak: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	observer, err := obsFlags.Observer("campaignd")

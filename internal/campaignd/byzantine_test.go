@@ -16,7 +16,6 @@ import (
 	"interferometry/internal/campaignd"
 	"interferometry/internal/core"
 	"interferometry/internal/experiments"
-	"interferometry/internal/faultinject"
 	"interferometry/internal/obs"
 	"interferometry/internal/progen"
 )
@@ -24,8 +23,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // startNamedWorker launches one remote worker with an identity (and an
-// optional tamperer) against the coordinator.
-func startNamedWorker(t *testing.T, client *campaignd.Client, id string, tamper *faultinject.Liar) (stop func()) {
+// optional tamperer, such as a Liar's Tamper) against the coordinator.
+func startNamedWorker(t *testing.T, client *campaignd.Client, id string, tamper func(core.ObsWire, string) core.ObsWire) (stop func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -47,30 +46,6 @@ func startNamedWorker(t *testing.T, client *campaignd.Client, id string, tamper 
 	}
 	t.Cleanup(stop)
 	return stop
-}
-
-// waitQuarantined polls fleet health until all the given workers are
-// quarantined.
-func waitHealthQuarantined(t *testing.T, srv *campaignd.Server, workers ...string) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		health := srv.WorkerHealth()
-		all := true
-		for _, id := range workers {
-			if h, ok := health[id]; !ok || !h.Quarantined {
-				all = false
-				break
-			}
-		}
-		if all {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("workers %v never quarantined; health %+v", workers, health)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 // TestByzantineShardedMatchesSingleProcess is the trust headline: 2 of
@@ -100,9 +75,9 @@ func TestByzantineShardedMatchesSingleProcess(t *testing.T) {
 	// is quarantined, so every lie targets a live campaign.
 	liars := []string{"byz-liar0", "byz-liar1"}
 	for i, id := range liars {
-		startNamedWorker(t, client, id, faultinject.NewLiar(uint64(0xb12+i)))
+		startNamedWorker(t, client, id, campaignd.NewLiar(uint64(0xb12+i)).Tamper)
 	}
-	waitHealthQuarantined(t, srv, liars...)
+	campaignd.WaitQuarantined(t, srv, liars...)
 	honest := []string{"byz-w2", "byz-w3"}
 	for _, id := range honest {
 		startNamedWorker(t, client, id, nil)
@@ -170,9 +145,9 @@ func TestByzantineSearchMatchesSingleProcess(t *testing.T) {
 
 	liars := []string{"byz-s-liar0", "byz-s-liar1"}
 	for i, id := range liars {
-		startNamedWorker(t, client, id, faultinject.NewLiar(uint64(0x5ea+i)))
+		startNamedWorker(t, client, id, campaignd.NewLiar(uint64(0x5ea+i)).Tamper)
 	}
-	waitHealthQuarantined(t, srv, liars...)
+	campaignd.WaitQuarantined(t, srv, liars...)
 	startNamedWorker(t, client, "byz-s-w2", nil)
 	startNamedWorker(t, client, "byz-s-w3", nil)
 

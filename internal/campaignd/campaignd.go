@@ -9,8 +9,8 @@
 // groups or the fault injector do to the schedule — retries, lease expiries,
 // duplicate executions, drains and resumes — the finished dataset is
 // byte-identical to a clean single-process core.RunCampaign of the same
-// spec. The chaos soak (Soak) proves exactly that against the live
-// service.
+// spec. The chaos soak (TestChaosSoak, one row per fault story) holds
+// the live service to exactly that.
 package campaignd
 
 import (
@@ -122,7 +122,8 @@ type Config struct {
 	// Reorder+Link work. Nil builds every layout from scratch.
 	LayoutCache toolchain.LayoutCache
 	// Faults optionally injects faults into every campaign's build and
-	// measure seams — the chaos soak's hook. Nil runs clean.
+	// measure seams, as the chaos soak's local rows (TestChaosSoak) do.
+	// Nil runs clean.
 	Faults *faultinject.Injector
 	// Obs observes the service; nil runs unobserved.
 	Obs *obs.Observer
@@ -690,8 +691,8 @@ func (s *Server) Drain() {
 
 // Kill hard-stops the coordinator: no checkpoint-flushing interrupt
 // pass, no WAL finalization, no graceful anything — the in-process
-// analog of kill -9, which the chaos soak's coordinator-kill rounds use
-// to prove a restart on the same WAL dir resumes to byte-identical
+// analog of kill -9, which the chaos soak's kill rows (TestChaosSoak)
+// use to prove a restart on the same WAL dir resumes to byte-identical
 // results. The WAL is closed first, so in-flight settlements cannot
 // journal state the "dead" coordinator would not have persisted; a local
 // loop's Measure stops at its next step, its campaign's context gone,

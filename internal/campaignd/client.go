@@ -16,8 +16,8 @@ import (
 )
 
 // Client talks to a campaignd server. The zero value with just Base set
-// is usable; cmd/interferometry's -server mode and the chaos soak both
-// drive the service through it.
+// is usable; cmd/interferometry's -server mode and the chaos soak
+// (TestChaosSoak) both drive the service through it.
 type Client struct {
 	// Base is the server URL, e.g. "http://localhost:8347".
 	Base string

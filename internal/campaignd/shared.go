@@ -134,8 +134,8 @@ func (sw *sharedWork) traceEntry(key traceKey) *traceEntry {
 }
 
 // campaignConfig translates a spec into the core campaign config on the
-// shared program — the single place service, workers and soak harness
-// agree on what a spec means.
+// shared program — the single place the service, the workers and the
+// chaos soak's clean reference agree on what a spec means.
 func (sw *sharedWork) campaignConfig(spec JobSpec, scale experiments.Scale) (core.CampaignConfig, error) {
 	prog, err := sw.program(spec.Benchmark)
 	if err != nil {
@@ -152,8 +152,8 @@ func (sw *sharedWork) campaignConfig(spec JobSpec, scale experiments.Scale) (cor
 }
 
 // searchConfig translates a search spec into the core search config —
-// the single definition the service, the remote workers and the soak
-// harness share of what a search spec means.
+// the single definition the service, the remote workers and the chaos
+// soak's clean reference share of what a search spec means.
 func (sw *sharedWork) searchConfig(spec JobSpec, scale experiments.Scale) (core.SearchConfig, error) {
 	campaign, err := sw.campaignConfig(spec, scale)
 	if err != nil {

@@ -60,13 +60,14 @@ type Worker struct {
 	// Cache optionally backs the worker's build seam with a layout
 	// artifact store, shared with other workers on the same host.
 	Cache toolchain.LayoutCache
-	// Faults optionally injects faults into the worker's seams — the
-	// sharded chaos soak's hook. Nil runs clean.
+	// Faults optionally injects faults into the worker's seams, as the
+	// sharded rows of the chaos soak (TestChaosSoak) do. Nil runs clean.
 	Faults *faultinject.Injector
-	// Tamper, when set, corrupts every outgoing observation through the
-	// liar's deterministic lie schedule — the byzantine soak's hook for
-	// workers that answer wrong instead of dying. Nil reports honestly.
-	Tamper *faultinject.Liar
+	// Tamper, when set, rewrites every outgoing observation after it is
+	// attested; attestationKey is the runner's key, so a rewrite can
+	// re-attest what it forged. The byzantine soak's lying workers set
+	// it to answer wrong instead of dying. Nil reports honestly.
+	Tamper func(wire core.ObsWire, attestationKey string) core.ObsWire
 	// Obs observes the worker's campaigns; nil runs unobserved.
 	Obs *obs.Observer
 
@@ -336,38 +337,14 @@ func (w *Worker) executeBatch(ctx context.Context, runners *workerRunners, slot 
 }
 
 // stamp attests an observation against the runner's toolchain identity
-// and, in byzantine soaks, routes it through the configured liar.
+// and passes it through Tamper, when set.
 func (w *Worker) stamp(o core.Observation, runner *core.LayoutRunner) core.ObsWire {
 	wire := o.Wire()
 	wire.Fingerprint = wire.Attest(runner.AttestationKey())
-	if w.Tamper == nil {
-		return wire
+	if w.Tamper != nil {
+		wire = w.Tamper(wire, runner.AttestationKey())
 	}
-	lied := w.Tamper.Corrupt(tamperResult(wire), func(r faultinject.WireResult) string {
-		return tamperWire(r).Attest(runner.AttestationKey())
-	})
-	return tamperWire(lied)
-}
-
-// tamperResult and tamperWire convert between core's wire observation
-// and faultinject's neutral image of it (faultinject cannot import
-// core).
-func tamperResult(w core.ObsWire) faultinject.WireResult {
-	return faultinject.WireResult{
-		LayoutSeed: w.LayoutSeed, HeapSeed: w.HeapSeed,
-		Cycles: w.Cycles, Instructions: w.Instructions,
-		Events: w.Events, Runs: w.Runs, Status: w.Status,
-		Attempts: w.Attempts, Fingerprint: w.Fingerprint,
-	}
-}
-
-func tamperWire(r faultinject.WireResult) core.ObsWire {
-	return core.ObsWire{
-		LayoutSeed: r.LayoutSeed, HeapSeed: r.HeapSeed,
-		Cycles: r.Cycles, Instructions: r.Instructions,
-		Events: r.Events, Runs: r.Runs, Status: r.Status,
-		Attempts: r.Attempts, Fingerprint: r.Fingerprint,
-	}
+	return wire
 }
 
 // complete reports one outcome, retrying transport failures and 429s
