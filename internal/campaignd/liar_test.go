@@ -37,10 +37,6 @@ const (
 	lieForge
 )
 
-func (l lie) String() string {
-	return [...]string{"bit-flip", "stale-seed", "replay", "bad-fingerprint", "forge"}[l]
-}
-
 // Liar deterministically corrupts a worker's outgoing observations; a
 // Worker whose Tamper is a liar's Tamper method is a byzantine worker.
 // Which lie an observation gets is a pure function of (liar seed, layout
@@ -95,17 +91,6 @@ func (l *Liar) Tamper(wire core.ObsWire, attestationKey string) core.ObsWire {
 	return out
 }
 
-// tally snapshots how many times each lie was told.
-func (l *Liar) tally() map[lie]int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[lie]int, len(l.counts))
-	for k, v := range l.counts {
-		out[k] = v
-	}
-	return out
-}
-
 func cloneWire(w core.ObsWire) core.ObsWire {
 	w.Events = slices.Clone(w.Events)
 	return w
@@ -139,8 +124,8 @@ func TestLiarDeterministic(t *testing.T) {
 			t.Fatalf("same seed, same input, different lies:\n%+v\n%+v", ra, rb)
 		}
 	}
-	if !reflect.DeepEqual(a.tally(), b.tally()) {
-		t.Fatalf("lie counts diverged: %v vs %v", a.tally(), b.tally())
+	if !reflect.DeepEqual(a.counts, b.counts) {
+		t.Fatalf("lie counts diverged: %v vs %v", a.counts, b.counts)
 	}
 	// A different liar seed reshuffles the schedule.
 	c := NewLiar(8)
@@ -166,7 +151,7 @@ func TestLiarLies(t *testing.T) {
 		orig := cloneWire(in)
 		out := l.Tamper(in, key)
 		if !reflect.DeepEqual(in, orig) {
-			t.Fatalf("%v mutated the input in place", told)
+			t.Fatalf("lie %d mutated the input in place", told)
 		}
 		switch told {
 		case lieBitFlip:
@@ -199,7 +184,7 @@ func TestLiarLies(t *testing.T) {
 	if !reflect.DeepEqual(second, liarWire(41)) {
 		t.Fatalf("replay returned %+v, want the honest first observation", second)
 	}
-	if n := l.tally()[lieReplay]; n != 1 {
+	if n := l.counts[lieReplay]; n != 1 {
 		t.Fatalf("replay count = %d, want 1", n)
 	}
 }

@@ -25,8 +25,7 @@ type soakRow struct {
 	name   string
 	spec   JobSpec
 	rounds int
-	loops  int // the coordinator's own task loops (with remote == 0)
-	remote int // remote workers over HTTP; the coordinator runs no loops
+	remote int // remote workers over HTTP; zero runs the coordinator's own loops
 	liars  int // of the remote workers, how many lie about every result
 	kills  int // coordinator hard-kills per round, restarted on its WAL
 	rates  faultinject.Rates
@@ -74,24 +73,24 @@ var (
 // round's fault counts.
 func TestChaosSoak(t *testing.T) {
 	rows := []soakRow{
-		{name: "local", spec: soakCampaign12, rounds: 3, loops: 4,
+		{name: "local", spec: soakCampaign12, rounds: 3,
 			rates: storm(.25, .1, .3), faults: []int{25, 23, 25}},
 		// At 24 layouts the lease groups, and the faults inside them,
 		// split differently.
-		{name: "local-24", spec: soakCampaign24, rounds: 1, loops: 4,
+		{name: "local-24", spec: soakCampaign24, rounds: 1,
 			rates: storm(.25, .1, .3), faults: []int{53}},
 		{name: "sharded", spec: soakCampaign12, rounds: 1, remote: 2,
 			rates: storm(.25, .1, .3), faults: []int{25}},
 		{name: "sharded-24", spec: soakCampaign24, rounds: 1, remote: 2,
 			rates: storm(.25, .1, .3), faults: []int{53}},
-		{name: "kill", spec: soakCampaign12, rounds: 2, loops: 4, kills: 2,
+		{name: "kill", spec: soakCampaign12, rounds: 2, kills: 2,
 			rates: storm(.25, .1, .3)},
-		{name: "search", spec: soakSearch, rounds: 2, loops: 4,
+		{name: "search", spec: soakSearch, rounds: 2,
 			rates: storm(.25, .1, .3), faults: []int{20, 12}},
 		// Kills land mid-trajectory, usually mid-generation: each
 		// restart resumes from the generation checkpoint and the journal,
 		// never re-randomizing the trajectory.
-		{name: "search-kill", spec: soakSearch, rounds: 2, loops: 4, kills: 2,
+		{name: "search-kill", spec: soakSearch, rounds: 2, kills: 2,
 			rates: storm(.15, .05, .2)},
 		// Fault rates are zero so the provenance columns compare exactly.
 		{name: "byzantine", spec: soakCampaign12, rounds: 2, remote: 4, liars: 2,
@@ -185,7 +184,7 @@ func soakRound(t *testing.T, row soakRow, round int, ref soakRef) int {
 	injector := faultinject.New(seed, faultinject.Config{Build: row.rates, Measure: row.rates})
 	cfg := Config{
 		Scale:          experiments.Small,
-		Workers:        row.loops,
+		Workers:        4, // unused when the coordinator runs no loops
 		NoLocalWorkers: row.remote > 0,
 		MaxAttempts:    soakMaxAttempts,
 		Backoff:        backoff.Policy{Base: time.Millisecond, Cap: 20 * time.Millisecond, Jitter: 0.5},
@@ -353,15 +352,15 @@ func soakRound(t *testing.T, row soakRow, round int, ref soakRef) int {
 	}
 
 	b, m := injector.Counts(faultinject.SiteBuild), injector.Counts(faultinject.SiteMeasure)
-	t.Logf("round %d: %d faults (build err=%d panic=%d slow=%d spike=%d / measure err=%d panic=%d slow=%d spike=%d)",
+	report := fmt.Sprintf("round %d: %d faults (build err=%d panic=%d slow=%d spike=%d / measure err=%d panic=%d slow=%d spike=%d)",
 		round, injector.Injected(),
 		b[faultinject.KindError], b[faultinject.KindPanic], b[faultinject.KindSlow], b[faultinject.KindSpike],
 		m[faultinject.KindError], m[faultinject.KindPanic], m[faultinject.KindSlow], m[faultinject.KindSpike])
 	if !bytes.Equal(got, ref.measurements) {
-		t.Fatalf("round %d: measurements diverged from the clean run (%d vs %d bytes)", round, len(got), len(ref.measurements))
+		t.Fatalf("%s: measurements diverged from the clean run (%d vs %d bytes)", report, len(got), len(ref.measurements))
 	}
 	if !bytes.Equal(gotReport, ref.report) {
-		t.Fatalf("round %d: search report diverged from the clean run (%d vs %d bytes)", round, len(gotReport), len(ref.report))
+		t.Fatalf("%s: search report diverged from the clean run (%d vs %d bytes)", report, len(gotReport), len(ref.report))
 	}
 	if row.liars > 0 {
 		// The fleet's health must tell the same story as the bytes:
@@ -369,12 +368,12 @@ func soakRound(t *testing.T, row soakRow, round int, ref soakRef) int {
 		health := srv.WorkerHealth()
 		for _, id := range liars {
 			if !health[id].Quarantined {
-				t.Fatalf("round %d: byzantine worker %s not quarantined (health %+v)", round, id, health[id])
+				t.Fatalf("%s: byzantine worker %s not quarantined (health %+v)", report, id, health[id])
 			}
 		}
 		for id, h := range health {
 			if h.Quarantined && !slices.Contains(liars, id) {
-				t.Fatalf("round %d: honest worker %s was quarantined (health %+v)", round, id, h)
+				t.Fatalf("%s: honest worker %s was quarantined (health %+v)", report, id, h)
 			}
 		}
 		if !row.faulted() && !row.spec.IsSearch() {
@@ -386,11 +385,11 @@ func soakRound(t *testing.T, row soakRow, round int, ref soakRef) int {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(prov, ref.provenance) {
-				t.Fatalf("round %d: provenance export diverged from the clean run (%d vs %d bytes): a requeued task was charged an attempt", round, len(prov), len(ref.provenance))
+				t.Fatalf("%s: provenance export diverged from the clean run (%d vs %d bytes): a requeued task was charged an attempt", report, len(prov), len(ref.provenance))
 			}
 		}
 	}
-	t.Logf("round %d: identical", round)
+	t.Log(report + " identical")
 	return injector.Injected()
 }
 
