@@ -163,6 +163,12 @@ func TestCacheKeyInvalidation(t *testing.T) {
 	ccfg := toolchain.CompileConfig{ProcsPerUnit: 2}
 	base := toolchain.NewBuilder(branchy, ccfg, toolchain.LinkConfig{}).CacheKey()
 
+	// LayoutRunner.AttestationKey hashes this key into every
+	// observation's fingerprint, so a coordinator and a worker built
+	// from different commits must compute the same bytes.
+	if want := "5d299e645bfe278526d280692e300ba6d77c3ce299c3eec52fadd5e8b785ebc3"; base != want {
+		t.Errorf("key = %s, want %s", base, want)
+	}
 	same := toolchain.NewBuilder(testprog.Branchy(), ccfg, toolchain.LinkConfig{}).CacheKey()
 	if same != base {
 		t.Error("equal program and config produced different keys")
