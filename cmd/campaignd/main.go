@@ -23,10 +23,6 @@
 //	campaignd -addr :8347 -workers 0 -checkpoint-root /var/lib/campaignd
 //	campaignd -worker -coordinator http://coordinator:8347 -workers 4
 //
-// An artifact cache (-artifact-cache DIR) makes resubmitted, resumed
-// and extended campaigns skip redundant layout builds; it helps both
-// serve and worker modes.
-//
 // The byte-identity claim under injected faults, lying workers and
 // coordinator kills is held by the chaos soak, a test table in
 // internal/campaignd (go test -run '^TestChaosSoak$' -v
@@ -46,13 +42,11 @@ import (
 	"syscall"
 	"time"
 
-	"interferometry/internal/artifactcache"
 	"interferometry/internal/campaignd"
 	"interferometry/internal/experiments"
 	"interferometry/internal/jobqueue/backoff"
 	"interferometry/internal/obs"
 	"interferometry/internal/obsflag"
-	"interferometry/internal/toolchain"
 )
 
 func main() {
@@ -62,8 +56,6 @@ func main() {
 		workers        = flag.Int("workers", 2, "task loops (serve: 0 = coordinator only; worker: concurrent lease groups)")
 		workerMode     = flag.Bool("worker", false, "run as a remote worker pulling tasks from -coordinator")
 		coordinator    = flag.String("coordinator", "", "coordinator base URL for -worker mode, e.g. http://host:8347")
-		cacheDir       = flag.String("artifact-cache", "", "directory for the content-addressed layout artifact cache (empty = off)")
-		cacheMB        = flag.Int64("artifact-cache-mb", 256, "artifact cache size bound in MiB")
 		queueCap       = flag.Int("queue-capacity", 256, "max tasks in the system (queued + leased)")
 		lease          = flag.Duration("lease", 30*time.Second, "task lease duration without a heartbeat")
 		maxAttempts    = flag.Int("max-attempts", 3, "executions per layout before permanent failure")
@@ -104,20 +96,6 @@ func main() {
 		observer.Metrics = obs.NewMetrics()
 	}
 
-	var cache toolchain.LayoutCache
-	if *cacheDir != "" {
-		c, cerr := artifactcache.Open(artifactcache.Config{
-			Dir:      *cacheDir,
-			MaxBytes: *cacheMB << 20,
-			Obs:      observer,
-		})
-		if cerr != nil {
-			fmt.Fprintln(os.Stderr, cerr)
-			os.Exit(1)
-		}
-		cache = c
-	}
-
 	if *workerMode {
 		if *coordinator == "" {
 			fmt.Fprintln(os.Stderr, "-worker needs -coordinator URL")
@@ -127,7 +105,6 @@ func main() {
 			Coordinator: *coordinator,
 			ID:          *workerID,
 			Parallel:    *workers,
-			Cache:       cache,
 			Obs:         observer,
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
@@ -155,7 +132,6 @@ func main() {
 		Scale:                 scale,
 		Workers:               *workers,
 		NoLocalWorkers:        *workers == 0,
-		LayoutCache:           cache,
 		QueueCapacity:         *queueCap,
 		Lease:                 *lease,
 		MaxAttempts:           *maxAttempts,

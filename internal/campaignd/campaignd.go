@@ -116,11 +116,6 @@ type Config struct {
 	// recent results (a sliding window of 32) were rejected at
 	// verification. Zero means 3. Audit failures condemn immediately.
 	QuarantineThreshold int
-	// LayoutCache optionally backs every campaign's build seam with a
-	// shared content-addressed artifact store (internal/artifactcache),
-	// so resubmitted, resumed and extended campaigns skip redundant
-	// Reorder+Link work. Nil builds every layout from scratch.
-	LayoutCache toolchain.LayoutCache
 	// Faults optionally injects faults into every campaign's build and
 	// measure seams, as the chaos soak's local rows (TestChaosSoak) do.
 	// Nil runs clean.

@@ -239,7 +239,6 @@ func (s *Server) newCampaign(spec JobSpec) (*campaign, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg.LayoutCache = s.cfg.LayoutCache
 	cfg.Faults = s.cfg.Faults
 	cfg.Obs = s.cfg.Obs
 	id := spec.ID(scale)

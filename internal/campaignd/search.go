@@ -65,7 +65,6 @@ func (s *Server) newSearchCampaign(spec JobSpec) (*campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.Campaign.LayoutCache = s.cfg.LayoutCache
 	cfg.Campaign.Faults = s.cfg.Faults
 	cfg.Campaign.Obs = s.cfg.Obs
 	id := spec.ID(scale)

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"interferometry/internal/artifactcache"
 	"interferometry/internal/campaignd"
 	"interferometry/internal/obs"
 )
@@ -283,67 +282,4 @@ func TestShardedWorkerDeathRecovers(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("dataset after worker death differs from single-process run:\n--- sharded ---\n%s--- clean ---\n%s", got, want)
 	}
-}
-
-// TestArtifactCacheResubmit proves the cache's reason to exist: a spec
-// resubmitted to a restarted service (same cache directory) rebuilds
-// nothing — every layout build is served from the cache — and the
-// result bytes are identical to the cold run's.
-func TestArtifactCacheResubmit(t *testing.T) {
-	spec := testSpec(8)
-	dir := t.TempDir()
-
-	cold, err := artifactcache.Open(artifactcache.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv1, client1 := startService(t, campaignd.Config{Workers: 2, LayoutCache: cold})
-	ctx := context.Background()
-	t0 := time.Now()
-	st, err := client1.Submit(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st = waitDone(t, client1, st.ID); st.State != campaignd.StateDone {
-		t.Fatalf("cold campaign ended %s: %s", st.State, st.Error)
-	}
-	coldWall := time.Since(t0)
-	ref, err := client1.Result(ctx, st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv1.Drain()
-	if s := cold.Stats(); s.Misses == 0 || s.Entries == 0 {
-		t.Fatalf("cold run should populate the cache, got %+v", s)
-	}
-
-	// "Restart": a fresh cache handle over the same directory, a fresh
-	// server with no memory of the campaign.
-	warm, err := artifactcache.Open(artifactcache.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, client2 := startService(t, campaignd.Config{Workers: 2, LayoutCache: warm})
-	t1 := time.Now()
-	st2, err := client2.Submit(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2 = waitDone(t, client2, st2.ID); st2.State != campaignd.StateDone {
-		t.Fatalf("warm campaign ended %s: %s", st2.State, st2.Error)
-	}
-	warmWall := time.Since(t1)
-	got, err := client2.Result(ctx, st2.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, ref) {
-		t.Errorf("cache-served campaign differs from cold run:\n--- warm ---\n%s--- cold ---\n%s", got, ref)
-	}
-	s := warm.Stats()
-	if rate := s.HitRate(); rate < 0.9 {
-		t.Errorf("warm run hit rate %.2f (hits=%d misses=%d); resubmission should serve >90%% from cache", rate, s.Hits, s.Misses)
-	}
-	t.Logf("cold %v, warm %v, warm hit rate %.2f (%d hits / %d misses)",
-		coldWall, warmWall, s.HitRate(), s.Hits, s.Misses)
 }

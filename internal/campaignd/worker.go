@@ -57,9 +57,6 @@ type Worker struct {
 	// the worker's ID, so a fleet that loses its coordinator does not
 	// thunder back in lockstep. The zero policy means {50ms, 2s, 0.5}.
 	Backoff backoff.Policy
-	// Cache optionally backs the worker's build seam with a layout
-	// artifact store, shared with other workers on the same host.
-	Cache toolchain.LayoutCache
 	// Faults optionally injects faults into the worker's seams, as the
 	// sharded rows of the chaos soak (TestChaosSoak) do. Nil runs clean.
 	Faults *faultinject.Injector
@@ -448,7 +445,6 @@ func (rc *workerRunners) get(id string, spec JobSpec, scale experiments.Scale) (
 	if err != nil {
 		return nil, err
 	}
-	cfg.LayoutCache = rc.w.Cache
 	cfg.Faults = rc.w.Faults
 	cfg.Obs = rc.w.Obs
 	r, err := rc.w.shared.runner(cfg, rc.w.parallel())

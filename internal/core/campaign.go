@@ -130,20 +130,9 @@ type CampaignConfig struct {
 	// directory and supports resuming. Zero value disables.
 	Checkpoint CheckpointConfig
 
-	// LayoutCache optionally backs the build seam with a store of
-	// encoded layouts keyed by (builder fingerprint, layout seed), so a
-	// resubmitted, resumed or extended campaign skips redundant
-	// Reorder+Link work. Linking is deterministic, so a hit is
-	// bit-identical to a rebuild and the cache never changes results.
-	// internal/artifactcache provides the bounded on-disk
-	// implementation. Nil disables caching.
-	LayoutCache toolchain.LayoutCache
-
 	// Faults optionally injects deterministic faults at the build and
 	// measure seams. It exists for the fault-injection test harness;
-	// production campaigns leave it nil. Faults wrap outside the layout
-	// cache, so an injected build fault corrupts only the returned copy,
-	// never the cached artifact.
+	// production campaigns leave it nil.
 	Faults *faultinject.Injector
 
 	// Obs optionally observes the campaign: metrics, span tracing and
@@ -314,21 +303,14 @@ type measureSeam interface {
 // the fault injector when one is configured. Each harness reads its
 // slot's det cache, returned alongside, through the pmc.DetSource seam:
 // a shared trace walk (walkTrace) leaves its replays there, and an
-// empty cache replays on the harness's own scalar machine. The genome
-// seam is the same builder (cached when a layout cache is configured)
-// exposed by explicit permutation instead of seed; fault wrapping for
-// genome builds happens per call, keyed by fingerprint, in
-// LayoutRunner.buildUnit.
-func newSeams(cfg *CampaignConfig, workers int) (buildSeam, genomeSeam, []measureSeam, []*detCache) {
+// empty cache replays on the harness's own scalar machine. The builder
+// is returned too: genome builds call it by explicit permutation
+// instead of seed, and their fault wrapping happens per call, keyed by
+// fingerprint, in LayoutRunner.buildUnit.
+func newSeams(cfg *CampaignConfig, workers int) (buildSeam, *toolchain.Builder, []measureSeam, []*detCache) {
 	builder := toolchain.NewBuilder(cfg.Program, cfg.Compile, cfg.Link)
 	builder.Observe(builderMetrics(cfg.Obs))
 	var build buildSeam = builder
-	var gb genomeSeam = builder
-	if cfg.LayoutCache != nil {
-		cb := toolchain.NewCachedBuilder(builder, cfg.LayoutCache)
-		build = cb
-		gb = cb
-	}
 	if cfg.Faults != nil {
 		cfg.Faults.Observe(cfg.Obs)
 		build = cfg.Faults.WrapBuilder(build)
@@ -352,7 +334,7 @@ func newSeams(cfg *CampaignConfig, workers int) (buildSeam, genomeSeam, []measur
 			measurers[w] = h
 		}
 	}
-	return build, gb, measurers, dets
+	return build, builder, measurers, dets
 }
 
 // RunCampaign executes the campaign under the supervisor: one trace,

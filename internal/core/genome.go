@@ -12,17 +12,10 @@ import (
 // the plausibility check, the batched replay, retries, fault injection
 // — is the seed path's. A genome's stable identity is its fingerprint;
 // it plays the role the layout seed plays for indexed layouts: it keys
-// the fault streams, the heap and noise seed derivations, the artifact
-// cache, and the provenance check on results streamed back from remote
-// workers. Fingerprints are forced even and layout seeds forced odd, so
-// the two keyspaces never collide in a shared cache or fault plan.
-
-// genomeSeam is the build seam of the search path: an explicit
-// permutation in, an executable out. Builder and CachedBuilder satisfy
-// it.
-type genomeSeam interface {
-	BuildGenome(g toolchain.Genome) (*toolchain.Executable, error)
-}
+// the fault streams, the heap and noise seed derivations, and the
+// provenance check on results streamed back from remote workers.
+// Fingerprints are forced even and layout seeds forced odd, so the two
+// keyspaces never collide in a fault plan.
 
 // genomeHeapSeed derives the heap-randomizer seed of a genome from its
 // fingerprint, with the same nonzero guarantee as the indexed heapSeed.
@@ -48,10 +41,10 @@ func (c *CampaignConfig) genomeNoiseSeed(fp uint64) uint64 {
 // genome's fingerprint, giving every genome its own deterministic fault
 // draw exactly as every layout seed gets one.
 type genomeBuildAdapter struct {
-	gb genomeSeam
-	g  toolchain.Genome
+	b *toolchain.Builder
+	g toolchain.Genome
 }
 
 func (a *genomeBuildAdapter) Build(uint64) (*toolchain.Executable, error) {
-	return a.gb.BuildGenome(a.g)
+	return a.b.BuildGenome(a.g)
 }

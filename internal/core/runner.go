@@ -39,8 +39,10 @@ type LayoutRunner struct {
 	mu    sync.RWMutex
 	trace *interp.Trace
 	build buildSeam
-	gb    genomeSeam
-	meas  []measureSeam
+	// builder is the unwrapped builder behind build; genomes link
+	// through it by explicit permutation (buildUnit).
+	builder *toolchain.Builder
+	meas    []measureSeam
 	// dets holds each worker slot's det cache, wired as the Det source
 	// of the slot's harness behind meas: a walk (walkTrace) leaves its
 	// replays there for the slot's measurements. The batch engine is
@@ -124,14 +126,14 @@ func NewLayoutRunner(cfg CampaignConfig, workers int, trace *interp.Trace) (*Lay
 	} else if trace.Program != cfg.Program || trace.InputSeed != cfg.InputSeed || trace.Stop != cfg.StopRule() {
 		return nil, errors.New("core: trace was not generated from the campaign's program, input seed and stop rule")
 	}
-	build, gb, meas, dets := newSeams(&cfg, workers)
+	build, builder, meas, dets := newSeams(&cfg, workers)
 	return &LayoutRunner{
 		cfg:     cfg,
 		co:      newCampaignObs(&cfg),
 		workers: workers,
 		trace:   trace,
 		build:   build,
-		gb:      gb,
+		builder: builder,
 		meas:    meas,
 		dets:    dets,
 	}, nil
@@ -154,7 +156,7 @@ var ErrRunnerReleased = errors.New("core: layout runner released")
 func (r *LayoutRunner) Release() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.trace, r.build, r.gb, r.meas, r.dets = nil, nil, nil, nil, nil
+	r.trace, r.build, r.builder, r.meas, r.dets = nil, nil, nil, nil, nil
 }
 
 // acquire pins the engines for one Measure call on worker slot w. On
@@ -321,7 +323,7 @@ func (r *LayoutRunner) buildUnit(w int, u Unit, k unitKeys) (*toolchain.Executab
 	defer st.end()
 	build := r.build
 	if u.Genome != nil {
-		build = &genomeBuildAdapter{gb: r.gb, g: *u.Genome}
+		build = &genomeBuildAdapter{b: r.builder, g: *u.Genome}
 		if r.cfg.Faults != nil {
 			build = r.cfg.Faults.WrapBuilder(build)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"interferometry/internal/progen"
+	"interferometry/internal/testprog"
 	"interferometry/internal/toolchain"
 )
 
@@ -84,5 +85,33 @@ func TestBuilderConcurrentBuilds(t *testing.T) {
 		if !reflect.DeepEqual(concurrent[i], sequential[i]) {
 			t.Fatalf("seed %d: concurrent build differs from sequential", i)
 		}
+	}
+}
+
+// TestCacheKeyInvalidation checks that the builder key changes with
+// everything that determines a layout, and pins its bytes.
+func TestCacheKeyInvalidation(t *testing.T) {
+	branchy := testprog.Branchy()
+	ccfg := toolchain.CompileConfig{ProcsPerUnit: 2}
+	base := toolchain.NewBuilder(branchy, ccfg, toolchain.LinkConfig{}).CacheKey()
+
+	// LayoutRunner.AttestationKey hashes this key into every
+	// observation's fingerprint, so a coordinator and a worker built
+	// from different commits must compute the same bytes.
+	if want := "5d299e645bfe278526d280692e300ba6d77c3ce299c3eec52fadd5e8b785ebc3"; base != want {
+		t.Errorf("key = %s, want %s", base, want)
+	}
+	same := toolchain.NewBuilder(testprog.Branchy(), ccfg, toolchain.LinkConfig{}).CacheKey()
+	if same != base {
+		t.Error("equal program and config produced different keys")
+	}
+	if k := toolchain.NewBuilder(testprog.Memory(3), ccfg, toolchain.LinkConfig{}).CacheKey(); k == base {
+		t.Error("different program shares the key")
+	}
+	if k := toolchain.NewBuilder(branchy, toolchain.CompileConfig{ProcsPerUnit: 1}, toolchain.LinkConfig{}).CacheKey(); k == base {
+		t.Error("different unit partition shares the key")
+	}
+	if k := toolchain.NewBuilder(branchy, ccfg, toolchain.LinkConfig{FetchAlign: 128}).CacheKey(); k == base {
+		t.Error("different link config shares the key")
 	}
 }

@@ -133,11 +133,10 @@ const fingerprintTag uint64 = 0x67656e6f // "geno"
 
 // Fingerprint is the genome's 64-bit identity: a seed-grade hash of the
 // full permutation content. It plays the role a layout seed plays for
-// sampled layouts — it stamps the built Executable, keys the artifact
-// cache, and derives the genome's heap and noise streams — so it is
-// forced even: campaign layout seeds are forced odd, which keeps
-// genome-built artifacts in a disjoint keyspace of a shared layout
-// cache.
+// sampled layouts — it stamps the built Executable and derives the
+// genome's heap and noise streams — so it is forced even: campaign
+// layout seeds are forced odd, which keeps genomes and layouts in
+// disjoint keyspaces of the fault injector's streams.
 func (g Genome) Fingerprint() uint64 {
 	vs := make([]uint64, 0, 2+len(g.Units)*2)
 	vs = append(vs, fingerprintTag, uint64(len(g.Units)))
@@ -230,8 +229,8 @@ func CrossoverGenomes(a, b Genome, rng *xrand.Rand) Genome {
 // Genome codec. Genomes travel through the coordinator/worker lease
 // protocol, live in per-generation search checkpoints, and may be
 // embedded in WAL records, so the encoding is versioned and
-// checksummed: like the artifact cache's layout codec, a damaged genome
-// must fail decoding — never decode to a wrong-but-valid layout.
+// checksummed: a damaged genome must fail decoding — never decode to a
+// wrong-but-valid layout.
 const (
 	genomeMagic   uint64 = 0x49464745_4e4f4d45 // "IFGENOME"
 	genomeVersion uint64 = 1
@@ -290,7 +289,7 @@ func DecodeGenome(data []byte) (Genome, error) {
 	if genomeChecksum(body) != sum {
 		return Genome{}, fmt.Errorf("toolchain: encoded genome: checksum mismatch")
 	}
-	d := layoutDecoder{data: body}
+	d := genomeDecoder{data: body}
 	if d.u64() != genomeMagic || d.u64() != genomeVersion {
 		return Genome{}, fmt.Errorf("toolchain: encoded genome: bad header")
 	}
@@ -335,12 +334,32 @@ func DecodeGenome(data []byte) (Genome, error) {
 		g.Procs = append(g.Procs, ps)
 	}
 	if d.err != nil {
-		return Genome{}, fmt.Errorf("toolchain: encoded genome: %w", d.err)
+		return Genome{}, d.err
 	}
 	if len(d.data) != 0 {
 		return Genome{}, fmt.Errorf("toolchain: encoded genome: %d trailing bytes", len(d.data))
 	}
 	return g, nil
+}
+
+// genomeDecoder reads fixed-width words, latching the first error so
+// DecodeGenome can check once at the end.
+type genomeDecoder struct {
+	data []byte
+	err  error
+}
+
+func (d *genomeDecoder) u64() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	if len(d.data) < 8 {
+		d.err = fmt.Errorf("toolchain: encoded genome: truncated")
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(d.data)
+	d.data = d.data[8:]
+	return v
 }
 
 // Units returns a deep copy of the builder's compile-time units, the
@@ -374,27 +393,4 @@ func (b *Builder) BuildGenome(g Genome) (*Executable, error) {
 		return exe, err
 	}
 	return Link(b.prog, units, g.Fingerprint(), b.lcfg)
-}
-
-// BuildGenome links a genome through the cache, keyed by (artifact key,
-// genome fingerprint) — the genome analog of Build's (key, seed).
-// Fingerprints are forced even and layout seeds forced odd, so the two
-// families never collide in a shared store. A corrupt or stale entry
-// fails decoding and falls through to a rebuild, identical to Build.
-func (cb *CachedBuilder) BuildGenome(g Genome) (*Executable, error) {
-	if cb.cache == nil {
-		return cb.b.BuildGenome(g)
-	}
-	fp := g.Fingerprint()
-	if data, ok := cb.cache.Get(cb.key, fp); ok {
-		if exe, err := DecodeLayout(data, cb.b.Program()); err == nil && exe.Seed == fp {
-			return exe, nil
-		}
-	}
-	exe, err := cb.b.BuildGenome(g)
-	if err != nil {
-		return nil, err
-	}
-	cb.cache.Put(cb.key, fp, EncodeLayout(exe))
-	return exe, nil
 }

@@ -2,7 +2,6 @@ package toolchain
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -56,7 +55,7 @@ func TestGenomeOfMatchesReorder(t *testing.T) {
 
 // BuildGenome stamps the executable with the genome fingerprint and
 // passes the structural checks; fingerprints are even while campaign
-// layout seeds are odd, so the two artifact namespaces never collide.
+// layout seeds are odd, so the two keyspaces never collide.
 func TestBuildGenome(t *testing.T) {
 	units, b := genomeTestUnits(t)
 	g := GenomeOf(units, 7)
@@ -122,8 +121,7 @@ func TestGenomeOperatorsPreserveValidity(t *testing.T) {
 
 // The codec must round-trip canonically and reject corruption: a genome
 // that decodes is exactly the genome that was encoded, and a damaged
-// encoding errors rather than decoding to a wrong-but-valid layout
-// (the artifactcache damage policy).
+// encoding errors rather than decoding to a wrong-but-valid layout.
 func TestGenomeCodecRoundTrip(t *testing.T) {
 	units, _ := genomeTestUnits(t)
 	for _, seed := range []uint64{0, 1, 17, 0xdeadbeef} {
@@ -163,46 +161,6 @@ func TestGenomeCodecDetectsCorruption(t *testing.T) {
 	if _, err := DecodeGenome(append(append([]byte(nil), data...), make([]byte, 8)...)); err == nil {
 		t.Fatalf("trailing bytes decoded without error")
 	}
-}
-
-// A cached genome build must return the identical layout, and a damaged
-// cache entry must degrade to a rebuild — slower, never wrong.
-func TestCachedBuildGenome(t *testing.T) {
-	units, b := genomeTestUnits(t)
-	cache := &mapCache{m: map[string][]byte{}}
-	cb := NewCachedBuilder(b, cache)
-	g := GenomeOf(units, 31)
-	first, err := cb.BuildGenome(g)
-	if err != nil {
-		t.Fatalf("BuildGenome: %v", err)
-	}
-	hit, err := cb.BuildGenome(g)
-	if err != nil {
-		t.Fatalf("BuildGenome (cached): %v", err)
-	}
-	if !reflect.DeepEqual(first.BlockAddr, hit.BlockAddr) || first.Seed != hit.Seed {
-		t.Fatalf("cache hit returned a different layout")
-	}
-	for k := range cache.m {
-		cache.m[k] = []byte("garbage")
-	}
-	rebuilt, err := cb.BuildGenome(g)
-	if err != nil {
-		t.Fatalf("BuildGenome (damaged cache): %v", err)
-	}
-	if !reflect.DeepEqual(first.BlockAddr, rebuilt.BlockAddr) {
-		t.Fatalf("damaged cache changed the layout")
-	}
-}
-
-type mapCache struct{ m map[string][]byte }
-
-func (c *mapCache) Get(key string, seed uint64) ([]byte, bool) {
-	v, ok := c.m[fmt.Sprintf("%s/%d", key, seed)]
-	return v, ok
-}
-func (c *mapCache) Put(key string, seed uint64, data []byte) {
-	c.m[fmt.Sprintf("%s/%d", key, seed)] = append([]byte(nil), data...)
 }
 
 // FuzzGenomeRoundTrip drives the codec with arbitrary bytes: anything
