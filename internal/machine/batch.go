@@ -49,8 +49,9 @@ type Batch struct {
 	// the scalar path instead of the bank panicking.
 	addrLimit uint64
 
-	// Per-Run loaded state. shared is keyed by the program (layout
-	// independent); the lane tables are rebuilt every Run. The
+	// Per-Run loaded state. shared is keyed by the program's pointer
+	// identity (layout independent), so a program must not change after
+	// its first run; the lane tables are rebuilt every Run. The
 	// layout-dependent per-(block, lane) fetch state is kept as parallel
 	// flat rows [bid*k + ki] (stride k = len(specs)) so the fetch walk
 	// hands whole rows to cache.Bank.FetchRows: the block's code spans
@@ -162,12 +163,6 @@ func (b *Batch) Config() Config { return b.cfg }
 
 // MaxLanes returns the batch capacity.
 func (b *Batch) MaxLanes() int { return b.maxLanes }
-
-// Invalidate drops the cached layout-independent program tables, for the
-// (pathological) case of an isa.Program mutated in place between runs.
-// The layout-dependent tables are rebuilt on every Run and need no
-// invalidation.
-func (b *Batch) Invalidate() { b.loadedProg = nil }
 
 // Run replays the trace once against len(specs) layouts and returns one
 // Counters and one raw (unrounded) deterministic cycle count per lane,

@@ -166,79 +166,6 @@ func TestBatchRunValidation(t *testing.T) {
 	}
 }
 
-// TestMachineInvalidate pins the stale-reload contract: Machine.load
-// keys its per-block cache on executable pointer identity, so mutating
-// an Executable in place is invisible until Invalidate drops the cache.
-func TestMachineInvalidate(t *testing.T) {
-	m, spec := setup(t, 20000)
-	c1, d1, err := m.RunDeterministic(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mutate the layout in place (the pathological case the
-	// pointer-identity key cannot see). The shift varies per block: a
-	// uniform shift would leave the cache conflict pattern isomorphic.
-	for i := range spec.Exe.BlockAddr {
-		spec.Exe.BlockAddr[i] += uint64(i%13) * 192
-	}
-	c2, d2, err := m.RunDeterministic(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2 != c1 || math.Float64bits(d2) != math.Float64bits(d1) {
-		t.Fatal("in-place mutation without Invalidate changed the result; the pointer-identity cache key must have been replaced — update this test and Invalidate's doc")
-	}
-	fresh := machine.New(m.Config())
-	c3, d3, err := fresh.RunDeterministic(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(d3) == math.Float64bits(d1) {
-		t.Fatal("layout mutation did not perturb timing; pick a different shift")
-	}
-	m.Invalidate()
-	c4, d4, err := m.RunDeterministic(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c4 != c3 || math.Float64bits(d4) != math.Float64bits(d3) {
-		t.Fatalf("post-Invalidate run still stale:\ngot  %+v det %v\nwant %+v det %v", c4, d4, c3, d3)
-	}
-}
-
-// TestBatchInvalidate is the same contract for Batch's program-keyed
-// shared tables.
-func TestBatchInvalidate(t *testing.T) {
-	cfg := machine.XeonE5440()
-	batch, err := machine.NewBatch(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	progs := batchPrograms(t, 20000)
-	pp := progs[0]
-	exe, err := toolchain.BuildLayout(pp.prog, 1, toolchain.CompileConfig{}, toolchain.LinkConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []machine.RunSpec{{Exe: exe, Trace: pp.trace}}
-	if _, _, err := batch.Run(specs); err != nil {
-		t.Fatal(err)
-	}
-	batch.Invalidate()
-	c, d, err := batch.Run(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := machine.New(cfg)
-	wantC, wantD, err := seq.RunDeterministic(specs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c[0] != wantC || math.Float64bits(d[0]) != math.Float64bits(wantD) {
-		t.Fatal("post-Invalidate batch run diverged from sequential")
-	}
-}
-
 // TestBatchRunZeroAlloc pins the steady-state zero-allocation contract
 // of Batch.Run, in both heap modes, matching TestMachineRunZeroAlloc.
 func TestBatchRunZeroAlloc(t *testing.T) {

@@ -447,19 +447,12 @@ func (m *Machine) heapFor(spec RunSpec) heap.Allocator {
 	return m.bumpHeap
 }
 
-// Invalidate drops the cached per-block precomputation, forcing the next
-// run to reload its executable. The load cache keys on pointer identity,
-// so an Executable mutated in place — e.g. a buffer re-decoded by an
-// artifact cache, or a test rewriting BlockAddr — would otherwise be
-// served stale block tables; callers that rebuild an executable in place
-// must call Invalidate before the next run.
-func (m *Machine) Invalidate() { m.loadedExe = nil }
-
 // load precomputes per-block state for the executable. The block table and
 // the callee-address backing array are reused across executables of the
 // same (or smaller) program, so re-loading in a campaign's layout loop does
-// not allocate after the first layout. The cache keys on pointer identity;
-// see Invalidate for the in-place-mutation escape hatch.
+// not allocate after the first layout. The cache keys on pointer
+// identity, so an executable (and its program) must not change after its
+// first run: one mutated in place would be served stale block tables.
 func (m *Machine) load(exe *toolchain.Executable) error {
 	if m.loadedExe == exe {
 		return nil
