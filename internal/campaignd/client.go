@@ -221,11 +221,6 @@ func (c *Client) StreamResult(ctx context.Context, id string, pageSize int, w io
 	return c.streamCSV(ctx, c.Base+"/campaigns/"+id+"/result", pageSize, w)
 }
 
-// StreamMeasurements is StreamResult for the measurement-only CSV.
-func (c *Client) StreamMeasurements(ctx context.Context, id string, pageSize int, w io.Writer) error {
-	return c.streamCSV(ctx, c.Base+"/campaigns/"+id+"/measurements", pageSize, w)
-}
-
 // generationsURL builds the generations endpoint URL; canonical selects
 // the measurement-only export.
 func (c *Client) generationsURL(id string, canonical bool) string {
@@ -242,13 +237,6 @@ func (c *Client) generationsURL(id string, canonical bool) string {
 // clean runs.
 func (c *Client) Generations(ctx context.Context, id string, canonical bool) ([]byte, error) {
 	return c.fetchCSV(ctx, c.generationsURL(id, canonical))
-}
-
-// StreamGenerations fetches the generations CSV in pages of pageSize
-// generations, writing each page to w as it arrives. The written bytes
-// are identical to Generations' at the same settled prefix.
-func (c *Client) StreamGenerations(ctx context.Context, id string, pageSize int, canonical bool, w io.Writer) error {
-	return c.streamCSV(ctx, c.generationsURL(id, canonical), pageSize, w)
 }
 
 // SearchReport fetches a finished search campaign's summary as raw

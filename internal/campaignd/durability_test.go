@@ -75,7 +75,7 @@ func TestKillRestartResumesFromWAL(t *testing.T) {
 		t.Errorf("resumed measurements differ from clean run (%d vs %d bytes)", len(blob), want.Len())
 	}
 	var stream bytes.Buffer
-	if err := client2.StreamMeasurements(ctx, st.ID, 2, &stream); err != nil {
+	if err := client2.StreamCSV(ctx, "/campaigns/"+st.ID+"/measurements", 2, &stream); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(stream.Bytes(), blob) {
@@ -318,7 +318,7 @@ func TestStreamedPagesConcatenateToBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mstream bytes.Buffer
-	if err := client.StreamMeasurements(ctx, st.ID, 2, &mstream); err != nil {
+	if err := client.StreamCSV(ctx, "/campaigns/"+st.ID+"/measurements", 2, &mstream); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(mstream.Bytes(), meas) {

@@ -86,11 +86,7 @@ func TestResultPagingOvershoot(t *testing.T) {
 		// A client that pages to the end and then overshoots must still
 		// hold exactly the blob.
 		var stream bytes.Buffer
-		streamFn := client.StreamMeasurements
-		if endpoint == "result" {
-			streamFn = client.StreamResult
-		}
-		if err := streamFn(ctx, st.ID, 2, &stream); err != nil {
+		if err := client.StreamCSV(ctx, "/campaigns/"+st.ID+"/"+endpoint, 2, &stream); err != nil {
 			t.Fatal(err)
 		}
 		overshoot, _, _, _ := fetchPage(t, client.Base+"/campaigns/"+st.ID+"/"+endpoint+fmt.Sprintf("?offset=%d&limit=2", layouts))
@@ -151,7 +147,7 @@ func TestGenerationsPagingOvershoot(t *testing.T) {
 
 	// Paged-to-the-end plus an overshoot poll must still equal the blob.
 	var stream bytes.Buffer
-	if err := client.StreamGenerations(ctx, st.ID, 1, true, &stream); err != nil {
+	if err := client.StreamCSV(ctx, "/campaigns/"+st.ID+"/generations?canonical=1", 1, &stream); err != nil {
 		t.Fatal(err)
 	}
 	overshoot, _, _, _ := fetchPage(t, client.Base+"/campaigns/"+st.ID+"/generations"+fmt.Sprintf("?canonical=1&offset=%d&limit=1", gens))

@@ -142,7 +142,7 @@ func TestSearchServiceMatchesSingleProcess(t *testing.T) {
 	// Streamed generation pages (canonical, one generation per page)
 	// concatenate to the blob byte for byte.
 	var stream bytes.Buffer
-	if err := client.StreamGenerations(ctx, st.ID, 1, true, &stream); err != nil {
+	if err := client.StreamCSV(ctx, "/campaigns/"+st.ID+"/generations?canonical=1", 1, &stream); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(stream.Bytes(), canon) {

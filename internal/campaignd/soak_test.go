@@ -332,12 +332,12 @@ func soakRound(t *testing.T, row soakRow, round int, ref soakRef) int {
 	var stream bytes.Buffer
 	switch {
 	case row.spec.IsSearch() && row.kills > 0:
-		err = client.StreamGenerations(ctx, st.ID, 2, true, &stream)
+		err = client.StreamCSV(ctx, "/campaigns/"+st.ID+"/generations?canonical=1", 2, &stream)
 		got = stream.Bytes()
 	case row.spec.IsSearch():
 		got, err = client.Generations(ctx, st.ID, true)
 	case row.kills > 0:
-		err = client.StreamMeasurements(ctx, st.ID, 3, &stream)
+		err = client.StreamCSV(ctx, "/campaigns/"+st.ID+"/measurements", 3, &stream)
 		got = stream.Bytes()
 	default:
 		got, err = client.Measurements(ctx, st.ID)
