@@ -1,6 +1,6 @@
 // Package atomicio is the shared crash-durability discipline behind
-// every file the pipeline must not lose: campaign checkpoints, layout
-// artifacts, and campaignd's write-ahead log. It fixes a subtle gap in
+// every file the pipeline must not lose: campaign checkpoints and
+// campaignd's write-ahead log. It fixes a subtle gap in
 // the plain temp-write-then-rename idiom: rename makes the *content*
 // switch atomic, but on many filesystems neither the new file's bytes
 // nor the directory entry that names it are on stable storage until
