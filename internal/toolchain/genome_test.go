@@ -41,7 +41,7 @@ func TestGenomeOfMatchesReorder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ApplyGenome(%#x): %v", seed, err)
 		}
-		exe, err := Link(b.Program(), applied, seed, LinkConfig{})
+		exe, err := Link(b.prog, applied, seed, LinkConfig{})
 		if err != nil {
 			t.Fatalf("Link(%#x): %v", seed, err)
 		}

@@ -304,9 +304,6 @@ func NewBuilder(p *isa.Program, ccfg CompileConfig, lcfg LinkConfig) *Builder {
 	return &Builder{prog: p, units: Compile(p, ccfg), lcfg: lcfg}
 }
 
-// Program returns the program the builder compiles.
-func (b *Builder) Program() *isa.Program { return b.prog }
-
 // Build links the layout for one seed. The result is bit-identical to
 // BuildLayout with the same program, seed and configs.
 func (b *Builder) Build(seed uint64) (*Executable, error) {
