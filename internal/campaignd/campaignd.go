@@ -94,9 +94,6 @@ type Config struct {
 	// (queued plus leased); a submission that would exceed it is shed
 	// with ErrTenantOverQuota (429). Zero means unlimited.
 	MaxQueuedPerTenant int
-	// TenantQuotas overrides MaxQueuedPerTenant per tenant; a zero or
-	// negative entry exempts that tenant from the uniform bound.
-	TenantQuotas map[string]int
 	// MaxCampaignsPerTenant bounds how many of a tenant's campaigns may
 	// be running at once; beyond it submissions shed with
 	// ErrTenantOverQuota (429). Zero means unlimited.
@@ -122,8 +119,6 @@ type Config struct {
 	Faults *faultinject.Injector
 	// Obs observes the service; nil runs unobserved.
 	Obs *obs.Observer
-	// Now is the clock. Nil means time.Now.
-	Now func() time.Time
 }
 
 func (c Config) scale() experiments.Scale {
@@ -277,10 +272,8 @@ func New(cfg Config) (*Server, error) {
 		queue: jobqueue.New[task](jobqueue.Config{
 			Capacity:      cfg.queueCapacity(),
 			MaxPerTenant:  cfg.MaxQueuedPerTenant,
-			TenantQuotas:  cfg.TenantQuotas,
 			Quantum:       cfg.FairQuantum,
 			Lease:         cfg.lease(),
-			Now:           cfg.Now,
 			Metrics:       jobqueue.ObserveMetrics(cfg.Obs, "campaignd"),
 			TenantMetrics: tenantMetricsHook(cfg.Obs),
 		}),
@@ -386,13 +379,6 @@ func obsGauge(o *obs.Observer, name, help string) *obs.Gauge {
 		return nil
 	}
 	return o.Gauge(name, help)
-}
-
-func (s *Server) now() time.Time {
-	if s.cfg.Now != nil {
-		return s.cfg.Now()
-	}
-	return time.Now()
 }
 
 // WorkerHealth snapshots every remote worker's health record:
@@ -862,7 +848,7 @@ func (s *Server) taskFailed(lease *jobqueue.Lease[task], c *campaign, t task, er
 			key = t.genome.Fingerprint()
 		}
 		delay := s.cfg.Backoff.Delay(n, c.spec.effectiveSeed(), key)
-		lease.Requeue(s.now().Add(delay))
+		lease.Requeue(time.Now().Add(delay))
 		return
 	}
 	if t.genome != nil {

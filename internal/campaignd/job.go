@@ -234,7 +234,7 @@ func (s *Server) newCampaign(spec JobSpec) (*campaign, []int, error) {
 		c, err := s.newSearchCampaign(spec)
 		return c, nil, err
 	}
-	now, scale := s.now(), s.cfg.scale()
+	now, scale := time.Now(), s.cfg.scale()
 	cfg, err := s.shared.campaignConfig(spec, scale)
 	if err != nil {
 		return nil, nil, err
@@ -271,6 +271,9 @@ func (s *Server) newCampaign(spec JobSpec) (*campaign, []int, error) {
 	if err != nil {
 		cancel(err)
 		stopTimer()
+		if sink != nil {
+			sink.Close()
+		}
 		return nil, nil, err
 	}
 
@@ -436,22 +439,28 @@ func (c *campaign) finalizeLocked() {
 	}
 }
 
-// closeLocked flushes the checkpoint, cancels the task context,
-// releases the runner's engines and releases waiters. Sink write errors
-// degrade a done campaign to failed — a checkpoint that lies is worse
-// than none. A closed campaign keeps only what its endpoints and late
-// worker calls still read: observations, the dataset, and the runner's
-// seed derivation and attestation key. The context is canceled before
+// closeLocked closes the checkpoint (a layout campaign's compacts),
+// cancels the task context, releases the runner's engines and releases
+// waiters. Sink write errors degrade a done campaign to failed — a
+// checkpoint that lies is worse than none. A closed campaign keeps only
+// what its endpoints and late worker calls still read: observations,
+// the dataset, and the runner's seed derivation and attestation key. The context is canceled before
 // the release, so a group in Measure stops at its next step, and the
 // release waits out at most that step; a group that reaches Measure
 // after the release finds ErrRunnerReleased. settle drops both.
 func (c *campaign) closeLocked() {
+	var err error
 	if c.sink != nil {
-		if err := c.sink.Close(); err != nil && c.state == StateDone {
-			c.state = StateFailed
-			c.err = fmt.Errorf("campaignd: checkpoint flush: %w", err)
-		}
+		err = c.sink.Close()
 		c.sink = nil
+	}
+	if c.search != nil && c.search.sink != nil {
+		err = c.search.sink.Close()
+		c.search.sink = nil
+	}
+	if err != nil && c.state == StateDone {
+		c.state = StateFailed
+		c.err = fmt.Errorf("campaignd: checkpoint flush: %w", err)
 	}
 	c.cancel(c.err)
 	c.stopTimer()

@@ -60,7 +60,7 @@ type generationState struct {
 // the first pending generation and starts the driver after journaling
 // the admission.
 func (s *Server) newSearchCampaign(spec JobSpec) (*campaign, error) {
-	now, scale := s.now(), s.cfg.scale()
+	now, scale := time.Now(), s.cfg.scale()
 	cfg, err := s.shared.searchConfig(spec, scale)
 	if err != nil {
 		return nil, err
@@ -220,10 +220,14 @@ func (c *campaign) generationSettled(g *generationState) ([]core.Observation, bo
 }
 
 // putGeneration persists one settled generation and publishes it to
-// status and the streaming export.
+// status and the streaming export. A closed campaign's checkpoint is
+// closed too, so its generation is refused and never journaled.
 func (c *campaign) putGeneration(res core.GenerationResult) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.state != StateRunning {
+		return fmt.Errorf("campaignd: campaign %s is %s", c.id, c.state)
+	}
 	if c.search.sink != nil {
 		if err := c.search.sink.Put(res); err != nil {
 			return err

@@ -448,6 +448,9 @@ func runWithTrace(cfg CampaignConfig, trace *interp.Trace) (*Dataset, error) {
 		// Aborted (budget exceeded or canceled): completed observations
 		// stay checkpointed for a future --resume.
 		campSpan.End()
+		if ckpt != nil {
+			ckpt.Close()
+		}
 		return nil, fmt.Errorf("core: campaign %s aborted: %w", ds.Benchmark, err)
 	}
 

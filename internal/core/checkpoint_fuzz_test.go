@@ -27,33 +27,45 @@ func fuzzCheckpointBytes(recs ...ckptRecord) []byte {
 	return buf.Bytes()
 }
 
-// FuzzCheckpointRoundTrip pins the checkpoint file format: parsing
-// arbitrary bytes through the shared reader (readJSONL) never panics,
-// and anything it accepts survives a rewrite through the campaign
-// sink's writer (CheckpointSink.flushLocked, over writeJSONL) and a
-// re-read with every record intact.
+// loadRecords decodes checkpoint records into m, the last record per
+// index winning, as a resume does.
+func loadRecords(m map[int]ckptRecord) func(line []byte) error {
+	return func(line []byte) error {
+		var r ckptRecord
+		if err := json.Unmarshal(line, &r); err != nil {
+			return err
+		}
+		m[r.Index] = r
+		return nil
+	}
+}
+
+// FuzzCheckpointRoundTrip pins the checkpoint file format: opening
+// arbitrary bytes through openCheckpoint never panics, and anything it
+// accepts survives the campaign sink's compaction
+// (CheckpointSink.flushLocked), one appended record and a reopen with
+// every record intact.
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	full := fuzzCheckpointBytes(
-		ckptRecord{Index: 0, LayoutSeed: 3, HeapSeed: 7, Cycles: 900, Instructions: 800,
-			Events: []uint64{1, 2, 3, 4, 5}, Runs: 15, Status: uint8(StatusOK), Attempts: 1},
-		ckptRecord{Index: 5, LayoutSeed: 11, HeapSeed: 13, Cycles: 1200, Instructions: 800,
-			Events: []uint64{9, 8, 7, 6, 5}, Runs: 15, Status: uint8(StatusRetried), Attempts: 3},
-		ckptRecord{Index: 6, LayoutSeed: 17, Status: uint8(StatusFailed), Attempts: 2},
+		ckptRecord{Index: 0, ObsWire: ObsWire{LayoutSeed: 3, HeapSeed: 7, Cycles: 900, Instructions: 800,
+			Events: []uint64{1, 2, 3, 4, 5}, Runs: 15, Status: uint8(StatusOK), Attempts: 1}},
+		ckptRecord{Index: 5, ObsWire: ObsWire{LayoutSeed: 11, HeapSeed: 13, Cycles: 1200, Instructions: 800,
+			Events: []uint64{9, 8, 7, 6, 5}, Runs: 15, Status: uint8(StatusRetried), Attempts: 3}},
+		ckptRecord{Index: 6, ObsWire: ObsWire{LayoutSeed: 17, Status: uint8(StatusFailed), Attempts: 2}},
 	)
 	f.Add(full)
-	f.Add(full[:len(full)-9]) // torn final line (kill mid-write)
+	f.Add(full[:len(full)-9]) // torn final line (kill mid-append): resumes without it
 	f.Add(append(append([]byte{}, full...), []byte("{corrupt\n")...))
 	f.Add([]byte(""))
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte(`{"v":999}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, CheckpointFile)
+		path := filepath.Join(t.TempDir(), CheckpointFile)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// Parse against the header the file itself claims, so valid
+		// Open against the header the file itself claims, so valid
 		// mutated headers still exercise the record path.
 		want := fuzzHeader
 		if i := bytes.IndexByte(data, '\n'); i >= 0 {
@@ -62,43 +74,37 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 				want = hdr
 			}
 		}
-		recs, err := readJSONL[ckptHeader, ckptRecord](path, "checkpoint", want)
+		recs := make(map[int]ckptRecord)
+		log, err := openCheckpoint(path, "checkpoint", want, true, loadRecords(recs))
 		if err != nil {
 			return // rejected input: rejection must be graceful, nothing more
 		}
 
-		// Rewrite through the campaign's own writer and read it back.
-		w := &CheckpointSink{
-			path:   filepath.Join(dir, "rewritten.jsonl"),
-			header: want,
-			recs:   make(map[int]ckptRecord, len(recs)),
-		}
-		for _, r := range recs {
-			w.recs[r.Index] = r
-		}
-		w.mu.Lock()
-		err = w.flushLocked()
-		w.mu.Unlock()
+		// Compact through the campaign sink, append one more record and
+		// read the file back.
+		s := &CheckpointSink{header: want, log: log, recs: recs}
+		s.mu.Lock()
+		err = s.flushLocked()
+		s.mu.Unlock()
 		if err != nil {
-			t.Fatalf("rewrite failed: %v", err)
+			t.Fatalf("compaction failed: %v", err)
 		}
-		again, err := readJSONL[ckptHeader, ckptRecord](w.path, "checkpoint", want)
+		extra := ckptRecord{Index: 7, ObsWire: ObsWire{LayoutSeed: 19, Events: []uint64{4}, Runs: 1, Attempts: 1}}
+		if err := log.Append(extra); err != nil {
+			t.Fatalf("append after compaction failed: %v", err)
+		}
+		recs[extra.Index] = extra
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again := make(map[int]ckptRecord)
+		log, err = openCheckpoint(path, "checkpoint", want, true, loadRecords(again))
 		if err != nil {
-			t.Fatalf("rewritten checkpoint rejected: %v", err)
+			t.Fatalf("compacted checkpoint rejected: %v", err)
 		}
-
-		// Compare as maps keyed by index: the writer keeps the last
-		// record per index, exactly like a resume would.
-		first := make(map[int]ckptRecord, len(recs))
-		for _, r := range recs {
-			first[r.Index] = r
-		}
-		second := make(map[int]ckptRecord, len(again))
-		for _, r := range again {
-			second[r.Index] = r
-		}
-		if !reflect.DeepEqual(first, second) {
-			t.Fatalf("round trip changed records:\nfirst  %+v\nsecond %+v", first, second)
+		log.Close()
+		if !reflect.DeepEqual(recs, again) {
+			t.Fatalf("round trip changed records:\nfirst  %+v\nsecond %+v", recs, again)
 		}
 	})
 }

@@ -29,9 +29,9 @@ func checkpointPath(dir string) string {
 }
 
 // TestResumeAfterKillIsByteIdentical simulates a kill by truncating the
-// checkpoint to a prefix of its records (exactly what an interrupted
-// campaign leaves behind, thanks to the atomic-rename flush), then
-// resumes. Both the resumed dataset and the final on-disk checkpoint must
+// checkpoint to a prefix of its records (what an interrupted campaign
+// leaves behind when its layouts complete in index order; out-of-order
+// completions are TestResumeFromAppendedCheckpoint's), then resumes. Both the resumed dataset and the final on-disk checkpoint must
 // be byte-for-byte identical to an uninterrupted run's.
 func TestResumeAfterKillIsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
@@ -262,5 +262,88 @@ func TestCheckpointWithoutResumeOverwrites(t *testing.T) {
 		if a.Obs[i] != b.Obs[i] {
 			t.Fatalf("overwrite run differs at observation %d", i)
 		}
+	}
+}
+
+// TestResumeFromAppendedCheckpoint resumes the file a killed campaign
+// leaves behind now that every Put appends: records in completion order,
+// a layout recorded twice whose last record is StatusFailed (the outlier
+// screen can degrade a layout after its first Put), and a torn last
+// line. The last record per index wins, so the failed layout and the
+// torn one are measured again; the dataset matches the uninterrupted
+// run and, once closed, so do the file's bytes.
+func TestResumeFromAppendedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	cfg := smallCampaign(12)
+	cfg.Checkpoint = core.CheckpointConfig{Dir: dir}
+	full, err := core.RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullFile, err := os.ReadFile(checkpointPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(fullFile, []byte("\n"))
+	rec := func(i int) []byte { return lines[1+i] } // lines[0] is the header
+
+	var failed map[string]any
+	dec := json.NewDecoder(bytes.NewReader(rec(2)))
+	dec.UseNumber() // keep the 64-bit seeds exact
+	if err := dec.Decode(&failed); err != nil {
+		t.Fatal(err)
+	}
+	failed["status"] = int(core.StatusFailed)
+	failedLine, err := json.Marshal(failed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed := bytes.Join([][]byte{
+		lines[0], rec(5), rec(2), rec(9), rec(0), rec(11),
+		append(failedLine, '\n'), rec(3),
+		rec(7)[:len(rec(7))/2], // torn mid-append
+	}, nil)
+	if err := os.WriteFile(checkpointPath(dir), killed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Checkpoint.Resume = true
+	sink, err := core.OpenCheckpointSink(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := sink.Restored()
+	if len(restored) != 5 || restored[5] != full.Obs[5] || restored[3] != full.Obs[3] {
+		t.Fatalf("restored layouts %v, want 0, 3, 5, 9 and 11", restored)
+	}
+	if _, ok := restored[2]; ok {
+		t.Fatal("a layout whose last record failed was restored")
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, err := core.RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(datasetCSV(t, resumed), datasetCSV(t, full)) {
+		t.Fatal("resumed dataset differs from the uninterrupted run")
+	}
+	resumedFile, err := os.ReadFile(checkpointPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resumedFile, fullFile) {
+		t.Fatalf("closed checkpoint differs from the uninterrupted run's:\n%s\nwant\n%s", resumedFile, fullFile)
+	}
+
+	// Corruption in the middle of the file still refuses to resume.
+	garbled := bytes.Join([][]byte{lines[0], rec(0), []byte("{garbage\n"), rec(1)}, nil)
+	if err := os.WriteFile(checkpointPath(dir), garbled, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.RunCampaign(cfg); err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("mid-file corruption resumed: %v", err)
 	}
 }

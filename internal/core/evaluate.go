@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -34,40 +33,56 @@ type PredictorEval struct {
 // StatusFailed in the campaign are skipped; the sweep runs under the
 // supervisor with the config's context and failure budget.
 func (d *Dataset) EvaluatePredictors(model *Model, factories []branch.Factory) ([]PredictorEval, error) {
-	if model == nil {
-		return nil, errors.New("core: EvaluatePredictors needs a model")
+	names := make([]string, len(factories))
+	for p := range factories {
+		names[p] = factories[p].Name
 	}
-	if len(factories) == 0 {
-		return nil, errors.New("core: EvaluatePredictors needs predictors")
+	return d.evaluate(model, names, "predictor evaluation", "predictor-eval", tagEvaluate, func(_ int, exe *toolchain.Executable) ([]float64, error) {
+		return mpkis(pintool.Run(d.Trace, exe, factories, pintool.Config{Warmup: true}))
+	})
+}
+
+// evaluate is the sweep behind EvaluatePredictors and the cache
+// evaluations: every usable layout is linked once and sim simulates the
+// named candidates on layout i, one MPKI each. Layouts that fail within
+// the campaign's failure budget read NaN and stay out of the means, and
+// each candidate's mean maps through the model. what names the sweep in
+// errors, span and tag its trace span.
+func (d *Dataset) evaluate(model *Model, names []string, what, span string, tag uint64, sim func(i int, exe *toolchain.Executable) ([]float64, error)) ([]PredictorEval, error) {
+	if model == nil {
+		return nil, fmt.Errorf("core: %s needs a model", what)
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("core: %s needs candidates", what)
 	}
 	idx := d.usableIdx()
 	if len(idx) == 0 {
-		return nil, errors.New("core: EvaluatePredictors needs at least one usable layout")
+		return nil, fmt.Errorf("core: %s needs at least one usable layout", what)
 	}
-	perLayout := make([][]float64, len(factories)) // [pred][usable layout]
-	for i := range perLayout {
-		perLayout[i] = make([]float64, len(idx))
+	perLayout := make([][]float64, len(names)) // [candidate][usable layout]
+	for c := range perLayout {
+		perLayout[c] = make([]float64, len(idx))
 	}
 
 	// One compile shared by every layout; each column of perLayout is
 	// written at a distinct index, so no locking is needed.
 	builder := toolchain.NewBuilder(d.Config.Program, d.Config.Compile, d.Config.Link)
 	builder.Observe(builderMetrics(d.Config.Obs))
-	span := sweepSpan(&d.Config, "predictor-eval", tagEvaluate)
-	defer span.End()
+	sp := sweepSpan(&d.Config, span, tag)
+	defer sp.End()
 	workers := normalizeWorkers(d.Config.Workers, len(idx))
 	failed, err := superviseForT(d.Config.context(), workers, len(idx), d.Config.FailureBudget, newSupTel(d.Config.Obs), func(_, k int) error {
 		i := idx[k]
 		exe, err := builder.Build(d.Obs[i].LayoutSeed)
-		if err != nil {
-			return fmt.Errorf("core: predictor eval layout %d: %w", i, err)
+		var mpki []float64
+		if err == nil {
+			mpki, err = sim(i, exe)
 		}
-		rs, err := pintool.Run(d.Trace, exe, factories, pintool.Config{Warmup: true})
 		if err != nil {
-			return fmt.Errorf("core: predictor eval layout %d: %w", i, err)
+			return fmt.Errorf("core: %s layout %d: %w", what, i, err)
 		}
-		for pi, r := range rs {
-			perLayout[pi][k] = r.MPKI()
+		for c, m := range mpki {
+			perLayout[c][k] = m
 		}
 		return nil
 	})
@@ -75,20 +90,32 @@ func (d *Dataset) EvaluatePredictors(model *Model, factories []branch.Factory) (
 		return nil, err
 	}
 	for _, f := range failed {
-		for pi := range perLayout {
-			perLayout[pi][f.Index] = math.NaN()
+		for c := range perLayout {
+			perLayout[c][f.Index] = math.NaN()
 		}
 	}
 
-	out := make([]PredictorEval, len(factories))
-	for pi, f := range factories {
-		mean := meanValid(perLayout[pi])
-		out[pi] = PredictorEval{
-			Name:          f.Name,
+	out := make([]PredictorEval, len(names))
+	for c, name := range names {
+		mean := meanValid(perLayout[c])
+		out[c] = PredictorEval{
+			Name:          name,
 			MPKI:          mean,
-			MPKIPerLayout: perLayout[pi],
+			MPKIPerLayout: perLayout[c],
 			PredictedCPI:  model.PredictCPI(mean),
 		}
+	}
+	return out, nil
+}
+
+// mpkis reads a simulator's per-candidate results as MPKIs.
+func mpkis[R interface{ MPKI() float64 }](rs []R, err error) ([]float64, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(rs))
+	for c := range rs {
+		out[c] = rs[c].MPKI()
 	}
 	return out, nil
 }

@@ -488,6 +488,7 @@ func RunSearch(cfg SearchConfig) (*SearchResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer sink.Close() // the error returns; the success path closes below
 		gens = sink.Restored()
 	}
 	ctx := cfg.Campaign.context()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -280,6 +281,50 @@ func TestSearchResumeByteIdentical(t *testing.T) {
 	}
 	if got, want := trajectoryOf(t, resumed), trajectoryOf(t, clean); got != want {
 		t.Fatal("resumed search diverged from the uninterrupted one")
+	}
+}
+
+// TestSearchResumeFromTornCheckpoint: a search killed mid-append leaves
+// its last generation record torn. The resume drops it, walks the
+// uninterrupted trajectory from the settled prefix, and its appends
+// leave the same file bytes as the uninterrupted run.
+func TestSearchResumeFromTornCheckpoint(t *testing.T) {
+	cfg := searchTestConfig()
+	cfg.Campaign.Checkpoint = CheckpointConfig{Dir: t.TempDir()}
+	clean, err := RunSearch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanFile, err := os.ReadFile(filepath.Join(cfg.Campaign.Checkpoint.Dir, SearchCheckpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(cleanFile, []byte("\n"))
+	if len(lines) != 1+4+1 { // header, 4 generations, the empty rest
+		t.Fatalf("checkpoint has %d lines, want header + 4 generations", len(lines)-1)
+	}
+	dir2 := t.TempDir()
+	path := filepath.Join(dir2, SearchCheckpointFile)
+	torn := bytes.Join([][]byte{lines[0], lines[1], lines[2], lines[3][:len(lines[3])/2]}, nil)
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg2 := searchTestConfig()
+	cfg2.Campaign.Checkpoint = CheckpointConfig{Dir: dir2, Resume: true}
+	resumed, err := RunSearch(cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := trajectoryOf(t, resumed), trajectoryOf(t, clean); got != want {
+		t.Fatal("resumed search diverged from the uninterrupted one")
+	}
+	resumedFile, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resumedFile, cleanFile) {
+		t.Fatal("resumed generation checkpoint differs from the uninterrupted run's")
 	}
 }
 

@@ -99,9 +99,6 @@ type Config struct {
 	// leased) the same way; a push beyond it returns ErrTenantQuota.
 	// Zero or negative means unlimited. Requeues are exempt.
 	MaxPerTenant int
-	// TenantQuotas overrides MaxPerTenant for specific tenants; a
-	// present entry <= 0 means that tenant is unlimited.
-	TenantQuotas map[string]int
 	// Quantum is the deficit-round-robin burst: how many consecutive
 	// tasks one tenant may dispatch before the scheduler moves on to the
 	// next tenant with eligible work in the same priority class. Zero or
@@ -140,18 +137,9 @@ func (c Config) lease() time.Duration {
 	return c.Lease
 }
 
-// quotaOf returns tenant's in-system bound; 0 means unlimited.
-func (c Config) quotaOf(tenant string) int {
-	if q, ok := c.TenantQuotas[tenant]; ok {
-		if q <= 0 {
-			return 0
-		}
-		return q
-	}
-	if c.MaxPerTenant <= 0 {
-		return 0
-	}
-	return c.MaxPerTenant
+// quota returns each tenant's in-system bound; 0 means unlimited.
+func (c Config) quota() int {
+	return max(c.MaxPerTenant, 0)
 }
 
 // task is one queued entry.
@@ -336,7 +324,7 @@ func (q *Queue[T]) Admissible(tenant string, n int) error {
 	if c := q.cfg.capacity(); n > c {
 		return fmt.Errorf("%w: %d tasks, capacity %d", ErrTooLarge, n, c)
 	}
-	if quota := q.cfg.quotaOf(tenant); quota > 0 && n > quota {
+	if quota := q.cfg.quota(); quota > 0 && n > quota {
 		return fmt.Errorf("%w: %d tasks, tenant %q quota %d", ErrTooLarge, n, tenant, quota)
 	}
 	return nil
@@ -358,7 +346,7 @@ func (q *Queue[T]) pushBatch(tenant string, priority int, payloads []T, bar *Bar
 		return ErrFull
 	}
 	ts := q.tenantLocked(tenant)
-	if quota := q.cfg.quotaOf(tenant); quota > 0 && ts.inSystem()+len(payloads) > quota {
+	if quota := q.cfg.quota(); quota > 0 && ts.inSystem()+len(payloads) > quota {
 		return ErrTenantQuota
 	}
 	now := q.now()
@@ -701,7 +689,7 @@ func (q *Queue[T]) Tenants() map[string]TenantCounts {
 	defer q.mu.Unlock()
 	out := make(map[string]TenantCounts, len(q.tenants))
 	for name, ts := range q.tenants {
-		out[name] = TenantCounts{Queued: ts.queued, Leased: ts.leased, Quota: q.cfg.quotaOf(name)}
+		out[name] = TenantCounts{Queued: ts.queued, Leased: ts.leased, Quota: q.cfg.quota()}
 	}
 	return out
 }

@@ -103,7 +103,6 @@ func TestTenantQuotaShedsAtomically(t *testing.T) {
 	q := jobqueue.New[string](jobqueue.Config{
 		Capacity:     100,
 		MaxPerTenant: 3,
-		TenantQuotas: map[string]int{"vip": 0}, // explicit 0 = unlimited
 	})
 	if err := q.PushBatchTenant("a", 0, []string{"a1", "a2"}); err != nil {
 		t.Fatal(err)
@@ -117,10 +116,6 @@ func TestTenantQuotaShedsAtomically(t *testing.T) {
 	}
 	// Another tenant still has its full quota.
 	if err := q.PushBatchTenant("b", 0, []string{"b1", "b2", "b3"}); err != nil {
-		t.Fatal(err)
-	}
-	// The quota-exempt tenant can exceed the uniform bound.
-	if err := q.PushBatchTenant("vip", 0, []string{"v1", "v2", "v3", "v4", "v5"}); err != nil {
 		t.Fatal(err)
 	}
 	// Quota counts leased tasks too: leasing does not free tenant room.
@@ -261,23 +256,21 @@ func TestAdmissibleNamesBoundsNotOccupancy(t *testing.T) {
 	q := jobqueue.New[int](jobqueue.Config{
 		Capacity:     4,
 		MaxPerTenant: 3,
-		TenantQuotas: map[string]int{"small": 2, "open": 0},
 	})
+	unlimited := jobqueue.New[int](jobqueue.Config{Capacity: 4})
 	for _, tc := range []struct {
-		tenant string
-		n      int
-		fits   bool
+		q    *jobqueue.Queue[int]
+		n    int
+		fits bool
 	}{
-		{"a", 3, true},
-		{"a", 4, false}, // over the default tenant quota
-		{"small", 2, true},
-		{"small", 3, false}, // over its own quota
-		{"open", 4, true},
-		{"open", 5, false}, // unlimited tenant, over the capacity
+		{q, 3, true},
+		{q, 4, false}, // over the tenant quota
+		{unlimited, 4, true},
+		{unlimited, 5, false}, // no tenant quota, over the capacity
 	} {
-		err := q.Admissible(tc.tenant, tc.n)
+		err := tc.q.Admissible("a", tc.n)
 		if tc.fits != (err == nil) || (err != nil && !errors.Is(err, jobqueue.ErrTooLarge)) {
-			t.Errorf("Admissible(%q, %d) = %v, want fits=%v", tc.tenant, tc.n, err, tc.fits)
+			t.Errorf("Admissible(%d) = %v, want fits=%v", tc.n, err, tc.fits)
 		}
 	}
 	if err := q.PushBatchTenant("a", 0, []int{1, 2, 3}); err != nil {

@@ -15,20 +15,19 @@
 // results, so the WAL never needs to store observations or per-task
 // progress.
 //
-// Crash tolerance: a crash mid-append leaves at most one torn line at
-// the tail. Open detects it, drops it, truncates the file back to the
-// last complete record and counts the repair; a torn line anywhere
-// else is real corruption and refuses to open. Compaction rewrites the
-// live state through the same temp-file + fsync + rename + dir-fsync
-// discipline as checkpoints (internal/atomicio), so the log never
-// grows without bound and never loses acknowledged records.
+// Crash tolerance: the log is an atomicio.Log, the record file the
+// campaign and search checkpoints also sit on. A crash mid-append
+// leaves at most one torn line at the tail. Open drops it, truncates
+// the file back to the last complete record and counts the repair; a
+// torn line anywhere else is real corruption and refuses to open.
+// Compaction rewrites the live state through the log's temp-file +
+// fsync + rename + dir-fsync rewrite, so the log never grows without
+// bound and never loses acknowledged records.
 package wal
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 
@@ -92,13 +91,11 @@ type Config struct {
 // Log is an open write-ahead log. Append-side methods are safe for
 // concurrent use.
 type Log struct {
-	path string
-
 	appended, replayed, compactions, torn *obs.Counter
 	liveG                                 *obs.Gauge
 
 	mu    sync.Mutex
-	app   *atomicio.Appender
+	log   *atomicio.Log
 	state map[string]*CampaignState
 	order []string // campaign IDs in first-submit order
 }
@@ -115,10 +112,7 @@ func Open(cfg Config) (*Log, []*CampaignState, error) {
 	if prefix == "" {
 		prefix = "campaignd"
 	}
-	l := &Log{
-		path:  cfg.Path,
-		state: make(map[string]*CampaignState),
-	}
+	l := &Log{state: make(map[string]*CampaignState)}
 	if o := cfg.Obs; o != nil {
 		l.appended = o.Counter(prefix+"_wal_records_appended_total", "WAL records durably appended")
 		l.replayed = o.Counter(prefix+"_wal_records_replayed_total", "WAL records replayed at startup")
@@ -126,78 +120,31 @@ func Open(cfg Config) (*Log, []*CampaignState, error) {
 		l.torn = o.Counter(prefix+"_wal_torn_tails_total", "torn tail records dropped during replay")
 		l.liveG = o.Gauge(prefix+"_wal_live_campaigns", "campaigns in the WAL not yet finalized")
 	}
-	if err := l.replay(); err != nil {
-		return nil, nil, err
-	}
-	app, err := atomicio.OpenAppender(cfg.Path, 0o644)
+	log, torn, err := atomicio.OpenLog(cfg.Path, func(line []byte) error {
+		var rec Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		if rec.Op == "" {
+			return fmt.Errorf("record without an op")
+		}
+		l.apply(rec)
+		l.replayed.Inc()
+		return nil
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open: %w", err)
 	}
-	l.app = app
+	if torn {
+		l.torn.Inc()
+	}
+	l.log = log
 	l.updateLiveGauge()
 	states := make([]*CampaignState, 0, len(l.order))
 	for _, id := range l.order {
 		states = append(states, l.state[id])
 	}
 	return l, states, nil
-}
-
-// replay reads the log, applies every complete record, and truncates a
-// torn tail (a crash mid-append) back to the last complete record so
-// subsequent appends do not concatenate onto garbage. A malformed line
-// that is not the tail is corruption and fails the open.
-func (l *Log) replay() error {
-	data, err := os.ReadFile(l.path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("wal: replay: %w", err)
-	}
-	off := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		line := data[off:]
-		complete := nl >= 0
-		if complete {
-			line = data[off : off+nl]
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Op == "" {
-			if complete && off+nl+1 < len(data) {
-				return fmt.Errorf("wal: corrupt record at offset %d: %q", off, truncateForErr(line))
-			}
-			// Torn tail: drop it and cut the file back so the next
-			// append starts on a clean line boundary.
-			l.torn.Inc()
-			if err := os.Truncate(l.path, int64(off)); err != nil {
-				return fmt.Errorf("wal: truncate torn tail: %w", err)
-			}
-			return nil
-		}
-		if !complete {
-			// Parseable but unterminated: the newline itself was lost in
-			// the crash. The record is whole, keep it, but square up the
-			// file so the next append is newline-separated.
-			l.apply(rec)
-			l.replayed.Inc()
-			if err := os.WriteFile(l.path, append(data[:off+len(line):off+len(line)], '\n'), 0o644); err != nil {
-				return fmt.Errorf("wal: repair unterminated tail: %w", err)
-			}
-			return nil
-		}
-		l.apply(rec)
-		l.replayed.Inc()
-		off += nl + 1
-	}
-	return nil
-}
-
-func truncateForErr(line []byte) []byte {
-	if len(line) > 80 {
-		return line[:80]
-	}
-	return line
 }
 
 // apply folds one record into the replayed state. Unknown-campaign gen
@@ -239,16 +186,12 @@ func (l *Log) apply(rec Record) {
 // returns. The in-memory replay state is updated in the same critical
 // section so Compact always snapshots exactly what the log holds.
 func (l *Log) Append(rec Record) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("wal: encode: %w", err)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.app == nil {
+	if l.log == nil {
 		return fmt.Errorf("wal: log is closed")
 	}
-	if err := l.app.Append(append(data, '\n')); err != nil {
+	if err := l.log.Append(rec); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	l.apply(rec)
@@ -277,16 +220,14 @@ func (l *Log) Final(id, state string) error {
 
 // Compact rewrites the log as a minimal snapshot of its live campaigns
 // — one submit plus their gen records, finalized campaigns dropped —
-// through an atomic, fsynced rename, then reopens the appender on the
-// fresh file.
+// through the log's atomic rewrite.
 func (l *Log) Compact() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.app == nil {
+	if l.log == nil {
 		return fmt.Errorf("wal: log is closed")
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	var recs []any
 	live := make([]string, 0, len(l.order))
 	for _, id := range l.order {
 		s := l.state[id]
@@ -295,33 +236,23 @@ func (l *Log) Compact() error {
 			continue
 		}
 		live = append(live, id)
-		if err := enc.Encode(Record{Op: OpSubmit, Campaign: id, Tenant: s.Tenant, Priority: s.Priority, Spec: s.Spec}); err != nil {
-			return fmt.Errorf("wal: compact encode: %w", err)
-		}
+		recs = append(recs, Record{Op: OpSubmit, Campaign: id, Tenant: s.Tenant, Priority: s.Priority, Spec: s.Spec})
 		gens := make([]int, 0, len(s.Gens))
 		for g := range s.Gens {
 			gens = append(gens, g)
 		}
 		sort.Ints(gens)
 		for _, g := range gens {
-			if err := enc.Encode(Record{Op: OpGen, Campaign: id, Layout: g, State: s.Gens[g]}); err != nil {
-				return fmt.Errorf("wal: compact encode: %w", err)
-			}
+			recs = append(recs, Record{Op: OpGen, Campaign: id, Layout: g, State: s.Gens[g]})
 		}
 	}
-	if err := l.app.Close(); err != nil {
-		return fmt.Errorf("wal: compact: close old log: %w", err)
-	}
-	l.app = nil
-	if err := atomicio.WriteFile(l.path, buf.Bytes(), 0o644); err != nil {
+	// A finalized campaign leaves the replay state even if the rewrite
+	// fails: the log's copy of it replays as finalized and goes at the
+	// next compaction.
+	l.order = live
+	if err := l.log.Rewrite(recs...); err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
-	app, err := atomicio.OpenAppender(l.path, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: compact: reopen: %w", err)
-	}
-	l.app = app
-	l.order = live
 	l.compactions.Inc()
 	l.updateLiveGauge()
 	return nil
@@ -348,14 +279,14 @@ func (l *Log) updateLiveGauge() {
 	l.liveG.Set(float64(l.liveLocked()))
 }
 
-// Close closes the appender. Further appends fail; the file stays.
+// Close closes the log. Further appends fail; the file stays.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.app == nil {
+	if l.log == nil {
 		return nil
 	}
-	err := l.app.Close()
-	l.app = nil
+	err := l.log.Close()
+	l.log = nil
 	return err
 }
