@@ -1,7 +1,8 @@
 // Command predsim is the standalone Pin-style predictor comparison: it
-// executes a benchmark once, replays the trace against one or more code
-// layouts, and reports each candidate predictor's misprediction rate —
-// the paper's §5.6/§7.1 tool as a CLI.
+// executes a benchmark once, replays the trace against every code layout
+// at once (one multi-layout walk per predictor), and reports each
+// candidate predictor's misprediction rate — the paper's §5.6/§7.1 tool
+// as a CLI.
 //
 // Usage:
 //
@@ -66,6 +67,10 @@ func main() {
 		"comma-separated predictor names")
 	warmup := flag.Bool("warmup", true, "train predictors with one extra pass before counting")
 	flag.Parse()
+	if *layouts < 1 {
+		fmt.Fprintln(os.Stderr, "-layouts must be at least 1")
+		os.Exit(2)
+	}
 
 	spec, ok := progen.ByName(*bench)
 	if !ok {
@@ -98,19 +103,23 @@ func main() {
 		os.Exit(1)
 	}
 
+	exes := make([]*toolchain.Executable, *layouts)
+	for li := range exes {
+		exes[li], err = toolchain.BuildLayout(prog, uint64(li+1), toolchain.CompileConfig{}, toolchain.LinkConfig{})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
+	// One walk per predictor serves every layout.
+	rs, err := pintool.RunLayouts(tr, exes, factories, pintool.Config{Warmup: *warmup})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	mpkis := make([][]float64, len(factories))
-	for li := 0; li < *layouts; li++ {
-		exe, err := toolchain.BuildLayout(prog, uint64(li+1), toolchain.CompileConfig{}, toolchain.LinkConfig{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		rs, err := pintool.Run(tr, exe, factories, pintool.Config{Warmup: *warmup})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		for pi, r := range rs {
+	for _, layout := range rs {
+		for pi, r := range layout {
 			mpkis[pi] = append(mpkis[pi], r.MPKI())
 		}
 	}

@@ -375,6 +375,35 @@ func TestDeadlineStopsHeldGroup(t *testing.T) {
 	}
 }
 
+// TestDeadlineFailsIdleCampaign: a layout campaign's deadline fires by
+// itself. On a pure coordinator (`campaignd -workers 0`) with no worker
+// polling, none of the campaign's tasks is ever popped or settled, yet
+// the campaign must read failed on its deadline soon after it passes,
+// its checkpoint closed, and the drain must leave it failed.
+func TestDeadlineFailsIdleCampaign(t *testing.T) {
+	srv, client := startService(t, campaignd.Config{NoLocalWorkers: true, CheckpointRoot: t.TempDir()})
+	spec := testSpec(6)
+	spec.DeadlineMS = 300
+	ctx := context.Background()
+	st, err := client.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if st, err = client.Wait(waitCtx, st.ID, 20*time.Millisecond); err != nil {
+		t.Fatalf("campaign still running 5 s after its 300 ms deadline: %v", err)
+	}
+	if st.State != campaignd.StateFailed || !strings.Contains(st.Error, "deadline") {
+		t.Fatalf("campaign ended %s (%q), want failed on its deadline", st.State, st.Error)
+	}
+	srv.Drain()
+	<-srv.Done()
+	if st, err = client.Status(ctx, st.ID); err != nil || st.State != campaignd.StateFailed {
+		t.Fatalf("after the drain: %s, %v; want failed", st.State, err)
+	}
+}
+
 // TestGracefulDrainOnSIGTERM is the kill-mid-campaign test: a real
 // SIGTERM lands while layouts are still queued; the drain finishes
 // leased work and flushes the checkpoint; a second service instance over

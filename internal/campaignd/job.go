@@ -198,7 +198,9 @@ type campaign struct {
 	ctx       context.Context
 	cancel    context.CancelCauseFunc
 	stopTimer context.CancelFunc // releases the deadline timer, if any
-	created   time.Time
+	// stopDeadline disarms the deadline's abort, if any (nil otherwise).
+	stopDeadline func() bool
+	created      time.Time
 
 	// onFinal journals the campaign finishing, wired by the server at
 	// admission when a WAL is open (nil otherwise). It is invoked with
@@ -294,6 +296,18 @@ func (s *Server) newCampaign(spec JobSpec) (*campaign, []int, error) {
 		completed: len(restored),
 		remaining: cfg.Layouts,
 		finished:  make(chan struct{}),
+	}
+	if spec.DeadlineMS > 0 {
+		// The deadline fails the campaign when it passes, as settle
+		// would, even if none of its tasks is ever popped or settled (a
+		// coordinator with no worker polling). Only the deadline acts
+		// here: a drain, a kill or the server's shutdown cancels the
+		// context with its own cause and keeps its own state.
+		c.stopDeadline = context.AfterFunc(ctx, func() {
+			if ctx.Err() == context.DeadlineExceeded {
+				c.abort(context.Cause(ctx))
+			}
+		})
 	}
 	var pending []int
 	for i := 0; i < cfg.Layouts; i++ {
@@ -461,6 +475,11 @@ func (c *campaign) closeLocked() {
 	if err != nil && c.state == StateDone {
 		c.state = StateFailed
 		c.err = fmt.Errorf("campaignd: checkpoint flush: %w", err)
+	}
+	// Disarmed before the cancel, so a campaign that ends any other way
+	// starts no abort.
+	if c.stopDeadline != nil {
+		c.stopDeadline()
 	}
 	c.cancel(c.err)
 	c.stopTimer()

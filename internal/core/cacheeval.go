@@ -37,11 +37,22 @@ func (d *Dataset) evaluateCaches(model *Model, candidates []cache.Config, data b
 	for c := range candidates {
 		names[c] = candidates[c].Name
 	}
-	return d.evaluate(model, names, "cache evaluation", "cache-eval", tagCacheEval, func(i int, exe *toolchain.Executable) ([]float64, error) {
-		if !data {
-			return mpkis(cachetool.RunICache(d.Trace, exe, candidates, cachetool.Config{}))
+	return d.evaluate(model, names, "cache evaluation", "cache-eval", tagCacheEval, func(is []int, exes []*toolchain.Executable) ([][]float64, error) {
+		out := make([][]float64, len(exes))
+		for k, exe := range exes {
+			var rs []cachetool.Result
+			var err error
+			if !data {
+				rs, err = cachetool.RunICache(d.Trace, exe, candidates, cachetool.Config{})
+			} else {
+				cfg := cachetool.Config{Data: true, HeapMode: d.Config.HeapMode, HeapSeed: d.Obs[is[k]].HeapSeed}
+				rs, err = cachetool.RunDCache(d.Trace, exe, candidates, cfg)
+			}
+			if err != nil {
+				return nil, err
+			}
+			out[k] = mpkis(rs)
 		}
-		cfg := cachetool.Config{Data: true, HeapMode: d.Config.HeapMode, HeapSeed: d.Obs[i].HeapSeed}
-		return mpkis(cachetool.RunDCache(d.Trace, exe, candidates, cfg))
+		return out, nil
 	})
 }

@@ -31,24 +31,40 @@ type PredictorEval struct {
 // per layout, §7.2) and maps the resulting mean MPKI through the model.
 // The model should come from the same dataset. Layouts marked
 // StatusFailed in the campaign are skipped; the sweep runs under the
-// supervisor with the config's context and failure budget.
+// supervisor with the config's context and failure budget. Each worker
+// replays its chunk of layouts in one multi-layout walk per predictor
+// (pintool.RunLayouts), so a cancel lands when the chunk's walks finish.
 func (d *Dataset) EvaluatePredictors(model *Model, factories []branch.Factory) ([]PredictorEval, error) {
 	names := make([]string, len(factories))
 	for p := range factories {
 		names[p] = factories[p].Name
 	}
-	return d.evaluate(model, names, "predictor evaluation", "predictor-eval", tagEvaluate, func(_ int, exe *toolchain.Executable) ([]float64, error) {
-		return mpkis(pintool.Run(d.Trace, exe, factories, pintool.Config{Warmup: true}))
+	return d.evaluate(model, names, "predictor evaluation", "predictor-eval", tagEvaluate, func(_ []int, exes []*toolchain.Executable) ([][]float64, error) {
+		rs, err := pintool.RunLayouts(d.Trace, exes, factories, pintool.Config{Warmup: true})
+		if err != nil {
+			return nil, err
+		}
+		out := make([][]float64, len(rs))
+		for k := range rs {
+			out[k] = mpkis(rs[k])
+		}
+		return out, nil
 	})
 }
 
 // evaluate is the sweep behind EvaluatePredictors and the cache
-// evaluations: every usable layout is linked once and sim simulates the
-// named candidates on layout i, one MPKI each. Layouts that fail within
-// the campaign's failure budget read NaN and stay out of the means, and
-// each candidate's mean maps through the model. what names the sweep in
-// errors, span and tag its trace span.
-func (d *Dataset) evaluate(model *Model, names []string, what, span string, tag uint64, sim func(i int, exe *toolchain.Executable) ([]float64, error)) ([]PredictorEval, error) {
+// evaluations: every usable layout is linked once, and sim simulates
+// the named candidates on a chunk of layouts (is[k] is the dataset index
+// of exes[k]), one MPKI per layout and candidate. Layouts that fail
+// within the campaign's failure budget read NaN and stay out of the
+// means, and each candidate's mean maps through the model. what names
+// the sweep in errors, span and tag its trace span.
+//
+// Each worker takes chunks of AutoBatch usable layouts. A chunk whose
+// simulation errors or panics re-runs each of its layouts alone, as
+// sweepChunk does, so exactly the layouts that fail on their own fail;
+// a layout's result does not depend on the chunk it ran in.
+func (d *Dataset) evaluate(model *Model, names []string, what, span string, tag uint64, sim func(is []int, exes []*toolchain.Executable) ([][]float64, error)) ([]PredictorEval, error) {
 	if model == nil {
 		return nil, fmt.Errorf("core: %s needs a model", what)
 	}
@@ -71,20 +87,57 @@ func (d *Dataset) evaluate(model *Model, names []string, what, span string, tag 
 	sp := sweepSpan(&d.Config, span, tag)
 	defer sp.End()
 	workers := normalizeWorkers(d.Config.Workers, len(idx))
-	failed, err := superviseForT(d.Config.context(), workers, len(idx), d.Config.FailureBudget, newSupTel(d.Config.Obs), func(_, k int) error {
-		i := idx[k]
-		exe, err := builder.Build(d.Obs[i].LayoutSeed)
-		var mpki []float64
+	chunk := AutoBatch(len(idx), workers)
+	failed, err := superviseChunksT(d.Config.context(), workers, len(idx), chunk, d.Config.FailureBudget, newSupTel(d.Config.Obs), func(_, lo, hi int, fail func(int, error), stopped func() bool) {
+		ks := make([]int, 0, hi-lo) // positions in idx
+		is := make([]int, 0, hi-lo)
+		exes := make([]*toolchain.Executable, 0, hi-lo)
+		for k := lo; k < hi; k++ {
+			i := idx[k]
+			var exe *toolchain.Executable
+			err := Guard(func() (err error) {
+				exe, err = builder.Build(d.Obs[i].LayoutSeed)
+				return err
+			})
+			if err != nil {
+				fail(k, fmt.Errorf("core: %s layout %d: %w", what, i, err))
+				continue
+			}
+			ks, is, exes = append(ks, k), append(is, i), append(exes, exe)
+		}
+		record := func(ks []int, mpki [][]float64) {
+			for j, k := range ks {
+				for c, m := range mpki[j] {
+					perLayout[c][k] = m
+				}
+			}
+		}
+		if len(exes) == 0 {
+			return
+		}
+		var mpki [][]float64
+		err := Guard(func() (err error) {
+			mpki, err = sim(is, exes)
+			return err
+		})
 		if err == nil {
-			mpki, err = sim(i, exe)
+			record(ks, mpki)
+			return
 		}
-		if err != nil {
-			return fmt.Errorf("core: %s layout %d: %w", what, i, err)
+		for j, k := range ks {
+			if stopped() {
+				return
+			}
+			err := Guard(func() (err error) {
+				mpki, err = sim(is[j:j+1], exes[j:j+1])
+				return err
+			})
+			if err != nil {
+				fail(k, fmt.Errorf("core: %s layout %d: %w", what, is[j], err))
+				continue
+			}
+			record(ks[j:j+1], mpki)
 		}
-		for c, m := range mpki {
-			perLayout[c][k] = m
-		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -109,15 +162,12 @@ func (d *Dataset) evaluate(model *Model, names []string, what, span string, tag 
 }
 
 // mpkis reads a simulator's per-candidate results as MPKIs.
-func mpkis[R interface{ MPKI() float64 }](rs []R, err error) ([]float64, error) {
-	if err != nil {
-		return nil, err
-	}
+func mpkis[R interface{ MPKI() float64 }](rs []R) []float64 {
 	out := make([]float64, len(rs))
 	for c := range rs {
 		out[c] = rs[c].MPKI()
 	}
-	return out, nil
+	return out
 }
 
 // meanValid averages the non-NaN entries.

@@ -6,10 +6,18 @@
 // §7.1). Because it replays the deterministic trace with no noise model,
 // "there is no variance in the simulation result" (§7.2) — a property the
 // tests assert.
+//
+// RunLayouts replays one trace against many code layouts of its program
+// at once: a layout changes every branch address but no outcome (§4), so
+// one walk serves every layout, one predictor lane per layout. Run is
+// its one-layout call. Indirect calls go to the machine model's 512×4
+// branch target buffer.
 package pintool
 
 import (
 	"errors"
+	"fmt"
+	"math/bits"
 
 	"interferometry/internal/interp"
 	"interferometry/internal/isa"
@@ -47,11 +55,8 @@ func (r Result) CondAccuracy() float64 {
 	return 1 - float64(r.CondMispredicts)/float64(r.CondBranches)
 }
 
-// Config controls the shared indirect-target model.
+// Config controls the replay.
 type Config struct {
-	// BTBSets/BTBWays size the BTB simulated alongside every conditional
-	// predictor. Zeros mean 512x4, matching the machine model.
-	BTBSets, BTBWays int
 	// Warmup replays the trace once, training the predictors without
 	// counting, before the measured pass. Large tables (a 16KB GAs, a
 	// full L-TAGE) need far more training than a short trace provides;
@@ -60,51 +65,173 @@ type Config struct {
 	Warmup bool
 }
 
-func (c *Config) fillDefaults() {
-	if c.BTBSets == 0 {
-		c.BTBSets = 512
+// The BTB simulated alongside every conditional predictor has the
+// machine model's geometry (machine.XeonE5440).
+const btbSets, btbWays = 512, 4
+
+// maxLanes is the most layouts one walk carries: a row's miss mask is
+// one word.
+const maxLanes = 64
+
+// Run replays the trace against one executable, feeding every
+// conditional branch to each predictor built by the factories and every
+// indirect call to a BTB (shared across predictors, since the
+// conditional predictor does not influence it). Oracle predictors record
+// zero mispredictions. It is RunLayouts with one layout.
+func Run(tr *interp.Trace, exe *toolchain.Executable, factories []branch.Factory, cfg Config) ([]Result, error) {
+	rs, err := RunLayouts(tr, []*toolchain.Executable{exe}, factories, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if c.BTBWays == 0 {
-		c.BTBWays = 4
-	}
+	return rs[0], nil
 }
 
-// Run replays the trace once, feeding every conditional branch to each
-// predictor built by the factories and every indirect call to a BTB
-// (shared across predictors, since the conditional predictor does not
-// influence it). Oracle predictors record zero mispredictions.
-func Run(tr *interp.Trace, exe *toolchain.Executable, factories []branch.Factory, cfg Config) ([]Result, error) {
-	if tr == nil || exe == nil {
-		return nil, errors.New("pintool: nil trace or executable")
+// RunLayouts is Run for every executable in exes at once: result [k][p]
+// is predictor p on exes[k], equal to Run's result p for exes[k]. Each
+// predictor walks the trace once (per pass) for up to 64 layouts, one
+// lane per layout, and the lanes are freed before the next predictor's
+// walk. An *branch.LTAGE or *branch.GAs from a factory becomes lane 0 of
+// a bank whose lanes share one outcome history; any other predictor gets
+// one instance per layout; an oracle is not walked. The layouts' BTBs
+// ride the first walk.
+func RunLayouts(tr *interp.Trace, exes []*toolchain.Executable, factories []branch.Factory, cfg Config) ([][]Result, error) {
+	if tr == nil || len(exes) == 0 {
+		return nil, errors.New("pintool: nil trace or no executables")
 	}
-	if tr.Program != exe.Program {
-		return nil, errors.New("pintool: trace and executable are from different programs")
+	for _, exe := range exes {
+		if exe == nil {
+			return nil, errors.New("pintool: nil executable")
+		}
+		if tr.Program != exe.Program {
+			return nil, errors.New("pintool: trace and executable are from different programs")
+		}
 	}
 	if len(factories) == 0 {
 		return nil, errors.New("pintool: no predictors to simulate")
 	}
-	cfg.fillDefaults()
-
-	preds := make([]branch.Predictor, len(factories))
-	oracle := make([]bool, len(factories))
-	results := make([]Result, len(factories))
-	for i, f := range factories {
-		preds[i] = f.New()
-		_, oracle[i] = preds[i].(branch.Oracle)
-		results[i].Name = f.Name
-		results[i].Instructions = tr.Instrs
+	// Every layout executes the same branches, which the trace counts.
+	out := make([][]Result, len(exes))
+	for k := range out {
+		out[k] = make([]Result, len(factories))
+		for p, f := range factories {
+			out[k][p] = Result{
+				Name:             f.Name,
+				Instructions:     tr.Instrs,
+				CondBranches:     tr.CondBranches,
+				IndirectBranches: tr.IndirectCalls,
+			}
+		}
 	}
-	btb := branch.NewBTB(cfg.BTBSets, cfg.BTBWays)
+	for lo := 0; lo < len(exes); lo += maxLanes {
+		w := newWalk(tr, exes[lo:min(lo+maxLanes, len(exes))], cfg)
+		for p, f := range factories {
+			ls, err := newLanes(f, len(w.exes))
+			if err != nil {
+				return nil, err
+			}
+			if ls == nil {
+				continue // an oracle mispredicts nothing
+			}
+			w.run(ls)
+			for k := range w.exes {
+				out[lo+k][p].CondMispredicts = w.condMiss[k]
+				out[lo+k][p].IndirectMispreds = w.indirectMiss[k]
+			}
+		}
+	}
+	return out, nil
+}
 
-	prog := exe.Program
-	var cond, indirect, indirectMiss uint64
+// lanes is one predictor's state in every layout of a walk.
+// PredictUpdateRow predicts and trains every lane on one resolved branch
+// (pcs[k] is its PC in layout k) and returns the lanes that mispredicted
+// as a bit mask.
+type lanes interface {
+	PredictUpdateRow(pcs []uint64, taken bool) uint64
+}
+
+// newLanes builds factory f's lanes for n layouts, or nil for an oracle.
+// The factory's instance is lane 0, so the walk builds no predictor it
+// does not walk.
+func newLanes(f branch.Factory, n int) (lanes, error) {
+	p := f.New()
+	switch p := p.(type) {
+	case nil:
+		return nil, fmt.Errorf("pintool: factory %s built no predictor", f.Name)
+	case branch.Oracle:
+		return nil, nil
+	case *branch.LTAGE:
+		return branch.NewLTAGEBank(p, n), nil
+	case *branch.GAs:
+		return branch.NewGAsBank(p, n), nil
+	}
+	ps := make(predictorLanes, n)
+	ps[0] = p
+	for k := 1; k < n; k++ {
+		ps[k] = f.New()
+	}
+	return ps, nil
+}
+
+// predictorLanes drives one predictor instance per layout through the
+// Predictor interface.
+type predictorLanes []branch.Predictor
+
+func (ps predictorLanes) PredictUpdateRow(pcs []uint64, taken bool) uint64 {
+	var wrong uint64
+	for k, p := range ps {
+		if p.Predict(pcs[k]) != taken {
+			wrong |= 1 << uint(k)
+		}
+		p.Update(pcs[k], taken)
+	}
+	return wrong
+}
+
+// walk replays one trace against up to maxLanes layouts, one predictor
+// at a time.
+type walk struct {
+	tr     *interp.Trace
+	exes   []*toolchain.Executable
+	passes int
+	pcs    []uint64 // the branch's PC in each layout
+	// btbDone is set once a walk has driven the layouts' BTBs.
+	btbDone                bool
+	condMiss, indirectMiss []uint64 // per layout, in the counted pass
+}
+
+func newWalk(tr *interp.Trace, exes []*toolchain.Executable, cfg Config) *walk {
 	passes := 1
 	if cfg.Warmup {
 		passes = 2
 	}
-	for pass := 0; pass < passes; pass++ {
-		counting := pass == passes-1
-		cur := tr.NewCursor()
+	return &walk{
+		tr:           tr,
+		exes:         exes,
+		passes:       passes,
+		pcs:          make([]uint64, len(exes)),
+		condMiss:     make([]uint64, len(exes)),
+		indirectMiss: make([]uint64, len(exes)),
+	}
+}
+
+// run walks the trace through one predictor's lanes, counting each
+// layout's conditional mispredictions in the last pass; the first run
+// also drives the BTBs and counts their mispredictions.
+func (w *walk) run(ls lanes) {
+	var btb *branch.BTBBank
+	if !w.btbDone {
+		var err error
+		if btb, err = branch.NewBTBBank(btbSets, btbWays, len(w.exes)); err != nil {
+			panic(err) // the geometry is a constant the bank supports
+		}
+		w.btbDone = true
+	}
+	clear(w.condMiss)
+	prog, exes, pcs := w.tr.Program, w.exes, w.pcs
+	for pass := 0; pass < w.passes; pass++ {
+		counting := pass == w.passes-1
+		cur := w.tr.Cursor()
 		for {
 			bid, ok := cur.NextBlock()
 			if !ok {
@@ -114,39 +241,26 @@ func Run(tr *interp.Trace, exe *toolchain.Executable, factories []branch.Factory
 			switch b.Term.Kind {
 			case isa.TermCondBranch:
 				taken := cur.NextTaken()
-				pc := exe.TermAddr(bid)
-				if counting {
-					cond++
+				for k, exe := range exes {
+					pcs[k] = exe.TermAddr(bid)
 				}
-				for i, p := range preds {
-					if oracle[i] {
-						continue
+				wrong := ls.PredictUpdateRow(pcs, taken)
+				if counting {
+					for ; wrong != 0; wrong &= wrong - 1 {
+						w.condMiss[bits.TrailingZeros64(wrong)]++
 					}
-					if p.Predict(pc) != taken && counting {
-						results[i].CondMispredicts++
-					}
-					p.Update(pc, taken)
 				}
 			case isa.TermIndirectCall:
-				sel := cur.NextIndirect()
-				target := exe.ProcAddr[b.Term.Callees[sel]]
-				correct := btb.Predict(exe.TermAddr(bid), target)
-				if counting {
-					indirect++
-					if !correct {
-						indirectMiss++
+				callee := b.Term.Callees[cur.NextIndirect()]
+				if btb == nil {
+					continue
+				}
+				for k, exe := range exes {
+					if !btb.PredictUpdate(k, exe.TermAddr(bid), exe.ProcAddr[callee]) && counting {
+						w.indirectMiss[k]++
 					}
 				}
 			}
 		}
 	}
-	for i := range results {
-		results[i].CondBranches = cond
-		results[i].IndirectBranches = indirect
-		results[i].IndirectMispreds = indirectMiss
-		if oracle[i] {
-			results[i].IndirectMispreds = 0
-		}
-	}
-	return results, nil
 }

@@ -10,11 +10,22 @@ import (
 // time of the paper (§7.2.2): a bimodal base predictor, a set of
 // partially-tagged components indexed with geometrically increasing
 // global-history lengths, and a loop predictor for constant-trip loops.
+//
+// It is one outcome history plus one lane of tables. The history (the
+// ring, the folded registers and the useful-bit tick counter) depends
+// only on branch outcomes, which every code layout of a trace shares;
+// LTAGEBank drives K lanes, one per layout, from one history.
 type LTAGE struct {
 	name string
+	hist ltageHistory
+	lane ltageLane
+}
 
-	base []counter // bimodal base predictor
-
+// ltageHistory is the part of L-TAGE state that depends only on the
+// outcome stream: the tagged components' geometry with their folded
+// history registers, the global history ring and the useful-bit tick
+// counter.
+type ltageHistory struct {
 	comps []tageComp
 	// hist is the global history as a ring of one outcome per byte:
 	// hist[(head+age)&histMask] is the outcome age branches ago, age 0
@@ -26,23 +37,34 @@ type LTAGE struct {
 	histMask int
 	histLen  int
 
+	ticks      uint64 // updates since last graceful useful-bit reset
+	resetEvery uint64
+}
+
+// ltageLane is the part of L-TAGE state that depends on the branch
+// addresses, one per code layout: the base table, the tagged tables, the
+// loop predictor, the allocation LFSR, useAltOnNA and the scratch a
+// prediction leaves for its update.
+type ltageLane struct {
+	base []counter // bimodal base predictor
+	// tagged holds every tagged component's table, component i's entries
+	// at [i<<logg, (i+1)<<logg).
+	tagged []tageEntry
+
 	useAltOnNA int8 // 4-bit signed counter: prefer altpred for weak entries
 
 	lfsr uint64 // deterministic allocation randomness
 
-	ticks      uint64 // updates since last graceful useful-bit reset
-	resetEvery uint64
+	loop loopPredictor
 
-	loop *loopPredictor
-
-	// Scratch from the last Predict, consumed by Update.
-	lastHash     uint64 // hashPC(predictedPC), computed once per Predict
+	// Scratch from the last predict, consumed by update.
+	lastHash     uint64 // hashPC(predictedPC), computed once per predict
 	lastProvider int    // component index, -1 = base
 	lastAlt      int
 	lastProvPred bool
 	lastAltPred  bool
 	lastWeak     bool
-	lastIdx      []int
+	lastIdx      []int // per component: the entry's index in tagged
 	lastTag      []uint16
 	lastLoopHit  bool
 	lastLoopPred bool
@@ -55,7 +77,6 @@ type tageComp struct {
 	histLen int  // history length
 	idxMask uint64
 	tagMask uint64
-	entries []tageEntry
 	// Folded histories for index and tag computation.
 	foldIdx  folded
 	foldTag1 folded
@@ -130,24 +151,22 @@ func (c *LTAGEConfig) fillDefaults() {
 func NewLTAGE(cfg LTAGEConfig) *LTAGE {
 	cfg.fillDefaults()
 	l := &LTAGE{
-		name:       fmt.Sprintf("l-tage-%dx2^%d", cfg.NumTables, cfg.LogTagged),
-		base:       make([]counter, 1<<cfg.LogBase),
-		comps:      make([]tageComp, cfg.NumTables),
-		lfsr:       0x1234567890abcdef,
-		resetEvery: 256 * 1024,
-		loop:       newLoopPredictor(6),
-		lastIdx:    make([]int, cfg.NumTables),
-		lastTag:    make([]uint16, cfg.NumTables),
+		name: fmt.Sprintf("l-tage-%dx2^%d", cfg.NumTables, cfg.LogTagged),
+		hist: ltageHistory{
+			comps:      make([]tageComp, cfg.NumTables),
+			resetEvery: 256 * 1024,
+		},
 	}
+	h := &l.hist
 	// Geometric history lengths between MinHist and MaxHist.
 	ratio := math.Pow(float64(cfg.MaxHist)/float64(cfg.MinHist), 1/float64(cfg.NumTables-1))
 	hl := float64(cfg.MinHist)
-	for i := range l.comps {
-		c := &l.comps[i]
+	for i := range h.comps {
+		c := &h.comps[i]
 		c.logg = cfg.LogTagged
 		c.histLen = int(hl + 0.5)
-		if i > 0 && c.histLen <= l.comps[i-1].histLen {
-			c.histLen = l.comps[i-1].histLen + 1
+		if i > 0 && c.histLen <= h.comps[i-1].histLen {
+			c.histLen = h.comps[i-1].histLen + 1
 		}
 		hl *= ratio
 		// Tag widths grow with history length, as in the CBP-2 entry.
@@ -161,20 +180,37 @@ func NewLTAGE(cfg LTAGEConfig) *LTAGE {
 		}
 		c.idxMask = 1<<c.logg - 1
 		c.tagMask = 1<<c.tagBits - 1
-		c.entries = make([]tageEntry, 1<<c.logg)
 		c.foldIdx.init(c.histLen, c.logg)
 		c.foldTag1.init(c.histLen, c.tagBits)
 		c.foldTag2.init(c.histLen, c.tagBits-1)
 	}
-	l.histLen = l.comps[len(l.comps)-1].histLen
+	h.histLen = h.comps[len(h.comps)-1].histLen
 	ring := 1
-	for ring <= l.histLen {
+	for ring <= h.histLen {
 		ring <<= 1
 	}
-	l.hist = make([]uint8, ring)
-	l.histMask = ring - 1
+	h.hist = make([]uint8, ring)
+	h.histMask = ring - 1
+	l.lane = newLTAGELane(h, 1<<cfg.LogBase)
 	return l
 }
+
+// newLTAGELane builds one lane of tables, in power-on state, for the
+// components of h and a base table of baseEntries counters.
+func newLTAGELane(h *ltageHistory, baseEntries int) ltageLane {
+	n := len(h.comps)
+	return ltageLane{
+		base:    make([]counter, baseEntries),
+		tagged:  make([]tageEntry, n<<h.comps[0].logg),
+		lfsr:    ltageLFSRSeed,
+		loop:    newLoopPredictor(6),
+		lastIdx: make([]int, n),
+		lastTag: make([]uint16, n),
+	}
+}
+
+// ltageLFSRSeed is the allocation LFSR's power-on state.
+const ltageLFSRSeed = 0x1234567890abcdef
 
 // NewLTAGEDefault builds the standard ~32KB configuration used in the
 // paper-scale experiments.
@@ -190,101 +226,113 @@ func (c *tageComp) tag(h uint64) uint16 {
 	return uint16((h ^ c.foldTag1.comp ^ c.foldTag2.comp<<1) & c.tagMask)
 }
 
-func (l *LTAGE) baseIndex(h uint64) int {
-	return int(h & uint64(len(l.base)-1))
+func (ln *ltageLane) baseIndex(h uint64) int {
+	return int(h & uint64(len(ln.base)-1))
 }
 
 // Predict implements Predictor.
-func (l *LTAGE) Predict(pc uint64) bool {
-	h := hashPC(pc)
-	l.predictedPC = pc
-	l.lastHash = h
-	l.lastProvider, l.lastAlt = -1, -1
+func (l *LTAGE) Predict(pc uint64) bool { return l.lane.predict(&l.hist, pc) }
 
-	idx, tags := l.lastIdx, l.lastTag
-	for i := range l.comps {
-		c := &l.comps[i]
-		idx[i] = c.index(h)
-		tags[i] = c.tag(h)
+// Update implements Predictor.
+func (l *LTAGE) Update(pc uint64, taken bool) {
+	if pc != l.lane.predictedPC {
+		// Tolerate out-of-protocol use: recompute prediction state.
+		l.lane.predict(&l.hist, pc)
+	}
+	l.lane.update(taken)
+	if l.hist.tick() {
+		l.lane.ageUseful()
+	}
+	l.hist.push(taken)
+}
+
+// predict is the lane's prediction for the branch at pc under history h.
+func (ln *ltageLane) predict(h *ltageHistory, pc uint64) bool {
+	hash := hashPC(pc)
+	ln.predictedPC = pc
+	ln.lastHash = hash
+	ln.lastProvider, ln.lastAlt = -1, -1
+
+	comps, tagged := h.comps, ln.tagged
+	idx, tags := ln.lastIdx[:len(comps)], ln.lastTag[:len(comps)]
+	for i := range comps {
+		c := &comps[i]
+		idx[i] = i<<c.logg | c.index(hash)
+		tags[i] = c.tag(hash)
 	}
 	// Longest-history match is the provider; next match is the alternate.
-	for i := len(l.comps) - 1; i >= 0; i-- {
-		e := &l.comps[i].entries[l.lastIdx[i]]
-		if e.tag == l.lastTag[i] {
-			if l.lastProvider == -1 {
-				l.lastProvider = i
+	for i := len(comps) - 1; i >= 0; i-- {
+		if tagged[idx[i]].tag == tags[i] {
+			if ln.lastProvider == -1 {
+				ln.lastProvider = i
 			} else {
-				l.lastAlt = i
+				ln.lastAlt = i
 				break
 			}
 		}
 	}
 
-	basePred := l.base[l.baseIndex(h)].taken()
-	l.lastAltPred = basePred
-	if l.lastAlt >= 0 {
-		l.lastAltPred = l.comps[l.lastAlt].entries[l.lastIdx[l.lastAlt]].ctr >= 0
+	basePred := ln.base[ln.baseIndex(hash)].taken()
+	ln.lastAltPred = basePred
+	if ln.lastAlt >= 0 {
+		ln.lastAltPred = tagged[idx[ln.lastAlt]].ctr >= 0
 	}
 
 	pred := basePred
-	l.lastWeak = false
-	if l.lastProvider >= 0 {
-		e := &l.comps[l.lastProvider].entries[l.lastIdx[l.lastProvider]]
-		l.lastProvPred = e.ctr >= 0
+	ln.lastWeak = false
+	if ln.lastProvider >= 0 {
+		e := &tagged[idx[ln.lastProvider]]
+		ln.lastProvPred = e.ctr >= 0
 		// A "newly allocated" weak entry (|ctr| minimal, u==0) may be less
 		// reliable than the alternate prediction.
-		l.lastWeak = (e.ctr == 0 || e.ctr == -1) && e.u == 0
-		if l.lastWeak && l.useAltOnNA >= 0 {
-			pred = l.lastAltPred
+		ln.lastWeak = (e.ctr == 0 || e.ctr == -1) && e.u == 0
+		if ln.lastWeak && ln.useAltOnNA >= 0 {
+			pred = ln.lastAltPred
 		} else {
-			pred = l.lastProvPred
+			pred = ln.lastProvPred
 		}
 	}
 
 	// Loop predictor overrides when confident.
-	l.lastLoopHit, l.lastLoopPred = l.loop.predict(h)
-	if l.lastLoopHit {
-		pred = l.lastLoopPred
+	ln.lastLoopHit, ln.lastLoopPred = ln.loop.predict(hash)
+	if ln.lastLoopHit {
+		pred = ln.lastLoopPred
 	}
 	return pred
 }
 
-// Update implements Predictor.
-func (l *LTAGE) Update(pc uint64, taken bool) {
-	if pc != l.predictedPC {
-		// Tolerate out-of-protocol use: recompute prediction state.
-		l.Predict(pc)
-	}
-	h := l.lastHash
+// update trains the lane with the resolved outcome of the branch its
+// last predict saw. The history is the caller's to advance.
+func (ln *ltageLane) update(taken bool) {
+	h := ln.lastHash
 
-	tagePred := l.tagePrediction()
+	tagePred := ln.tagePrediction()
 	// A confidently wrong loop entry is freed immediately, as in L-TAGE;
 	// without this, a corrupted entry (e.g. two aliasing loop branches)
 	// would override the tagged tables forever.
-	if l.lastLoopHit && l.lastLoopPred != taken {
-		l.loop.invalidate(h)
+	if ln.lastLoopHit && ln.lastLoopPred != taken {
+		ln.loop.invalidate(h)
 	}
-	l.loop.update(h, taken, tagePred == taken)
+	ln.loop.update(h, taken, tagePred == taken)
 
 	// Train useAltOnNA on weak-provider cases.
-	if l.lastProvider >= 0 && l.lastWeak && l.lastProvPred != l.lastAltPred {
-		l.useAltOnNA = satSigned(l.useAltOnNA, l.lastAltPred == taken, -8, 7)
+	if ln.lastProvider >= 0 && ln.lastWeak && ln.lastProvPred != ln.lastAltPred {
+		ln.useAltOnNA = satSigned(ln.useAltOnNA, ln.lastAltPred == taken, -8, 7)
 	}
 
 	// Allocate on a TAGE misprediction, in a component with longer
 	// history than the provider.
-	if tagePred != taken && l.lastProvider < len(l.comps)-1 {
-		l.allocate(taken)
+	if tagePred != taken && ln.lastProvider < len(ln.lastIdx)-1 {
+		ln.allocate(taken)
 	}
 
 	// Update the provider (and sometimes the alternate/base).
-	if l.lastProvider >= 0 {
-		c := &l.comps[l.lastProvider]
-		e := &c.entries[l.lastIdx[l.lastProvider]]
+	if ln.lastProvider >= 0 {
+		e := &ln.tagged[ln.lastIdx[ln.lastProvider]]
 		e.ctr = satSigned(e.ctr, taken, -4, 3)
 		// Useful counter: provider was right and alternate was wrong.
-		if l.lastProvPred != l.lastAltPred {
-			if l.lastProvPred == taken {
+		if ln.lastProvPred != ln.lastAltPred {
+			if ln.lastProvPred == taken {
 				if e.u < 3 {
 					e.u++
 				}
@@ -294,50 +342,38 @@ func (l *LTAGE) Update(pc uint64, taken bool) {
 		}
 		// When the provider entry is still weak, also train the base.
 		if e.u == 0 {
-			bi := l.baseIndex(h)
-			l.base[bi] = l.base[bi].update(taken)
+			bi := ln.baseIndex(h)
+			ln.base[bi] = ln.base[bi].update(taken)
 		}
 	} else {
-		bi := l.baseIndex(h)
-		l.base[bi] = l.base[bi].update(taken)
+		bi := ln.baseIndex(h)
+		ln.base[bi] = ln.base[bi].update(taken)
 	}
-
-	// Graceful periodic reset of useful counters.
-	l.ticks++
-	if l.ticks >= l.resetEvery {
-		l.ticks = 0
-		for ci := range l.comps {
-			for ei := range l.comps[ci].entries {
-				l.comps[ci].entries[ei].u >>= 1
-			}
-		}
-	}
-
-	l.pushHistory(taken)
 }
 
 // tagePrediction reconstructs the TAGE component of the last prediction
 // (ignoring the loop predictor override).
-func (l *LTAGE) tagePrediction() bool {
-	if l.lastProvider < 0 {
-		return l.lastAltPred
+func (ln *ltageLane) tagePrediction() bool {
+	if ln.lastProvider < 0 {
+		return ln.lastAltPred
 	}
-	if l.lastWeak && l.useAltOnNA >= 0 {
-		return l.lastAltPred
+	if ln.lastWeak && ln.useAltOnNA >= 0 {
+		return ln.lastAltPred
 	}
-	return l.lastProvPred
+	return ln.lastProvPred
 }
 
-func (l *LTAGE) allocate(taken bool) {
+func (ln *ltageLane) allocate(taken bool) {
 	// Candidates are the components above the provider with a free
 	// (u==0) entry; pick one with LFSR randomness biased toward shorter
 	// histories. If none are free, age all candidates. Only the first
 	// two candidates can be picked, so the scan stops at the second and
 	// keeps no candidate list.
-	start := l.lastProvider + 1
+	idx := ln.lastIdx
+	start := ln.lastProvider + 1
 	first, second := -1, -1
-	for i := start; i < len(l.comps); i++ {
-		if l.comps[i].entries[l.lastIdx[i]].u == 0 {
+	for i := start; i < len(idx); i++ {
+		if ln.tagged[idx[i]].u == 0 {
 			if first >= 0 {
 				second = i
 				break
@@ -346,8 +382,8 @@ func (l *LTAGE) allocate(taken bool) {
 		}
 	}
 	if first < 0 {
-		for i := start; i < len(l.comps); i++ {
-			e := &l.comps[i].entries[l.lastIdx[i]]
+		for i := start; i < len(idx); i++ {
+			e := &ln.tagged[idx[i]]
 			if e.u > 0 {
 				e.u--
 			}
@@ -356,13 +392,13 @@ func (l *LTAGE) allocate(taken bool) {
 	}
 	pick := first
 	if second >= 0 {
-		l.lfsr = l.lfsr>>1 ^ (-(l.lfsr & 1) & 0xd800000000000000)
-		if l.lfsr&3 == 0 { // 1/4 chance to skip to a longer history
+		ln.lfsr = ln.lfsr>>1 ^ (-(ln.lfsr & 1) & 0xd800000000000000)
+		if ln.lfsr&3 == 0 { // 1/4 chance to skip to a longer history
 			pick = second
 		}
 	}
-	e := &l.comps[pick].entries[l.lastIdx[pick]]
-	e.tag = l.lastTag[pick]
+	e := &ln.tagged[idx[pick]]
+	e.tag = ln.lastTag[pick]
 	e.u = 0
 	if taken {
 		e.ctr = 0
@@ -371,14 +407,33 @@ func (l *LTAGE) allocate(taken bool) {
 	}
 }
 
-func (l *LTAGE) pushHistory(taken bool) {
+// ageUseful is the graceful periodic reset: every useful counter halves.
+func (ln *ltageLane) ageUseful() {
+	for i := range ln.tagged {
+		ln.tagged[i].u >>= 1
+	}
+}
+
+// tick counts one update and reports whether it is due for the graceful
+// useful-bit reset.
+func (h *ltageHistory) tick() bool {
+	h.ticks++
+	if h.ticks < h.resetEvery {
+		return false
+	}
+	h.ticks = 0
+	return true
+}
+
+// push shifts the outcome into the ring and every folded register.
+func (h *ltageHistory) push(taken bool) {
 	newBit := boolBit(taken)
-	hist, mask := l.hist, l.histMask
-	head := (l.head - 1) & mask
-	l.head = head
+	hist, mask := h.hist, h.histMask
+	head := (h.head - 1) & mask
+	h.head = head
 	hist[head] = uint8(newBit)
-	for i := range l.comps {
-		c := &l.comps[i]
+	for i := range h.comps {
+		c := &h.comps[i]
 		// The bit that just fell out of this component's window: age
 		// histLen-1 before the push, so age histLen now.
 		oldBit := uint64(hist[(head+c.histLen)&mask])
@@ -393,38 +448,86 @@ func (l *LTAGE) Name() string { return l.name }
 
 // SizeBits implements Predictor.
 func (l *LTAGE) SizeBits() int {
-	bits := 2 * len(l.base)
-	for i := range l.comps {
-		c := &l.comps[i]
-		bits += len(c.entries) * int(3+2+c.tagBits)
+	bits := 2 * len(l.lane.base)
+	for i := range l.hist.comps {
+		c := &l.hist.comps[i]
+		bits += (1 << c.logg) * int(3+2+c.tagBits)
 	}
-	bits += l.histLen + 4
-	bits += l.loop.sizeBits()
+	bits += l.hist.histLen + 4
+	bits += l.lane.loop.sizeBits()
 	return bits
 }
 
 // Reset implements Predictor.
 func (l *LTAGE) Reset() {
-	for i := range l.base {
-		l.base[i] = 0
-	}
-	for ci := range l.comps {
-		c := &l.comps[ci]
-		for ei := range c.entries {
-			c.entries[ei] = tageEntry{}
-		}
+	h := &l.hist
+	for ci := range h.comps {
+		c := &h.comps[ci]
 		c.foldIdx.comp = 0
 		c.foldTag1.comp = 0
 		c.foldTag2.comp = 0
 	}
-	for i := range l.hist {
-		l.hist[i] = 0
+	clear(h.hist)
+	h.head = 0
+	h.ticks = 0
+	ln := &l.lane
+	clear(ln.base)
+	clear(ln.tagged)
+	ln.useAltOnNA = 0
+	ln.lfsr = ltageLFSRSeed
+	ln.loop.reset()
+}
+
+// LTAGEBank is K L-TAGE predictors of one geometry fed one branch stream,
+// one lane per code layout: lane k sees the branch at its own PC, and
+// every lane sees the same outcome. So the lanes share one history —
+// pushed once per branch instead of once per lane — and each keeps its
+// own tables, loop predictor, LFSR and useAltOnNA. Each lane is
+// bit-identical to a scalar LTAGE fed lane k's PCs: the lane step is
+// the scalar Predict and Update, and the history a scalar LTAGE would
+// keep per lane is the same in every lane.
+type LTAGEBank struct {
+	hist  ltageHistory
+	lanes []ltageLane
+}
+
+// NewLTAGEBank builds a bank of lanes predictors with l's geometry. l
+// becomes lane 0, its history the bank's, so l must be in power-on state
+// and must not be used on its own afterwards; the other lanes start in
+// power-on state.
+func NewLTAGEBank(l *LTAGE, lanes int) *LTAGEBank {
+	if lanes <= 0 || lanes > 64 {
+		panic("branch: LTAGEBank needs 1..64 lanes")
 	}
-	l.head = 0
-	l.useAltOnNA = 0
-	l.ticks = 0
-	l.lfsr = 0x1234567890abcdef
-	l.loop.reset()
+	b := &LTAGEBank{hist: l.hist, lanes: make([]ltageLane, lanes)}
+	b.lanes[0] = l.lane
+	for k := 1; k < lanes; k++ {
+		b.lanes[k] = newLTAGELane(&b.hist, len(l.lane.base))
+	}
+	return b
+}
+
+// PredictUpdateRow runs every lane's Predict-then-Update step for one
+// resolved branch: pcs[k] is the branch PC in lane k's layout, one per
+// lane, and taken the shared outcome. Bit k of the returned mask is set
+// iff lane k mispredicted. The history is pushed once, after every lane.
+func (b *LTAGEBank) PredictUpdateRow(pcs []uint64, taken bool) uint64 {
+	var wrong uint64
+	h, lanes := &b.hist, b.lanes[:len(pcs)]
+	for k := range lanes {
+		ln := &lanes[k]
+		if ln.predict(h, pcs[k]) != taken {
+			wrong |= 1 << uint(k)
+		}
+		ln.update(taken)
+	}
+	if h.tick() {
+		for k := range lanes {
+			lanes[k].ageUseful()
+		}
+	}
+	h.push(taken)
+	return wrong
 }
 
 func satSigned(c int8, up bool, lo, hi int8) int8 {
@@ -458,9 +561,9 @@ type loopEntry struct {
 
 const loopConfThreshold = 3
 
-func newLoopPredictor(logEntries uint) *loopPredictor {
+func newLoopPredictor(logEntries uint) loopPredictor {
 	n := 1 << logEntries
-	return &loopPredictor{entries: make([]loopEntry, n), mask: uint64(n - 1)}
+	return loopPredictor{entries: make([]loopEntry, n), mask: uint64(n - 1)}
 }
 
 // slot finds the entry for the branch whose PC hash is h.

@@ -1,6 +1,7 @@
 package branch_test
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -110,6 +111,100 @@ func TestLTAGEGoldenMispredicts(t *testing.T) {
 		p.Reset()
 		if _, again := condMispredicts(p, tr, exe); again != got {
 			t.Errorf("%s: %d mispredicts after Reset, %d from power-on", f.Name, again, got)
+		}
+	}
+}
+
+// bankMispredicts replays the trace's conditional branches through a
+// bank's rows, lane k at exes[k]'s PCs, ltageGoldenPasses times over,
+// and returns each lane's mispredictions.
+func bankMispredicts(row func(pcs []uint64, taken bool) uint64, tr *interp.Trace, exes []*toolchain.Executable) []uint64 {
+	wrong := make([]uint64, len(exes))
+	pcs := make([]uint64, len(exes))
+	for pass := 0; pass < ltageGoldenPasses; pass++ {
+		cur := tr.Cursor()
+		for {
+			bid, ok := cur.NextBlock()
+			if !ok {
+				break
+			}
+			switch tr.Program.Blocks[bid].Term.Kind {
+			case isa.TermCondBranch:
+				taken := cur.NextTaken()
+				for k, exe := range exes {
+					pcs[k] = exe.TermAddr(bid)
+				}
+				for m := row(pcs, taken); m != 0; m &= m - 1 {
+					wrong[bits.TrailingZeros64(m)]++
+				}
+			case isa.TermIndirectCall:
+				cur.NextIndirect()
+			}
+		}
+	}
+	return wrong
+}
+
+// goldenLayouts builds layout seeds 1..n of the golden trace's program;
+// seed 1 is the layout the golden counts were recorded on.
+func goldenLayouts(t *testing.T, exe *toolchain.Executable, n int) []*toolchain.Executable {
+	t.Helper()
+	exes := []*toolchain.Executable{exe}
+	for seed := uint64(2); len(exes) < n; seed++ {
+		e, err := toolchain.BuildLayout(exe.Program, seed, toolchain.CompileConfig{}, toolchain.LinkConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exes = append(exes, e)
+	}
+	return exes
+}
+
+// TestLTAGEBankMatchesScalar pins every LTAGEBank lane to a scalar
+// LTAGE of its own fed that lane's layout: the lanes share one history,
+// which must be the history each scalar predictor keeps. The golden
+// trace's three passes cross the 256K-update useful-bit reset, which the
+// bank runs once for all lanes, and the lane on layout seed 1 must read
+// the golden count.
+func TestLTAGEBankMatchesScalar(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden replay of a 2M-instruction trace")
+	}
+	tr, exe := ltageGoldenTrace(t)
+	exes := goldenLayouts(t, exe, 5)
+	bank := branch.NewLTAGEBank(branch.NewLTAGEDefault(), len(exes))
+	got := bankMispredicts(bank.PredictUpdateRow, tr, exes)
+	if want := ltageGolden["l-tage-default"]; got[0] != want {
+		t.Errorf("bank lane on layout seed 1: %d mispredicts, golden %d", got[0], want)
+	}
+	distinct := map[uint64]bool{}
+	for k, e := range exes {
+		_, want := condMispredicts(branch.NewLTAGEDefault(), tr, e)
+		if got[k] != want {
+			t.Errorf("lane %d (layout seed %d): bank %d mispredicts, scalar %d", k, e.Seed, got[k], want)
+		}
+		distinct[want] = true
+	}
+	if len(distinct) < 2 {
+		t.Error("every layout mispredicted equally; the lanes are not exercised apart")
+	}
+}
+
+// TestGAsBankMatchesScalar is TestLTAGEBankMatchesScalar for the
+// paper's GAs budgets.
+func TestGAsBankMatchesScalar(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden replay of a 2M-instruction trace")
+	}
+	tr, exe := ltageGoldenTrace(t)
+	exes := goldenLayouts(t, exe, 3)
+	for _, bytes := range []int{2048, 4096, 8192, 16384} {
+		bank := branch.NewGAsBank(branch.GAsBudget(bytes), len(exes))
+		got := bankMispredicts(bank.PredictUpdateRow, tr, exes)
+		for k, e := range exes {
+			if _, want := condMispredicts(branch.GAsBudget(bytes), tr, e); got[k] != want {
+				t.Errorf("gas-%dKB lane %d (layout seed %d): bank %d mispredicts, scalar %d", bytes/1024, k, e.Seed, got[k], want)
+			}
 		}
 	}
 }

@@ -18,13 +18,14 @@ import (
 // a mod clen), so they check the precomputed per-register shift too.
 func TestLTAGEHistoryBookkeeping(t *testing.T) {
 	l := NewLTAGE(LTAGEConfig{NumTables: 6, LogTagged: 7, LogBase: 10, MaxHist: 130})
-	if len(l.hist) <= l.histLen || len(l.hist)&(len(l.hist)-1) != 0 || l.histMask != len(l.hist)-1 {
-		t.Fatalf("ring of %d slots (mask %#x) cannot hold age %d", len(l.hist), l.histMask, l.histLen)
+	h := &l.hist
+	if len(h.hist) <= h.histLen || len(h.hist)&(len(h.hist)-1) != 0 || h.histMask != len(h.hist)-1 {
+		t.Fatalf("ring of %d slots (mask %#x) cannot hold age %d", len(h.hist), h.histMask, h.histLen)
 	}
 	rng := xrand.New(99)
 	// ringBit reads the outcome age branches ago (0 = youngest) straight
 	// from the ring, the way pushHistory reads the bit leaving a window.
-	ringBit := func(age int) uint64 { return uint64(l.hist[(l.head+age)&l.histMask]) }
+	ringBit := func(age int) uint64 { return uint64(h.hist[(h.head+age)&h.histMask]) }
 
 	// Naive shadow state: outcomes[0] is the most recent.
 	var outcomes []bool
@@ -38,7 +39,7 @@ func TestLTAGEHistoryBookkeeping(t *testing.T) {
 		return comp
 	}
 
-	steps := 40 * len(l.hist)
+	steps := 40 * len(h.hist)
 	for step := 0; step < steps; step++ {
 		pc := 0x400000 + uint64(rng.Intn(64))*24
 		taken := rng.Bool(0.6)
@@ -46,13 +47,13 @@ func TestLTAGEHistoryBookkeeping(t *testing.T) {
 		l.Update(pc, taken)
 
 		outcomes = append([]bool{taken}, outcomes...)
-		if len(outcomes) > l.histLen+8 {
-			outcomes = outcomes[:l.histLen+8]
+		if len(outcomes) > h.histLen+8 {
+			outcomes = outcomes[:h.histLen+8]
 		}
 
 		// The ring must agree with the explicit list up to and including
 		// age histLen, the bit the longest window dropped this step.
-		for age := 0; age <= l.histLen; age++ {
+		for age := 0; age <= h.histLen; age++ {
 			want := uint64(0)
 			if age < len(outcomes) && outcomes[age] {
 				want = 1
@@ -62,8 +63,8 @@ func TestLTAGEHistoryBookkeeping(t *testing.T) {
 			}
 		}
 		// Folded registers must agree with the direct folds.
-		for i := range l.comps {
-			c := &l.comps[i]
+		for i := range h.comps {
+			c := &h.comps[i]
 			for k, f := range []*folded{&c.foldIdx, &c.foldTag1, &c.foldTag2} {
 				if want := directFold(c.histLen, f.clen); f.comp != want {
 					t.Fatalf("step %d comp %d fold %d: %x, direct %x", step, i, k, f.comp, want)
@@ -74,13 +75,13 @@ func TestLTAGEHistoryBookkeeping(t *testing.T) {
 
 	// Reset returns the ring and the folds to power-on.
 	l.Reset()
-	for age := 0; age <= l.histLen; age++ {
+	for age := 0; age <= h.histLen; age++ {
 		if ringBit(age) != 0 {
 			t.Fatalf("after Reset: history bit age %d set", age)
 		}
 	}
-	for i := range l.comps {
-		c := &l.comps[i]
+	for i := range h.comps {
+		c := &h.comps[i]
 		if c.foldIdx.comp|c.foldTag1.comp|c.foldTag2.comp != 0 {
 			t.Fatalf("after Reset: comp %d folds not cleared", i)
 		}

@@ -490,3 +490,21 @@ func BenchmarkLTAGE(b *testing.B) {
 		p.Update(pc, taken)
 	}
 }
+
+// BenchmarkLTAGEBank is BenchmarkLTAGE for an 8-lane bank, the width of
+// one worker's chunk in the predict workload's predictor evaluation: one
+// op is one branch row across every lane, each lane at its own PC.
+func BenchmarkLTAGEBank(b *testing.B) {
+	const lanes = 8
+	bank := branch.NewLTAGEBank(branch.NewLTAGEDefault(), lanes)
+	r := xrand.New(1)
+	pcs := make([]uint64, lanes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range pcs {
+			pcs[k] = 0x400000 + uint64((i+37*k)%256)*32
+		}
+		bank.PredictUpdateRow(pcs, r.Bool(0.7))
+	}
+}

@@ -16,13 +16,31 @@ import "fmt"
 // lower bits from the global history register. The paper simulates "GAs
 // branch predictors ranging in size from 2KB to 16KB" (§7.2) and believes
 // the Xeon's predictor contains a GAs-style component (§5.4).
+//
+// Like LTAGE it is one history plus one lane: the history register
+// depends only on outcomes, and GAsBank drives one pattern table per
+// code layout from one register.
 type GAs struct {
-	table    []counter
-	histBits uint
-	addrBits uint
-	ghr      uint64
-	name     string
+	hist  gasHistory
+	table []counter
+	name  string
 }
+
+// gasHistory is GAs state every layout shares: the index geometry and
+// the global history register.
+type gasHistory struct {
+	addrBits, histBits uint
+	ghr                uint64
+}
+
+// index is the pattern-table index of the branch at pc.
+func (h *gasHistory) index(pc uint64) uint64 {
+	addr := hashPC(pc) & (1<<h.addrBits - 1)
+	hist := h.ghr & (1<<h.histBits - 1)
+	return addr<<h.histBits | hist
+}
+
+func (h *gasHistory) push(taken bool) { h.ghr = h.ghr<<1 | boolBit(taken) }
 
 // NewGAs builds a GAs predictor with 2^addrBits address sets and histBits
 // bits of global history; the table has 2^(addrBits+histBits) counters.
@@ -31,41 +49,75 @@ func NewGAs(addrBits, histBits uint) *GAs {
 		panic("branch: GAs table too large")
 	}
 	return &GAs{
-		table:    make([]counter, 1<<(addrBits+histBits)),
-		histBits: histBits,
-		addrBits: addrBits,
-		name:     fmt.Sprintf("gas-a%d-h%d", addrBits, histBits),
+		hist:  gasHistory{addrBits: addrBits, histBits: histBits},
+		table: make([]counter, 1<<(addrBits+histBits)),
+		name:  fmt.Sprintf("gas-a%d-h%d", addrBits, histBits),
 	}
 }
 
-func (g *GAs) index(pc uint64) uint64 {
-	addr := hashPC(pc) & (1<<g.addrBits - 1)
-	hist := g.ghr & (1<<g.histBits - 1)
-	return addr<<g.histBits | hist
-}
-
 // Predict implements Predictor.
-func (g *GAs) Predict(pc uint64) bool { return g.table[g.index(pc)].taken() }
+func (g *GAs) Predict(pc uint64) bool { return g.table[g.hist.index(pc)].taken() }
 
 // Update implements Predictor.
 func (g *GAs) Update(pc uint64, taken bool) {
-	i := g.index(pc)
+	i := g.hist.index(pc)
 	g.table[i] = g.table[i].update(taken)
-	g.ghr = g.ghr<<1 | boolBit(taken)
+	g.hist.push(taken)
 }
 
 // Name implements Predictor.
 func (g *GAs) Name() string { return g.name }
 
 // SizeBits implements Predictor.
-func (g *GAs) SizeBits() int { return 2*len(g.table) + int(g.histBits) }
+func (g *GAs) SizeBits() int { return 2*len(g.table) + int(g.hist.histBits) }
 
 // Reset implements Predictor.
 func (g *GAs) Reset() {
-	for i := range g.table {
-		g.table[i] = 0
+	clear(g.table)
+	g.hist.ghr = 0
+}
+
+// GAsBank is K GAs predictors of one geometry fed one branch stream, one
+// lane per code layout: one global history register, pushed once per
+// branch, and one pattern table per lane. Lane k is bit-identical to a
+// scalar GAs fed lane k's PCs.
+type GAsBank struct {
+	hist   gasHistory
+	tables [][]counter
+}
+
+// NewGAsBank builds a bank of lanes predictors with g's geometry. g's
+// table becomes lane 0's and its history register the bank's, so g must
+// be in power-on state and must not be used on its own afterwards; the
+// other lanes start in power-on state.
+func NewGAsBank(g *GAs, lanes int) *GAsBank {
+	if lanes <= 0 || lanes > 64 {
+		panic("branch: GAsBank needs 1..64 lanes")
 	}
-	g.ghr = 0
+	b := &GAsBank{hist: g.hist, tables: make([][]counter, lanes)}
+	b.tables[0] = g.table
+	for k := 1; k < lanes; k++ {
+		b.tables[k] = make([]counter, len(g.table))
+	}
+	return b
+}
+
+// PredictUpdateRow runs every lane's Predict-then-Update step for one
+// resolved branch, as LTAGEBank.PredictUpdateRow does: pcs[k] is the
+// branch PC in lane k's layout, bit k of the result is set iff lane k
+// mispredicted, and the history register is pushed once.
+func (b *GAsBank) PredictUpdateRow(pcs []uint64, taken bool) uint64 {
+	var wrong uint64
+	for k, t := range b.tables[:len(pcs)] {
+		i := b.hist.index(pcs[k])
+		c := t[i]
+		if c.taken() != taken {
+			wrong |= 1 << uint(k)
+		}
+		t[i] = c.update(taken)
+	}
+	b.hist.push(taken)
+	return wrong
 }
 
 // Gshare is McFarling's gshare: pattern table indexed by PC XOR global
