@@ -83,9 +83,11 @@ type tageComp struct {
 	foldTag2 folded
 }
 
+// tageEntry is 4 bytes: the tag leads, so the two one-byte counters
+// need no padding.
 type tageEntry struct {
-	ctr int8 // signed 3-bit: >= 0 predicts taken
 	tag uint16
+	ctr int8  // signed 3-bit: >= 0 predicts taken
 	u   uint8 // 2-bit useful counter
 }
 
