@@ -556,6 +556,7 @@ func (s *Server) admit(spec JobSpec, record bool) (Status, error) {
 		}
 		return Status{}, err
 	}
+	c.armDeadline()
 	return c.snapshot(), nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -401,6 +402,82 @@ func TestDeadlineFailsIdleCampaign(t *testing.T) {
 	<-srv.Done()
 	if st, err = client.Status(ctx, st.ID); err != nil || st.State != campaignd.StateFailed {
 		t.Fatalf("after the drain: %s, %v; want failed", st.State, err)
+	}
+}
+
+// TestDeadlineSparesRestoredCampaign: a deadline that passes while a
+// cold server builds the campaign must not act on a campaign its
+// checkpoint already holds whole. The resubmission reads done with
+// every layout restored, on each of several fresh servers (each pays
+// the program and trace build, which outlasts a 1 ms deadline).
+func TestDeadlineSparesRestoredCampaign(t *testing.T) {
+	root := t.TempDir()
+	spec := testSpec(3)
+	srv, client := startService(t, campaignd.Config{Workers: 2, CheckpointRoot: root})
+	st, err := client.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = waitDone(t, client, st.ID); st.State != campaignd.StateDone {
+		t.Fatalf("first run ended %s: %s", st.State, st.Error)
+	}
+	srv.Drain()
+	<-srv.Done()
+
+	spec.DeadlineMS = 1
+	for round := 0; round < 32; round++ {
+		srv, err := campaignd.New(campaignd.Config{NoLocalWorkers: true, CheckpointRoot: root})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != campaignd.StateDone || st.Restored != spec.Layouts {
+			t.Errorf("round %d: resubmission read %s with %d restored (%q), want done with all %d",
+				round, st.State, st.Restored, st.Error, spec.Layouts)
+		}
+		srv.Drain()
+		<-srv.Done()
+	}
+}
+
+// TestDeadlineJournalsOneFinal: a layout campaign whose deadline passes
+// during its admission, on a coordinator with a WAL and no worker,
+// fails on the deadline and journals exactly one final record.
+func TestDeadlineJournalsOneFinal(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := campaignd.New(campaignd.Config{NoLocalWorkers: true, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	client := &campaignd.Client{Base: hs.URL, HTTP: hs.Client()}
+	spec := testSpec(4)
+	spec.DeadlineMS = 1
+	st, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = waitDone(t, client, st.ID); st.State != campaignd.StateFailed || !strings.Contains(st.Error, "deadline") {
+		t.Fatalf("campaign ended %s (%q), want failed on its deadline", st.State, st.Error)
+	}
+	srv.Kill() // closes the log without compacting it
+	<-srv.Done()
+	log, err := os.ReadFile(filepath.Join(dir, campaignd.WALFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	finals := 0
+	for _, line := range strings.Split(string(log), "\n") {
+		if strings.Contains(line, `"op":"final"`) && strings.Contains(line, st.ID) {
+			finals++
+		}
+	}
+	if finals != 1 {
+		t.Errorf("the WAL holds %d final records for %s, want 1:\n%s", finals, st.ID, log)
 	}
 }
 

@@ -297,18 +297,6 @@ func (s *Server) newCampaign(spec JobSpec) (*campaign, []int, error) {
 		remaining: cfg.Layouts,
 		finished:  make(chan struct{}),
 	}
-	if spec.DeadlineMS > 0 {
-		// The deadline fails the campaign when it passes, as settle
-		// would, even if none of its tasks is ever popped or settled (a
-		// coordinator with no worker polling). Only the deadline acts
-		// here: a drain, a kill or the server's shutdown cancels the
-		// context with its own cause and keeps its own state.
-		c.stopDeadline = context.AfterFunc(ctx, func() {
-			if ctx.Err() == context.DeadlineExceeded {
-				c.abort(context.Cause(ctx))
-			}
-		})
-	}
 	var pending []int
 	for i := 0; i < cfg.Layouts; i++ {
 		if o, ok := restored[i]; ok {
@@ -325,6 +313,30 @@ func (s *Server) newCampaign(spec JobSpec) (*campaign, []int, error) {
 		c.mu.Unlock()
 	}
 	return c, pending, nil
+}
+
+// armDeadline makes a layout campaign's deadline fail it when it
+// passes, as settle would, even if none of its tasks is ever popped or
+// settled (a coordinator with no worker polling). admit arms it once the
+// campaign is admitted, journaled and queued, so the abort never races
+// the admission; a campaign that has already ended arms nothing. Only
+// the deadline acts here: a drain, a kill or the server's shutdown
+// cancels the context with its own cause and keeps its own state.
+func (c *campaign) armDeadline() {
+	if c.spec.DeadlineMS <= 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.state != StateRunning {
+		return
+	}
+	ctx := c.ctx
+	c.stopDeadline = context.AfterFunc(ctx, func() {
+		if ctx.Err() == context.DeadlineExceeded {
+			c.abort(context.Cause(ctx))
+		}
+	})
 }
 
 // complete records one successful observation. Idempotent: duplicate
@@ -435,6 +447,9 @@ func (c *campaign) failLocked(err error) {
 }
 
 func (c *campaign) finalizeLocked() {
+	if c.state != StateRunning {
+		return
+	}
 	ds, err := c.runner.Dataset(c.obs, c.failures)
 	if err != nil {
 		c.failLocked(err)
