@@ -16,7 +16,6 @@ package pintool
 
 import (
 	"errors"
-	"fmt"
 	"math/bits"
 
 	"interferometry/internal/interp"
@@ -69,10 +68,6 @@ type Config struct {
 // machine model's geometry (machine.XeonE5440).
 const btbSets, btbWays = 512, 4
 
-// maxLanes is the most layouts one walk carries: a row's miss mask is
-// one word.
-const maxLanes = 64
-
 // Run replays the trace against one executable, feeding every
 // conditional branch to each predictor built by the factories and every
 // indirect call to a BTB (shared across predictors, since the
@@ -88,12 +83,10 @@ func Run(tr *interp.Trace, exe *toolchain.Executable, factories []branch.Factory
 
 // RunLayouts is Run for every executable in exes at once: result [k][p]
 // is predictor p on exes[k], equal to Run's result p for exes[k]. Each
-// predictor walks the trace once (per pass) for up to 64 layouts, one
-// lane per layout, and the lanes are freed before the next predictor's
-// walk. An *branch.LTAGE or *branch.GAs from a factory becomes lane 0 of
-// a bank whose lanes share one outcome history; any other predictor gets
-// one instance per layout; an oracle is not walked. The layouts' BTBs
-// ride the first walk.
+// predictor walks the trace once (per pass) for up to branch.MaxLanes
+// layouts through the lanes branch.NewLanes builds, one per layout, and
+// the lanes are freed before the next predictor's walk; an oracle is not
+// walked. The layouts' BTBs ride the first walk.
 func RunLayouts(tr *interp.Trace, exes []*toolchain.Executable, factories []branch.Factory, cfg Config) ([][]Result, error) {
 	if tr == nil || len(exes) == 0 {
 		return nil, errors.New("pintool: nil trace or no executables")
@@ -122,10 +115,10 @@ func RunLayouts(tr *interp.Trace, exes []*toolchain.Executable, factories []bran
 			}
 		}
 	}
-	for lo := 0; lo < len(exes); lo += maxLanes {
-		w := newWalk(tr, exes[lo:min(lo+maxLanes, len(exes))], cfg)
+	for lo := 0; lo < len(exes); lo += branch.MaxLanes {
+		w := newWalk(tr, exes[lo:min(lo+branch.MaxLanes, len(exes))], cfg)
 		for p, f := range factories {
-			ls, err := newLanes(f, len(w.exes))
+			ls, err := branch.NewLanes(f, len(w.exes))
 			if err != nil {
 				return nil, err
 			}
@@ -142,53 +135,7 @@ func RunLayouts(tr *interp.Trace, exes []*toolchain.Executable, factories []bran
 	return out, nil
 }
 
-// lanes is one predictor's state in every layout of a walk.
-// PredictUpdateRow predicts and trains every lane on one resolved branch
-// (pcs[k] is its PC in layout k) and returns the lanes that mispredicted
-// as a bit mask.
-type lanes interface {
-	PredictUpdateRow(pcs []uint64, taken bool) uint64
-}
-
-// newLanes builds factory f's lanes for n layouts, or nil for an oracle.
-// The factory's instance is lane 0, so the walk builds no predictor it
-// does not walk.
-func newLanes(f branch.Factory, n int) (lanes, error) {
-	p := f.New()
-	switch p := p.(type) {
-	case nil:
-		return nil, fmt.Errorf("pintool: factory %s built no predictor", f.Name)
-	case branch.Oracle:
-		return nil, nil
-	case *branch.LTAGE:
-		return branch.NewLTAGEBank(p, n), nil
-	case *branch.GAs:
-		return branch.NewGAsBank(p, n), nil
-	}
-	ps := make(predictorLanes, n)
-	ps[0] = p
-	for k := 1; k < n; k++ {
-		ps[k] = f.New()
-	}
-	return ps, nil
-}
-
-// predictorLanes drives one predictor instance per layout through the
-// Predictor interface.
-type predictorLanes []branch.Predictor
-
-func (ps predictorLanes) PredictUpdateRow(pcs []uint64, taken bool) uint64 {
-	var wrong uint64
-	for k, p := range ps {
-		if p.Predict(pcs[k]) != taken {
-			wrong |= 1 << uint(k)
-		}
-		p.Update(pcs[k], taken)
-	}
-	return wrong
-}
-
-// walk replays one trace against up to maxLanes layouts, one predictor
+// walk replays one trace against up to branch.MaxLanes layouts, one predictor
 // at a time.
 type walk struct {
 	tr     *interp.Trace
@@ -218,7 +165,7 @@ func newWalk(tr *interp.Trace, exes []*toolchain.Executable, cfg Config) *walk {
 // run walks the trace through one predictor's lanes, counting each
 // layout's conditional mispredictions in the last pass; the first run
 // also drives the BTBs and counts their mispredictions.
-func (w *walk) run(ls lanes) {
+func (w *walk) run(ls branch.Lanes) {
 	var btb *branch.BTBBank
 	if !w.btbDone {
 		var err error

@@ -216,3 +216,61 @@ func (b *BTBBank) Reset() {
 		b.order[i] = b.identity
 	}
 }
+
+// MaxLanes is the most lanes NewLanes builds: a row's miss mask is one
+// word.
+const MaxLanes = 64
+
+// Lanes is one predictor's state in every code layout of a replay, one
+// lane per layout. PredictUpdateRow runs every lane's Predict-then-Update
+// step for one resolved branch: pcs[k] is the branch PC in lane k's
+// layout, taken the shared outcome, and bit k of the result is set iff
+// lane k mispredicted.
+type Lanes interface {
+	PredictUpdateRow(pcs []uint64, taken bool) uint64
+}
+
+// NewLanes builds factory f's predictor for n layouts (1..MaxLanes), or
+// nil for an oracle, which mispredicts nothing. The factory's instance is
+// lane 0, so nothing is built that the replay does not drive. An LTAGE
+// or GAs becomes a bank whose lanes share one outcome history (LTAGEBank,
+// GAsBank); any other predictor gets one instance per lane, driven
+// through the Predictor interface. Each lane is bit-identical to a
+// scalar instance fed that lane's PCs.
+func NewLanes(f Factory, n int) (Lanes, error) {
+	if n <= 0 || n > MaxLanes {
+		return nil, fmt.Errorf("branch: %d lanes, want 1..%d", n, MaxLanes)
+	}
+	p := f.New()
+	switch p := p.(type) {
+	case nil:
+		return nil, fmt.Errorf("branch: factory %s built no predictor", f.Name)
+	case Oracle:
+		return nil, nil
+	case *LTAGE:
+		return newLTAGEBank(p, n), nil
+	case *GAs:
+		return newGAsBank(p, n), nil
+	}
+	ps := make(predictorLanes, n)
+	ps[0] = p
+	for k := 1; k < n; k++ {
+		ps[k] = f.New()
+	}
+	return ps, nil
+}
+
+// predictorLanes drives one predictor instance per lane through the
+// Predictor interface.
+type predictorLanes []Predictor
+
+func (ps predictorLanes) PredictUpdateRow(pcs []uint64, taken bool) uint64 {
+	var wrong uint64
+	for k, p := range ps {
+		if p.Predict(pcs[k]) != taken {
+			wrong |= 1 << uint(k)
+		}
+		p.Update(pcs[k], taken)
+	}
+	return wrong
+}

@@ -1,6 +1,7 @@
 package branch
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -87,5 +88,38 @@ func TestBTBBankRejectsWideGeometry(t *testing.T) {
 	}
 	if _, err := NewBTBBank(63, 4, 2); err == nil {
 		t.Fatal("NewBTBBank accepted a non-power-of-two set count")
+	}
+}
+
+// TestNewLanes: NewLanes picks a bank for L-TAGE and GAs, one instance
+// per lane for any other predictor, nothing for an oracle, and refuses a
+// factory without a predictor or a lane count outside 1..MaxLanes.
+func TestNewLanes(t *testing.T) {
+	built := 0
+	gshare := Factory{Name: "gshare", New: func() Predictor { built++; return NewGshare(1024, 10) }}
+	for _, c := range []struct {
+		f    Factory
+		want string
+	}{
+		{Factory{Name: "l-tage", New: func() Predictor { return NewLTAGEDefault() }}, "*branch.LTAGEBank"},
+		{Factory{Name: "gas", New: func() Predictor { return GAsBudget(2048) }}, "*branch.GAsBank"},
+		{gshare, "branch.predictorLanes"},
+		{Factory{Name: "perfect", New: func() Predictor { return Perfect{} }}, "<nil>"},
+	} {
+		ls, err := NewLanes(c.f, 5)
+		if got := fmt.Sprintf("%T", ls); err != nil || got != c.want {
+			t.Errorf("%s: NewLanes built %s (%v), want %s", c.f.Name, got, err, c.want)
+		}
+	}
+	if built != 5 {
+		t.Errorf("gshare lanes built %d instances, want one per lane (5)", built)
+	}
+	for _, n := range []int{0, MaxLanes + 1} {
+		if _, err := NewLanes(gshare, n); err == nil {
+			t.Errorf("%d lanes accepted", n)
+		}
+	}
+	if _, err := NewLanes(Factory{Name: "nil", New: func() Predictor { return nil }}, 1); err == nil {
+		t.Error("factory without a predictor accepted")
 	}
 }

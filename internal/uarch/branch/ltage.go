@@ -493,14 +493,11 @@ type LTAGEBank struct {
 	lanes []ltageLane
 }
 
-// NewLTAGEBank builds a bank of lanes predictors with l's geometry. l
-// becomes lane 0, its history the bank's, so l must be in power-on state
-// and must not be used on its own afterwards; the other lanes start in
-// power-on state.
-func NewLTAGEBank(l *LTAGE, lanes int) *LTAGEBank {
-	if lanes <= 0 || lanes > 64 {
-		panic("branch: LTAGEBank needs 1..64 lanes")
-	}
+// newLTAGEBank builds a bank of lanes predictors with l's geometry (see
+// NewLanes). l becomes lane 0, its history the bank's, so l must be in
+// power-on state and must not be used on its own afterwards; the other
+// lanes start in power-on state.
+func newLTAGEBank(l *LTAGE, lanes int) *LTAGEBank {
 	b := &LTAGEBank{hist: l.hist, lanes: make([]ltageLane, lanes)}
 	b.lanes[0] = l.lane
 	for k := 1; k < lanes; k++ {

@@ -160,6 +160,18 @@ func goldenLayouts(t *testing.T, exe *toolchain.Executable, n int) []*toolchain.
 	return exes
 }
 
+// newBank builds the lanes NewLanes makes of New for n layouts and
+// checks that they are the bank B.
+func newBank[B branch.Lanes](t testing.TB, New func() branch.Predictor, n int) B {
+	t.Helper()
+	ls, err := branch.NewLanes(branch.Factory{Name: "bank", New: New}, n)
+	b, ok := ls.(B)
+	if err != nil || !ok {
+		t.Fatalf("NewLanes built %T (%v), want %T", ls, err, b)
+	}
+	return b
+}
+
 // TestLTAGEBankMatchesScalar pins every LTAGEBank lane to a scalar
 // LTAGE of its own fed that lane's layout: the lanes share one history,
 // which must be the history each scalar predictor keeps. The golden
@@ -172,7 +184,7 @@ func TestLTAGEBankMatchesScalar(t *testing.T) {
 	}
 	tr, exe := ltageGoldenTrace(t)
 	exes := goldenLayouts(t, exe, 5)
-	bank := branch.NewLTAGEBank(branch.NewLTAGEDefault(), len(exes))
+	bank := newBank[*branch.LTAGEBank](t, func() branch.Predictor { return branch.NewLTAGEDefault() }, len(exes))
 	got := bankMispredicts(bank.PredictUpdateRow, tr, exes)
 	if want := ltageGolden["l-tage-default"]; got[0] != want {
 		t.Errorf("bank lane on layout seed 1: %d mispredicts, golden %d", got[0], want)
@@ -199,7 +211,7 @@ func TestGAsBankMatchesScalar(t *testing.T) {
 	tr, exe := ltageGoldenTrace(t)
 	exes := goldenLayouts(t, exe, 3)
 	for _, bytes := range []int{2048, 4096, 8192, 16384} {
-		bank := branch.NewGAsBank(branch.GAsBudget(bytes), len(exes))
+		bank := newBank[*branch.GAsBank](t, func() branch.Predictor { return branch.GAsBudget(bytes) }, len(exes))
 		got := bankMispredicts(bank.PredictUpdateRow, tr, exes)
 		for k, e := range exes {
 			if _, want := condMispredicts(branch.GAsBudget(bytes), tr, e); got[k] != want {

@@ -496,7 +496,7 @@ func BenchmarkLTAGE(b *testing.B) {
 // op is one branch row across every lane, each lane at its own PC.
 func BenchmarkLTAGEBank(b *testing.B) {
 	const lanes = 8
-	bank := branch.NewLTAGEBank(branch.NewLTAGEDefault(), lanes)
+	bank := newBank[*branch.LTAGEBank](b, func() branch.Predictor { return branch.NewLTAGEDefault() }, lanes)
 	r := xrand.New(1)
 	pcs := make([]uint64, lanes)
 	b.ReportAllocs()

@@ -86,14 +86,11 @@ type GAsBank struct {
 	tables [][]counter
 }
 
-// NewGAsBank builds a bank of lanes predictors with g's geometry. g's
-// table becomes lane 0's and its history register the bank's, so g must
-// be in power-on state and must not be used on its own afterwards; the
-// other lanes start in power-on state.
-func NewGAsBank(g *GAs, lanes int) *GAsBank {
-	if lanes <= 0 || lanes > 64 {
-		panic("branch: GAsBank needs 1..64 lanes")
-	}
+// newGAsBank builds a bank of lanes predictors with g's geometry (see
+// NewLanes). g's table becomes lane 0's and its history register the
+// bank's, so g must be in power-on state and must not be used on its own
+// afterwards; the other lanes start in power-on state.
+func newGAsBank(g *GAs, lanes int) *GAsBank {
 	b := &GAsBank{hist: g.hist, tables: make([][]counter, lanes)}
 	b.tables[0] = g.table
 	for k := 1; k < lanes; k++ {
